@@ -17,8 +17,8 @@
 //     physically feasible covert meetings (events.PossibleRendezvous) —
 //     the offline E13 sweep, folded into the stream.
 //
-// The stage answers the engine's anomalies kind through
-// query.AnomalySource (Stages routes each vessel to its owning shard's
+// The stage answers the engine's anomalies kind as a query.Lane behind
+// the live source (Stages.Lane routes each vessel to its owning shard's
 // stage), so one-shot HTTP, standing /v1/stream subscriptions,
 // federation and tiering all read the same state — and the profile fold
 // itself lives in internal/query, shared with the offline replay
@@ -277,14 +277,12 @@ func (sh *shared) gapClosed(g events.Gap) {
 
 // Stages is the sharded stage set: one Stage per ingest shard, vessels
 // routed by the same hash the pipelines shard by, plus the shared
-// materialisation/CEP core. It implements query.AnomalySource, so the
-// engine's live source reads behavior profiles straight from it.
+// materialisation/CEP core. Lane is its read side for the query engine's
+// live source.
 type Stages struct {
 	stages []*Stage
 	shared *shared
 }
-
-var _ query.AnomalySource = (*Stages)(nil)
 
 // NewStages builds n stages (one per shard) over one shared core.
 func NewStages(n int, cfg Config) *Stages {
@@ -315,12 +313,12 @@ func (ss *Stages) ShardFor(mmsi uint32) *Stage {
 // is called outside every stage lock.
 func (ss *Stages) OnAlert(fn func(events.Alert)) { ss.shared.onAlert = fn }
 
-// VesselAnomaly implements query.AnomalySource.
+// VesselAnomaly returns one vessel's report from its owning stage.
 func (ss *Stages) VesselAnomaly(mmsi uint32) (*query.VesselAnomaly, bool) {
 	return ss.ShardFor(mmsi).VesselAnomaly(mmsi)
 }
 
-// RankedAnomalies implements query.AnomalySource: every shard's reports
+// RankedAnomalies is the fleet ranking: every shard's reports
 // merged, sorted score-descending (MMSI ascending on ties) and
 // truncated to limit when limit > 0.
 func (ss *Stages) RankedAnomalies(limit int) ([]query.VesselAnomaly, bool) {
@@ -333,6 +331,22 @@ func (ss *Stages) RankedAnomalies(limit int) ([]query.VesselAnomaly, bool) {
 		out = out[:limit]
 	}
 	return out, true
+}
+
+// Lane is the stages' read side as the live source consumes it: the
+// anomalies kind answered from the online profiles — per-vessel where
+// the request names an MMSI (ok=false when the stage does not know it),
+// the fleet ranking otherwise.
+func (ss *Stages) Lane() query.Lane {
+	return query.Lane{query.KindAnomalies: func(r query.Request) (*query.Result, bool) {
+		rep, ok := &query.AnomalyReport{}, false
+		if r.MMSI != 0 {
+			rep.Vessel, ok = ss.VesselAnomaly(r.MMSI)
+		} else {
+			rep.Ranked, ok = ss.RankedAnomalies(r.Limit)
+		}
+		return &query.Result{Anomalies: rep}, ok
+	}}
 }
 
 // VesselCount sums profiled vessels across stages.

@@ -613,13 +613,13 @@ func (e *Engine) IngestDetections(ds []track.Detection) int {
 }
 
 // Tracks exposes the online track stage (nil when Config.Track is nil):
-// fused per-vessel state, the TrackIntelSource the query engine reads,
-// and the stage counters.
+// fused per-vessel state, the lane the query engine reads, and the stage
+// counters.
 func (e *Engine) Tracks() track.Stages { return e.tracks }
 
 // Anomalies exposes the streaming anomaly lane (nil when Config.Anomaly
-// is nil): per-vessel behavior profiles, the AnomalySource the query
-// engine reads, episode/gap/rendezvous tallies and the retained CEP
+// is nil): per-vessel behavior profiles, the lane the query engine
+// reads, episode/gap/rendezvous tallies and the retained CEP
 // alerts.
 func (e *Engine) Anomalies() *anomaly.Stages { return e.anoms }
 
@@ -638,18 +638,17 @@ func (e *Engine) Sharded() *core.Sharded { return e.sharded }
 // ingesting: reads see each shard's consistent current state.
 func (e *Engine) QueryEngine() *query.Engine {
 	e.queryOnce.Do(func() {
-		// The live source answers the track-intelligence kinds straight
-		// from the online stage when one runs; a plain nil (not a typed
-		// nil in the interface) keeps the derive-from-archive fallback.
-		var ti query.TrackIntelSource
+		// The live source answers the derived kinds straight from the
+		// online stages that run; the rest keep the replay-from-archive
+		// fallback.
+		var lanes []query.Lane
 		if e.tracks != nil {
-			ti = e.tracks
+			lanes = append(lanes, e.tracks.Lane())
 		}
-		var ai query.AnomalySource
 		if e.anoms != nil {
-			ai = e.anoms
+			lanes = append(lanes, e.anoms.Lane())
 		}
-		sources := append([]query.Source{query.NewLiveSourceIntel(e.sharded, ti, ai)}, e.cfg.Peers...)
+		sources := append([]query.Source{query.NewLiveSource(e.sharded, lanes...)}, e.cfg.Peers...)
 		e.query = query.NewEngine(sources...)
 		if e.cfg.Obs != nil {
 			e.query.Instrument(e.cfg.Obs)

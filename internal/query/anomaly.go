@@ -6,9 +6,9 @@
 //
 // Like the track-intelligence kinds, a Source that maintains live
 // per-vessel profiles (the ingest engine's internal/anomaly stage, a
-// federation peer) implements AnomalySource and answers directly; every
-// other source is answered by replaying its stored trajectory through
-// the same AnomalyAccumulator fold (DeriveAnomalies). The fold is a pure
+// federation peer) answers through Source.Derived; every other source
+// is answered by replaying its stored trajectory through the same
+// AnomalyAccumulator fold (DeriveAnomalies). The fold is a pure
 // function of the point sequence — fixed bin layouts, fixed thresholds
 // (the package constants below, not a config), no wall clock — so online
 // and replayed answers are byte-identical, and a tiered store that
@@ -17,6 +17,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"sort"
 	"time"
@@ -55,22 +56,6 @@ const (
 	anomalySpeedBinKn = 2.0
 	anomalyHeadBins   = 16
 )
-
-// AnomalySource is the optional Source extension for the anomalies kind.
-// Sources that maintain (or can fetch) live behavior profiles answer
-// directly — the engine takes an implementation's answer as
-// authoritative, nil/empty included. Sources without it are answered by
-// replaying their stored trajectories (DeriveAnomalies).
-type AnomalySource interface {
-	// VesselAnomaly returns one vessel's deviation report, or ok=false
-	// when the vessel is unknown.
-	VesselAnomaly(mmsi uint32) (*VesselAnomaly, bool)
-	// RankedAnomalies returns the fleet ordered by deviation score
-	// (descending, MMSI ascending on ties), at most limit entries
-	// (unlimited when limit <= 0); ok=false when the source cannot
-	// answer (a degraded peer).
-	RankedAnomalies(limit int) ([]VesselAnomaly, bool)
-}
 
 // EpisodeInfo is the wire form of one stop/move episode: the semstore
 // segmentation (activity by speed thresholds, centroid, mean speed)
@@ -423,18 +408,21 @@ func DeriveAnomalies(mmsi uint32, pts []model.VesselState) *VesselAnomaly {
 // DeriveRankedAnomalies answers the fleet-ranked form from a plain
 // source: every known vessel's history replayed through the fold, sorted
 // by score (descending; MMSI breaks ties), truncated to limit when
-// limit > 0.
-func DeriveRankedAnomalies(s Source, limit int) []VesselAnomaly {
+// limit > 0. The replay is the costliest read on the surface, so it
+// stops between vessels once ctx is done.
+func DeriveRankedAnomalies(ctx context.Context, s Source, limit int) []VesselAnomaly {
 	var out []VesselAnomaly
-	for _, mmsi := range s.DistinctMMSI() {
-		if va := DeriveAnomalies(mmsi, fullHistory(s, mmsi)); va != nil {
+	fleet := s.Stats(ctx).MMSIs
+	for _, mmsi := range fleet {
+		if ctx.Err() != nil {
+			return nil
+		}
+		if va := DeriveAnomalies(mmsi, fullHistory(ctx, s, mmsi)); va != nil {
 			out = append(out, *va)
 		}
 	}
 	SortRankedAnomalies(out)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
+	out, _ = capped(out, limit)
 	return out
 }
 

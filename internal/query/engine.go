@@ -20,38 +20,41 @@ import (
 // implementations are NewLiveSource (the sharded in-process pipelines,
 // fanned out per shard and merged), NewStoreSource (a recovered or
 // loaded tstore archive) and Client (another daemon as a federation
-// member — see federate.go); any future backend implements the same six
+// member — see federate.go); any future backend implements the same
 // reads and inherits the whole query surface. Implementations must be
 // safe for concurrent use: the engine fans a multi-source read out to
 // all sources at once.
+//
+// Every read takes the request's context: it carries cancellation (a
+// remote source abandons its exchange when the caller gives up) and the
+// request's trace (obs.FromContext). In-memory sources may ignore it.
 //
 // Contracts: Trajectory and SpaceTime return samples in [from, to]
 // ordered by (MMSI, time); Nearest returns up to k distinct vessels
 // each with a sample within tol of at, ordered by that sample's
 // distance to p; Live returns at most one (the newest known) state per
 // vessel inside r, ordered by MMSI; Alerts returns the recognised-event
-// history (nil for sources that do not track events); DistinctMMSI
-// returns the sorted identifiers of exactly the vessels a worldwide
-// Live read would report — the cheap distinct-count read stats
-// aggregation uses instead of fetching every source's live picture
-// (nil on a degraded peer).
+// history (nil for sources that do not track events); Stats returns the
+// source's holdings, MMSIs always filled: the sorted identifiers of
+// exactly the vessels a worldwide Live read would report — the cheap
+// distinct-count read stats aggregation uses instead of fetching every
+// source's live picture (nil on a degraded peer).
+//
+// Derived is the hook behind the kinds that fold a vessel's history
+// into an answer (track, predict, quality, anomalies): a source holding
+// its own answer — an online lane, one exchange with a peer — returns it
+// (non-nil) with ok=true and is taken as authoritative, empty included;
+// ok=false tells the engine to replay the source's Trajectory through
+// the kind's fold instead.
 type Source interface {
 	Name() string
-	Trajectory(mmsi uint32, from, to time.Time) []model.VesselState
-	SpaceTime(r geo.Rect, from, to time.Time) []model.VesselState
-	Nearest(p geo.Point, at time.Time, tol time.Duration, k int) []model.VesselState
-	Live(r geo.Rect) []model.VesselState
-	Alerts() []events.Alert
-	Stats() SourceStats
-	DistinctMMSI() []uint32
-}
-
-// StatsSetSource is the optional combined read: Stats and DistinctMMSI
-// answered in one exchange. Sources whose reads each cost a round trip
-// implement it (Client does — one stats poll per peer instead of two);
-// the engine falls back to the two Source calls otherwise.
-type StatsSetSource interface {
-	StatsWithMMSI() (SourceStats, []uint32)
+	Trajectory(ctx context.Context, mmsi uint32, from, to time.Time) []model.VesselState
+	SpaceTime(ctx context.Context, r geo.Rect, from, to time.Time) []model.VesselState
+	Nearest(ctx context.Context, p geo.Point, at time.Time, tol time.Duration, k int) []model.VesselState
+	Live(ctx context.Context, r geo.Rect) []model.VesselState
+	Alerts(ctx context.Context) []events.Alert
+	Stats(ctx context.Context) SourceStats
+	Derived(ctx context.Context, req Request) (res *Result, ok bool)
 }
 
 // Engine executes Requests against one or more Sources, merging and
@@ -74,15 +77,6 @@ func NewEngine(sources ...Source) *Engine {
 // before serving; the field is read without synchronisation.
 func (e *Engine) Instrument(reg *obs.Registry) { e.reg = reg }
 
-// Sources returns the source names in answer order.
-func (e *Engine) Sources() []string {
-	out := make([]string, len(e.sources))
-	for i, s := range e.sources {
-		out[i] = s.Name()
-	}
-	return out
-}
-
 // sourcesFor returns the sources a request is answered from: all of them
 // normally, the non-peer ones when the request is marked Local — the
 // federation loop guard (see PeerSource).
@@ -99,29 +93,31 @@ func (e *Engine) sourcesFor(req Request) []Source {
 	return local
 }
 
-// qobs carries the per-request observability hooks through the helper
-// chain: the engine's registry (nil when uninstrumented) and the
-// request's trace (nil when untraced). The zero value records nothing,
-// so the uninstrumented path pays only nil checks.
-type qobs struct {
-	reg *obs.Registry
-	tr  *obs.Trace
+// call is one request in flight — what a kind's run (kinds.go) works
+// with: the caller's context, the engine's registry (nil when
+// uninstrumented), the request's trace (nil when untraced; it also
+// rides ctx, which is how remote sources find it), the sources the
+// request is answered from and the validated, defaulted request. The
+// untraced, uninstrumented path pays only nil checks.
+type call struct {
+	ctx  context.Context
+	reg  *obs.Registry
+	tr   *obs.Trace
+	srcs []Source
+	req  Request
 }
 
-// span starts a named stage span; ending it is the returned func.
-func (q qobs) span(name string) func() { return q.tr.StartSpan(name) }
-
-// sourceStart begins the per-source measurement inside a gather
-// goroutine: a query_source_ns sample and a "source:<name>" span.
-func (q qobs) sourceStart(s Source) func() {
-	if q.reg == nil && q.tr == nil {
+// sourceStart begins the per-source measurement of one gather read: a
+// query_source_ns sample and a "source:<name>" span.
+func (c *call) sourceStart(s Source) func() {
+	if c.reg == nil && c.tr == nil {
 		return func() {}
 	}
 	var h *obs.Histogram
-	if q.reg != nil {
-		h = q.reg.Histogram("query_source_ns", "source", s.Name())
+	if c.reg != nil {
+		h = c.reg.Histogram("query_source_ns", "source", s.Name())
 	}
-	end := q.tr.StartSpan("source:" + s.Name())
+	end := c.tr.StartSpan("source:" + s.Name())
 	t0 := time.Now()
 	return func() {
 		if h != nil {
@@ -136,26 +132,40 @@ func (q qobs) sourceStart(s Source) func() {
 // deterministic). Sources are required to be safe for concurrent use
 // already; fanning out bounds a multi-source query at its slowest source
 // — with federation peers in the mix, a timing-out peer costs one
-// PeerTimeout, not one per peer serially.
-func gather[T any](q qobs, srcs []Source, read func(Source) T) []T {
-	out := make([]T, len(srcs))
-	if len(srcs) == 1 { // common case: no goroutine overhead
-		done := q.sourceStart(srcs[0])
-		out[0] = read(srcs[0])
+// PeerTimeout, not one per peer serially. A cancelled request stops
+// waiting: the slots of sources still reading stay zero, and
+// QueryContext reports the context's error instead of the partial answer.
+func gather[T any](c *call, read func(context.Context, Source) T) []T {
+	out := make([]T, len(c.srcs))
+	if len(c.srcs) == 1 { // common case: no goroutine overhead
+		done := c.sourceStart(c.srcs[0])
+		out[0] = read(c.ctx, c.srcs[0])
 		done()
 		return out
 	}
-	var wg sync.WaitGroup
-	for i, s := range srcs {
-		wg.Add(1)
+	type slot struct {
+		i int
+		v T
+	}
+	// One send per source, so a reader that has given up never strands a
+	// source goroutine on its send.
+	ch := make(chan slot, len(c.srcs))
+	for i, s := range c.srcs {
 		go func(i int, s Source) {
-			defer wg.Done()
-			done := q.sourceStart(s)
-			out[i] = read(s)
+			done := c.sourceStart(s)
+			v := read(c.ctx, s)
 			done()
+			ch <- slot{i, v}
 		}(i, s)
 	}
-	wg.Wait()
+	for range c.srcs {
+		select {
+		case r := <-ch:
+			out[r.i] = r.v
+		case <-c.ctx.Done():
+			return out
+		}
+	}
 	return out
 }
 
@@ -164,101 +174,35 @@ func (e *Engine) Query(req Request) (*Result, error) {
 	return e.QueryContext(context.Background(), req)
 }
 
-// QueryContext validates and executes one request. A trace carried by
-// ctx (obs.WithTrace) collects stage spans; setting req.Trace without
-// one starts a fresh trace and returns its spans in Result.Trace.
+// QueryContext validates and executes one request under ctx: cancelling
+// it (or passing its deadline) abandons the fan-out — peers included —
+// and fails the query with the context's error. A trace carried by ctx
+// (obs.WithTrace) collects stage spans; setting req.Trace without one
+// starts a fresh trace and returns its spans in Result.Trace.
 func (e *Engine) QueryContext(ctx context.Context, req Request) (*Result, error) {
 	if len(e.sources) == 0 {
 		return nil, fmt.Errorf("query: engine has no sources")
 	}
-	if err := req.Validate(); err != nil {
-		if e.reg != nil {
-			e.reg.Counter("query_errors_total").Inc()
-		}
-		return nil, err
+	req, def, err := prepare(req)
+	if err != nil {
+		return e.failed(err)
 	}
-	req = req.normalize()
 	tr := obs.FromContext(ctx)
 	if tr == nil && req.Trace {
 		tr = obs.NewTrace()
+		ctx = obs.WithTrace(ctx, tr)
 	}
-	q := qobs{reg: e.reg, tr: tr}
+	c := &call{ctx: ctx, reg: e.reg, tr: tr, srcs: e.sourcesFor(req), req: req}
 	t0 := time.Now()
-	srcs := e.sourcesFor(req)
-	if tr != nil {
-		srcs = tracedSources(srcs, tr)
+	res := &Result{Kind: req.Kind, Sources: make([]string, len(c.srcs))}
+	for i, s := range c.srcs {
+		res.Sources[i] = s.Name()
 	}
-	names := make([]string, len(srcs))
-	for i, s := range srcs {
-		names[i] = s.Name()
-	}
-	res := &Result{Kind: req.Kind, Sources: names}
-	switch req.Kind {
-	case KindTrajectory:
-		from, to := req.timeRange()
-		lists := gather(q, srcs, func(s Source) []model.VesselState {
-			return s.Trajectory(req.MMSI, from, to)
-		})
-		finishStates(q, req, res, flatten(lists))
-	case KindSpaceTime:
-		from, to := req.timeRange()
-		lists := gather(q, srcs, func(s Source) []model.VesselState {
-			return s.SpaceTime(req.Box.Rect(), from, to)
-		})
-		finishStates(q, req, res, flatten(lists))
-	case KindNearest:
-		nearest(q, srcs, req, res)
-	case KindLivePicture:
-		states := livePicture(q, srcs, req.Box.Rect())
-		res.Count = len(states)
-		for _, s := range truncateStates(states, req.Limit, res) {
-			res.States = append(res.States, StateOf(s))
-		}
-	case KindSituation:
-		res.Situation = situation(q, srcs, req)
-		res.Count = len(res.Situation.Vessels)
-	case KindAlertHistory:
-		alertHistory(q, srcs, req, res)
-	case KindStats:
-		res.Stats = stats(q, srcs, req.MMSIs)
-		res.Count = res.Stats.Points
-	case KindTrack:
-		res.Track = bestAnswer(q, srcs,
-			func(s Source) *TrackState { return trackFrom(s, req.MMSI) },
-			func(a, b *TrackState) bool { return a.At.After(b.At) })
-		if res.Track != nil {
-			res.Count = 1
-		}
-	case KindPredict:
-		res.Prediction = bestAnswer(q, srcs,
-			func(s Source) *Prediction { return predictFrom(s, req.MMSI, time.Duration(req.Horizon)) },
-			func(a, b *Prediction) bool { return a.From.After(b.From) })
-		if res.Prediction != nil {
-			res.Count = 1
-		}
-	case KindQuality:
-		res.Quality = bestAnswer(q, srcs,
-			func(s Source) *QualityScore { return qualityFrom(s, req.MMSI) },
-			func(a, b *QualityScore) bool { return a.Checked > b.Checked })
-		if res.Quality != nil {
-			res.Count = 1
-		}
-	case KindAnomalies:
-		if req.MMSI != 0 {
-			va := bestAnswer(q, srcs,
-				func(s Source) *VesselAnomaly { return vesselAnomalyFrom(s, req.MMSI) },
-				betterVesselAnomaly)
-			if va != nil {
-				res.Anomalies = &AnomalyReport{Vessel: va}
-				res.Count = 1
-			}
-		} else {
-			lists := gather(q, srcs, func(s Source) []VesselAnomaly {
-				return rankedAnomaliesFrom(s, req.Limit)
-			})
-			res.Anomalies = &AnomalyReport{Ranked: mergeRankedAnomalies(q, lists, req.Limit, res)}
-			res.Count = len(res.Anomalies.Ranked)
-		}
+	def.run(c, res)
+	if err := ctx.Err(); err != nil {
+		// Whatever was gathered before the caller gave up is partial, and
+		// a partial answer must not pass for the answer.
+		return e.failed(fmt.Errorf("query: %w", err))
 	}
 	if e.reg != nil {
 		e.reg.Counter("query_requests_total", "kind", string(req.Kind)).Inc()
@@ -275,48 +219,45 @@ func (e *Engine) QueryContext(ctx context.Context, req Request) (*Result, error)
 	return res, nil
 }
 
-// tracedSources substitutes trace-bound views for sources that forward
-// trace context across a remote hop (federation clients), so a traced
-// request comes back with one span tree covering every daemon it
-// touched. The engine's own slice is never mutated.
-func tracedSources(srcs []Source, tr *obs.Trace) []Source {
-	out := srcs
-	copied := false
-	for i, s := range srcs {
-		ts, ok := s.(traceSource)
-		if !ok {
-			continue
-		}
-		if !copied {
-			out = make([]Source, len(srcs))
-			copy(out, srcs)
-			copied = true
-		}
-		out[i] = ts.withTrace(tr)
+// failed counts a query that ended in err.
+func (e *Engine) failed(err error) (*Result, error) {
+	if e.reg != nil {
+		e.reg.Counter("query_errors_total").Inc()
 	}
-	return out
+	return nil, err
 }
 
-// finishStates dedupes, orders, truncates and encodes a merged sample set.
-func finishStates(q qobs, req Request, res *Result, merged []model.VesselState) {
-	defer q.span("merge")()
-	merged = DedupeStates(merged)
-	res.Count = len(merged)
-	for _, s := range truncateStates(merged, req.Limit, res) {
-		res.States = append(res.States, StateOf(s))
+// --- merges: the run halves of the kind table (kinds.go) -------------------------
+
+// statesOf builds the run of a kind whose answer is the sources' samples
+// merged: one read per source, deduplicated on (MMSI, timestamp),
+// ordered, truncated to Limit.
+func statesOf(read func(ctx context.Context, s Source, r Request) []model.VesselState) func(*call, *Result) {
+	return func(c *call, res *Result) {
+		merged := flatten(gather(c, func(ctx context.Context, s Source) []model.VesselState {
+			return read(ctx, s, c.req)
+		}))
+		defer c.tr.StartSpan("merge")()
+		res.setStates(DedupeStates(merged), c.req.Limit)
 	}
 }
 
-// DedupeStates sorts samples by (MMSI, time) and removes (MMSI,
-// timestamp) duplicates in place — the merge step between overlapping
-// sources. Exported for tests and for callers composing their own reads.
-func DedupeStates(states []model.VesselState) []model.VesselState {
+// sortStates orders samples by (MMSI, time), the order of every sample
+// answer.
+func sortStates(states []model.VesselState) {
 	sort.Slice(states, func(i, j int) bool {
 		if states[i].MMSI != states[j].MMSI {
 			return states[i].MMSI < states[j].MMSI
 		}
 		return states[i].At.Before(states[j].At)
 	})
+}
+
+// DedupeStates sorts samples by (MMSI, time) and removes (MMSI,
+// timestamp) duplicates in place — the merge step between overlapping
+// sources. Exported for tests and for callers composing their own reads.
+func DedupeStates(states []model.VesselState) []model.VesselState {
+	sortStates(states)
 	out := states[:0]
 	for _, s := range states {
 		if n := len(out); n > 0 && out[n-1].MMSI == s.MMSI && out[n-1].At.Equal(s.At) {
@@ -327,13 +268,22 @@ func DedupeStates(states []model.VesselState) []model.VesselState {
 	return out
 }
 
-// truncateStates applies the request limit, recording the cut.
-func truncateStates(states []model.VesselState, limit int, res *Result) []model.VesselState {
-	if limit > 0 && len(states) > limit {
-		res.Truncated = true
-		return states[:limit]
+// setStates fills a sample answer: the count before Limit, the cut
+// recorded, the samples in wire form.
+func (res *Result) setStates(states []model.VesselState, limit int) {
+	res.Count = len(states)
+	states, res.Truncated = capped(states, limit)
+	for _, s := range states {
+		res.States = append(res.States, StateOf(s))
 	}
-	return states
+}
+
+// capped applies a Limit (0 = unlimited) and reports whether it cut.
+func capped[T any](xs []T, limit int) ([]T, bool) {
+	if limit > 0 && len(xs) > limit {
+		return xs[:limit], true
+	}
+	return xs, false
 }
 
 // flatten concatenates per-source result lists in source order.
@@ -348,25 +298,26 @@ func flatten(lists [][]model.VesselState) []model.VesselState {
 	return out
 }
 
-// nearest merges per-source candidate lists: order every candidate by
+// runNearest merges per-source candidate lists: order every candidate by
 // distance to the reference point, keep the nearest sample per vessel,
 // take k.
-func nearest(q qobs, srcs []Source, req Request, res *Result) {
+func runNearest(c *call, res *Result) {
+	req := c.req
 	p := geo.Point{Lat: req.Lat, Lon: req.Lon}
-	cands := flatten(gather(q, srcs, func(s Source) []model.VesselState {
-		return s.Nearest(p, req.At, time.Duration(req.Tol), req.K)
+	cands := flatten(gather(c, func(ctx context.Context, s Source) []model.VesselState {
+		return s.Nearest(ctx, p, req.At, time.Duration(req.Tol), req.K)
 	}))
-	defer q.span("merge")()
+	defer c.tr.StartSpan("merge")()
 	sort.SliceStable(cands, func(i, j int) bool {
 		return geo.Distance(p, cands[i].Pos) < geo.Distance(p, cands[j].Pos)
 	})
-	seen := make(map[uint32]bool, req.K)
-	for _, c := range cands {
-		if seen[c.MMSI] {
+	seen := make(map[uint32]bool, min(req.K, len(cands)))
+	for _, cand := range cands {
+		if seen[cand.MMSI] {
 			continue
 		}
-		seen[c.MMSI] = true
-		res.States = append(res.States, StateOf(c))
+		seen[cand.MMSI] = true
+		res.States = append(res.States, StateOf(cand))
 		if len(res.States) == req.K {
 			break
 		}
@@ -374,11 +325,15 @@ func nearest(q qobs, srcs []Source, req Request, res *Result) {
 	res.Count = len(res.States)
 }
 
+func runLive(c *call, res *Result) {
+	res.setStates(livePicture(c, c.req.Box.Rect()), c.req.Limit)
+}
+
 // livePicture merges the sources' current pictures, keeping the newest
 // state per vessel (a live pipeline beats a stale archive), MMSI-ordered.
-func livePicture(q qobs, srcs []Source, r geo.Rect) []model.VesselState {
-	lists := gather(q, srcs, func(s Source) []model.VesselState { return s.Live(r) })
-	defer q.span("merge")()
+func livePicture(c *call, r geo.Rect) []model.VesselState {
+	lists := gather(c, func(ctx context.Context, s Source) []model.VesselState { return s.Live(ctx, r) })
+	defer c.tr.StartSpan("merge")()
 	newest := make(map[uint32]model.VesselState)
 	for _, states := range lists {
 		for _, st := range states {
@@ -395,10 +350,11 @@ func livePicture(q qobs, srcs []Source, r geo.Rect) []model.VesselState {
 	return out
 }
 
-// situation assembles the merged operational picture: the deduplicated
-// live states plus the merged alert board, aggregated exactly as
-// core.Pipeline.Situation aggregates a single pipeline's.
-func situation(q qobs, srcs []Source, req Request) *Situation {
+// runSituation assembles the merged operational picture: the
+// deduplicated live states plus the merged alert board, aggregated
+// exactly as core.Pipeline.Situation aggregates a single pipeline's.
+func runSituation(c *call, res *Result) {
+	req := c.req
 	bounds := req.Box.Rect()
 	// Like stats: the two fan-outs run concurrently so a hanging peer
 	// costs one timeout per situation, not two.
@@ -408,14 +364,14 @@ func situation(q qobs, srcs []Source, req Request) *Situation {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		vessels = livePicture(q, srcs, bounds)
+		vessels = livePicture(c, bounds)
 	}()
 	go func() {
 		defer wg.Done()
-		merged = mergedAlerts(q, srcs)
+		merged = mergedAlerts(c)
 	}()
 	wg.Wait()
-	defer q.span("assemble")()
+	defer c.tr.StartSpan("assemble")()
 	at := req.At
 	if at.IsZero() {
 		for _, v := range vessels {
@@ -434,14 +390,16 @@ func situation(q qobs, srcs []Source, req Request) *Situation {
 			Where: a.Where, Severity: a.Severity, Note: a.Note,
 		})
 	}
-	return SituationOf(va.BuildSituation(at, bounds, vessels, alerts, req.Rows, req.Cols))
+	res.Situation = SituationOf(va.BuildSituation(at, bounds, vessels, alerts, req.Rows, req.Cols))
+	res.Count = len(res.Situation.Vessels)
 }
 
-// alertHistory merges, filters and time-orders the sources' alerts.
-func alertHistory(q qobs, srcs []Source, req Request, res *Result) {
+// runAlerts merges, filters and time-orders the sources' alerts.
+func runAlerts(c *call, res *Result) {
+	req := c.req
 	from, to := req.timeRange()
-	merged := mergedAlerts(q, srcs)
-	defer q.span("merge")()
+	merged := mergedAlerts(c)
+	defer c.tr.StartSpan("merge")()
 	var kept []events.Alert
 	for _, a := range merged {
 		if a.Severity < req.MinSeverity || a.At.Before(from) || a.At.After(to) {
@@ -451,10 +409,7 @@ func alertHistory(q qobs, srcs []Source, req Request, res *Result) {
 	}
 	sort.SliceStable(kept, func(i, j int) bool { return kept[i].At.Before(kept[j].At) })
 	res.Count = len(kept)
-	if req.Limit > 0 && len(kept) > req.Limit {
-		res.Truncated = true
-		kept = kept[:req.Limit]
-	}
+	kept, res.Truncated = capped(kept, req.Limit)
 	for _, a := range kept {
 		res.Alerts = append(res.Alerts, AlertOf(a))
 	}
@@ -462,7 +417,7 @@ func alertHistory(q qobs, srcs []Source, req Request, res *Result) {
 
 // mergedAlerts concatenates the sources' alert histories, dropping exact
 // duplicates (same kind, vessels and instant) from overlapping sources.
-func mergedAlerts(q qobs, srcs []Source) []events.Alert {
+func mergedAlerts(c *call) []events.Alert {
 	type key struct {
 		kind        events.Kind
 		mmsi, other uint32
@@ -470,7 +425,7 @@ func mergedAlerts(q qobs, srcs []Source) []events.Alert {
 	}
 	var out []events.Alert
 	seen := make(map[key]bool)
-	for _, alerts := range gather(q, srcs, func(s Source) []events.Alert { return s.Alerts() }) {
+	for _, alerts := range gather(c, func(ctx context.Context, s Source) []events.Alert { return s.Alerts(ctx) }) {
 		for _, a := range alerts {
 			k := key{kind: a.Kind, mmsi: a.MMSI, other: a.Other, unixNano: a.At.UnixNano()}
 			if seen[k] {
@@ -483,70 +438,39 @@ func mergedAlerts(q qobs, srcs []Source) []events.Alert {
 	return out
 }
 
-// --- track intelligence fan-out (trackintel.go holds the types) -----------------
-
-// bestAnswer fans a per-vessel track-intelligence read out to every
-// source and keeps the best non-nil answer under the given ordering
-// (ties keep the earlier source, so merged answers are deterministic).
-func bestAnswer[T any](q qobs, srcs []Source, read func(Source) *T, better func(a, b *T) bool) *T {
-	answers := gather(q, srcs, read)
-	defer q.span("merge")()
-	var best *T
-	for _, a := range answers {
-		if a == nil {
-			continue
-		}
-		if best == nil || better(a, best) {
-			best = a
-		}
-	}
-	return best
-}
-
 // fullHistory reads a source's entire stored trajectory for one vessel
-// (the track-intelligence kinds always score the whole known history).
-func fullHistory(s Source, mmsi uint32) []model.VesselState {
-	return s.Trajectory(mmsi, time.Time{}, time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC))
+// (the derived kinds always fold the whole known history).
+func fullHistory(ctx context.Context, s Source, mmsi uint32) []model.VesselState {
+	return s.Trajectory(ctx, mmsi, time.Time{}, time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC))
 }
 
-// trackFrom answers one source: live fused state when the source
-// maintains one (TrackIntelSource — its answer is authoritative, nil
-// included), a deterministic replay of its stored trajectory otherwise.
-func trackFrom(s Source, mmsi uint32) *TrackState {
-	if ti, ok := s.(TrackIntelSource); ok {
-		ts, _ := ti.Track(mmsi)
-		return ts
+// derived builds the run of a per-vessel derived kind: every source
+// answers — its own answer when it holds one (Source.Derived;
+// authoritative, empty included), a deterministic replay of its stored
+// trajectory through fold otherwise — and the best non-nil answer under
+// better wins (ties keep the earlier source, so merged answers are
+// deterministic). field locates the kind's payload in a Result.
+func derived[T any](field func(*Result) **T, fold func(r Request, pts []model.VesselState) *T,
+	better func(a, b *T) bool) func(*call, *Result) {
+	return func(c *call, res *Result) {
+		answers := gather(c, func(ctx context.Context, s Source) *T {
+			if own, ok := s.Derived(ctx, c.req); ok {
+				return *field(own)
+			}
+			return fold(c.req, fullHistory(ctx, s, c.req.MMSI))
+		})
+		defer c.tr.StartSpan("merge")()
+		var best *T
+		for _, a := range answers {
+			if a != nil && (best == nil || better(a, best)) {
+				best = a
+			}
+		}
+		if best != nil {
+			*field(res) = best
+			res.Count = 1
+		}
 	}
-	return DeriveTrack(mmsi, fullHistory(s, mmsi))
-}
-
-func predictFrom(s Source, mmsi uint32, horizon time.Duration) *Prediction {
-	if ti, ok := s.(TrackIntelSource); ok {
-		p, _ := ti.Predict(mmsi, horizon)
-		return p
-	}
-	return DerivePredict(mmsi, fullHistory(s, mmsi), horizon)
-}
-
-func qualityFrom(s Source, mmsi uint32) *QualityScore {
-	if ti, ok := s.(TrackIntelSource); ok {
-		qs, _ := ti.Quality(mmsi)
-		return qs
-	}
-	return DeriveQuality(mmsi, fullHistory(s, mmsi))
-}
-
-// --- anomaly fan-out (anomaly.go holds the types) --------------------------------
-
-// vesselAnomalyFrom answers one source: the live behavior profile when
-// the source maintains one (AnomalySource — authoritative, nil
-// included), a deterministic replay of its stored trajectory otherwise.
-func vesselAnomalyFrom(s Source, mmsi uint32) *VesselAnomaly {
-	if as, ok := s.(AnomalySource); ok {
-		va, _ := as.VesselAnomaly(mmsi)
-		return va
-	}
-	return DeriveAnomalies(mmsi, fullHistory(s, mmsi))
 }
 
 // betterVesselAnomaly prefers the fresher (then deeper) answer when
@@ -558,23 +482,41 @@ func betterVesselAnomaly(a, b *VesselAnomaly) bool {
 	return a.Samples > b.Samples
 }
 
-// rankedAnomaliesFrom answers one source's fleet ranking: the live
-// stage's when it maintains one, a replay over the source's distinct
-// vessels otherwise. A degraded AnomalySource (ok=false) contributes
-// nothing, like every other degraded peer read.
-func rankedAnomaliesFrom(s Source, limit int) []VesselAnomaly {
-	if as, ok := s.(AnomalySource); ok {
-		ranked, _ := as.RankedAnomalies(limit)
-		return ranked
+// runAnomalies answers both forms of the anomalies kind: one vessel's
+// report (the freshest source wins) or the merged fleet ranking.
+func runAnomalies(c *call, res *Result) {
+	if c.req.MMSI != 0 {
+		runVesselAnomaly(c, res)
+	} else {
+		runRankedAnomalies(c, res)
 	}
-	return DeriveRankedAnomalies(s, limit)
 }
 
-// mergeRankedAnomalies merges per-source rankings: one entry per vessel
-// (the fresher answer wins, earlier source on ties), re-sorted by score
-// and truncated to limit.
-func mergeRankedAnomalies(q qobs, lists [][]VesselAnomaly, limit int, res *Result) []VesselAnomaly {
-	defer q.span("merge")()
+var runVesselAnomaly = derived(func(res *Result) **VesselAnomaly {
+	if res.Anomalies == nil {
+		res.Anomalies = &AnomalyReport{}
+	}
+	return &res.Anomalies.Vessel
+}, func(r Request, pts []model.VesselState) *VesselAnomaly {
+	return DeriveAnomalies(r.MMSI, pts)
+}, betterVesselAnomaly)
+
+// runRankedAnomalies merges per-source fleet rankings — the source's own
+// (an online stage's, a peer's) or a replay over its distinct vessels —
+// into one entry per vessel (the fresher answer wins, earlier source on
+// ties), re-sorted by score and truncated to Limit.
+func runRankedAnomalies(c *call, res *Result) {
+	limit := c.req.Limit
+	lists := gather(c, func(ctx context.Context, s Source) []VesselAnomaly {
+		if own, ok := s.Derived(ctx, c.req); ok {
+			if own.Anomalies == nil {
+				return nil
+			}
+			return own.Anomalies.Ranked
+		}
+		return DeriveRankedAnomalies(ctx, s, limit)
+	})
+	defer c.tr.StartSpan("merge")()
 	best := make(map[uint32]VesselAnomaly)
 	for _, l := range lists {
 		for _, va := range l {
@@ -588,100 +530,83 @@ func mergeRankedAnomalies(q qobs, lists [][]VesselAnomaly, limit int, res *Resul
 		out = append(out, va)
 	}
 	SortRankedAnomalies(out)
-	if limit > 0 && len(out) > limit {
-		res.Truncated = true
-		out = out[:limit]
-	}
-	return out
+	out, res.Truncated = capped(out, limit)
+	res.Anomalies = &AnomalyReport{Ranked: out}
+	res.Count = len(out)
 }
 
-// stats aggregates per-source statistics. Vessels and Live are distinct
-// counts and therefore computed from merged per-source identifier sets,
-// not summed — DistinctMMSI moves one sorted uint32 list per source, so
-// a stats poll against an N-vessel federation peer costs O(N) integers
-// instead of the N full states the worldwide live picture used to
-// fetch. Exactness of the headline counts is unchanged (and stays
-// test-pinned): every shipped source reports exactly the vessels its
+// runStats aggregates per-source statistics. Vessels and Live are
+// distinct counts and therefore computed from merged per-source
+// identifier sets, not summed — Stats moves one sorted uint32 list per
+// source, so a stats poll against an N-vessel federation peer costs one
+// exchange of O(N) integers instead of the N full states a worldwide
+// live picture would. Exactness of the headline counts stays
+// test-pinned: every shipped source reports exactly the vessels its
 // worldwide Live read would.
-func stats(q qobs, srcs []Source, withSets bool) *Stats {
+func runStats(c *call, res *Result) {
+	list := gather(c, func(ctx context.Context, s Source) SourceStats { return s.Stats(ctx) })
+	defer c.tr.StartSpan("merge")()
 	st := &Stats{}
-	// One combined fan-out: a source implementing StatsWithMMSI (peers
-	// do) answers both reads in one exchange, everything else pays two
-	// cheap local calls — and a hanging peer still costs one timeout per
-	// stats query.
-	type combined struct {
-		ss  SourceStats
-		set []uint32
-	}
-	list := gather(q, srcs, func(s Source) combined {
-		if c, ok := s.(StatsSetSource); ok {
-			ss, set := c.StatsWithMMSI()
-			return combined{ss: ss, set: set}
-		}
-		return combined{ss: s.Stats(), set: s.DistinctMMSI()}
-	})
-	defer q.span("merge")()
 	union := make(map[uint32]bool)
-	for _, c := range list {
-		ss := c.ss
-		if withSets {
-			ss.MMSIs = c.set
+	for _, ss := range list {
+		for _, m := range ss.MMSIs {
+			union[m] = true
+		}
+		if !c.req.MMSIs {
+			ss.MMSIs = nil
 		}
 		st.Sources = append(st.Sources, ss)
 		st.Points += ss.Points
 		st.Alerts += ss.Alerts
-		for _, m := range c.set {
-			union[m] = true
-		}
 	}
 	st.Vessels = len(union)
 	st.Live = len(union)
-	if withSets {
+	if c.req.MMSIs {
 		st.MMSIs = make([]uint32, 0, len(union))
 		for m := range union {
 			st.MMSIs = append(st.MMSIs, m)
 		}
 		sort.Slice(st.MMSIs, func(i, j int) bool { return st.MMSIs[i] < st.MMSIs[j] })
 	}
-	return st
+	res.Stats = st
+	res.Count = st.Points
 }
 
 // --- live source (core.Sharded fan-out) -----------------------------------------
+
+// Lane is the read side of an online stage behind the live source: for
+// each derived kind the stage maintains state for, the function that
+// answers a request from that state — ok=false when the stage does not
+// know the vessel (stage attached after a preload), which sends the
+// live source back to replaying its store. internal/track and
+// internal/anomaly build theirs (Stages.Lane).
+type Lane map[Kind]func(Request) (*Result, bool)
 
 // liveSource answers from the running sharded pipelines: per-vessel
 // reads route to the owning shard, set reads fan out across every
 // shard's consistent view and merge.
 type liveSource struct {
-	sharded   *core.Sharded
-	snaps     []*snapshotCache
-	tracks    TrackIntelSource // nil without an online track stage
-	anomalies AnomalySource    // nil without an online anomaly stage
+	sharded *core.Sharded
+	snaps   []*snapshotCache
+	lanes   Lane // online answers by derived kind; empty without stages
 }
 
 // NewLiveSource builds a Source over the sharded pipelines (the
 // in-process live picture plus each shard's in-memory archive). Nearest
 // queries build per-shard spatial snapshots, cached until the shard's
-// archive grows.
-func NewLiveSource(s *core.Sharded) Source {
-	return NewLiveSourceIntel(s, nil, nil)
-}
-
-// NewLiveSourceTracked builds the live Source with an online track
-// stage behind it: the track-intelligence reads answer from the stage's
-// fused state where it knows the vessel, and fall back to a
-// deterministic store replay where it does not (stage disabled, or
-// history preloaded before the stage started observing the feed).
-func NewLiveSourceTracked(s *core.Sharded, tracks TrackIntelSource) Source {
-	return NewLiveSourceIntel(s, tracks, nil)
-}
-
-// NewLiveSourceIntel builds the live Source with both online inference
-// stages behind it — track intelligence and behavior anomalies — each
-// individually optional under the same contract: answer from the stage
-// where it knows the vessel, fall back to a deterministic store replay
-// where it does not.
-func NewLiveSourceIntel(s *core.Sharded, tracks TrackIntelSource, anomalies AnomalySource) Source {
-	src := &liveSource{sharded: s, tracks: tracks, anomalies: anomalies}
+// archive grows. Each lane puts an online stage behind the derived
+// kinds it serves: those answer from the stage's state where it knows
+// the vessel and by a deterministic store replay where it does not
+// (no stage, or history preloaded before the stage started observing
+// the feed — the store pages evicted history back, so tiering keeps the
+// replay exact).
+func NewLiveSource(s *core.Sharded, lanes ...Lane) Source {
+	src := &liveSource{sharded: s, lanes: Lane{}}
+	for _, lane := range lanes {
+		for k, own := range lane {
+			src.lanes[k] = own
+		}
+	}
 	for _, p := range s.Shards {
 		src.snaps = append(src.snaps, &snapshotCache{store: p.Store})
 	}
@@ -690,27 +615,22 @@ func NewLiveSourceIntel(s *core.Sharded, tracks TrackIntelSource, anomalies Anom
 
 func (l *liveSource) Name() string { return "live" }
 
-func (l *liveSource) Trajectory(mmsi uint32, from, to time.Time) []model.VesselState {
+func (l *liveSource) Trajectory(_ context.Context, mmsi uint32, from, to time.Time) []model.VesselState {
 	return l.sharded.ShardFor(mmsi).Store.TimeRange(mmsi, from, to)
 }
 
-func (l *liveSource) SpaceTime(r geo.Rect, from, to time.Time) []model.VesselState {
+func (l *liveSource) SpaceTime(_ context.Context, r geo.Rect, from, to time.Time) []model.VesselState {
 	var out []model.VesselState
 	for _, p := range l.sharded.Shards {
 		out = append(out, p.Store.SpaceTime(r, from, to)...)
 	}
 	// Shards partition the fleet, so per-shard (MMSI, time) order merges
 	// into global order by a plain sort without ties to break.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].MMSI != out[j].MMSI {
-			return out[i].MMSI < out[j].MMSI
-		}
-		return out[i].At.Before(out[j].At)
-	})
+	sortStates(out)
 	return out
 }
 
-func (l *liveSource) Nearest(p geo.Point, at time.Time, tol time.Duration, k int) []model.VesselState {
+func (l *liveSource) Nearest(_ context.Context, p geo.Point, at time.Time, tol time.Duration, k int) []model.VesselState {
 	var cands []model.VesselState
 	for _, sc := range l.snaps {
 		cands = append(cands, sc.get().NearestVessels(p, at, tol, k)...)
@@ -724,7 +644,7 @@ func (l *liveSource) Nearest(p geo.Point, at time.Time, tol time.Duration, k int
 	return cands
 }
 
-func (l *liveSource) Live(r geo.Rect) []model.VesselState {
+func (l *liveSource) Live(_ context.Context, r geo.Rect) []model.VesselState {
 	var out []model.VesselState
 	for _, p := range l.sharded.Shards {
 		out = append(out, p.Live.InRect(r)...)
@@ -733,15 +653,17 @@ func (l *liveSource) Live(r geo.Rect) []model.VesselState {
 	return out
 }
 
-func (l *liveSource) Alerts() []events.Alert { return l.sharded.Alerts() }
+func (l *liveSource) Alerts(context.Context) []events.Alert { return l.sharded.Alerts() }
 
-func (l *liveSource) Stats() SourceStats {
+func (l *liveSource) Stats(context.Context) SourceStats {
 	st := SourceStats{Name: l.Name()}
 	resident, evicted := 0, 0
 	for _, p := range l.sharded.Shards {
 		st.Points += p.Store.Len()
 		st.Vessels += p.Store.VesselCount() // shards partition the fleet: no double count
 		st.Live += p.Live.Count()
+		st.Alerts += len(p.Alerts())
+		st.MMSIs = append(st.MMSIs, p.Live.MMSIs()...) // ...and no duplicate identifiers
 		tc := p.Store.Tier()
 		resident += tc.ResidentPoints
 		evicted += tc.EvictedPoints
@@ -750,75 +672,15 @@ func (l *liveSource) Stats() SourceStats {
 	if evicted > 0 { // fully resident sources report bytes-identically to pre-tiering
 		st.ResidentPoints = resident
 	}
-	st.Alerts = len(l.sharded.Alerts())
+	sort.Slice(st.MMSIs, func(i, j int) bool { return st.MMSIs[i] < st.MMSIs[j] })
 	return st
 }
 
-// Track implements TrackIntelSource: the online stage's fused state,
-// else a replay of the owning shard's store (which pages back evicted
-// history, so tiering keeps these reads exact).
-func (l *liveSource) Track(mmsi uint32) (*TrackState, bool) {
-	if l.tracks != nil {
-		if ts, ok := l.tracks.Track(mmsi); ok {
-			return ts, true
-		}
+func (l *liveSource) Derived(_ context.Context, req Request) (*Result, bool) {
+	if own := l.lanes[req.Kind]; own != nil {
+		return own(req)
 	}
-	ts := DeriveTrack(mmsi, fullHistory(l, mmsi))
-	return ts, ts != nil
-}
-
-// Predict implements TrackIntelSource.
-func (l *liveSource) Predict(mmsi uint32, horizon time.Duration) (*Prediction, bool) {
-	if l.tracks != nil {
-		if p, ok := l.tracks.Predict(mmsi, horizon); ok {
-			return p, true
-		}
-	}
-	p := DerivePredict(mmsi, fullHistory(l, mmsi), horizon)
-	return p, p != nil
-}
-
-// Quality implements TrackIntelSource.
-func (l *liveSource) Quality(mmsi uint32) (*QualityScore, bool) {
-	if l.tracks != nil {
-		if qs, ok := l.tracks.Quality(mmsi); ok {
-			return qs, true
-		}
-	}
-	qs := DeriveQuality(mmsi, fullHistory(l, mmsi))
-	return qs, qs != nil
-}
-
-// VesselAnomaly implements AnomalySource: the online stage's profile,
-// else a replay of the owning shard's store (which pages back evicted
-// history, so tiering keeps the read exact).
-func (l *liveSource) VesselAnomaly(mmsi uint32) (*VesselAnomaly, bool) {
-	if l.anomalies != nil {
-		if va, ok := l.anomalies.VesselAnomaly(mmsi); ok {
-			return va, true
-		}
-	}
-	va := DeriveAnomalies(mmsi, fullHistory(l, mmsi))
-	return va, va != nil
-}
-
-// RankedAnomalies implements AnomalySource. With a stage attached the
-// ranking covers the vessels the stage has observed; without one it is
-// derived from the live picture's distinct vessels.
-func (l *liveSource) RankedAnomalies(limit int) ([]VesselAnomaly, bool) {
-	if l.anomalies != nil {
-		return l.anomalies.RankedAnomalies(limit)
-	}
-	return DeriveRankedAnomalies(l, limit), true
-}
-
-func (l *liveSource) DistinctMMSI() []uint32 {
-	var out []uint32
-	for _, p := range l.sharded.Shards {
-		out = append(out, p.Live.MMSIs()...) // shards partition the fleet: no duplicates
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return nil, false
 }
 
 // --- archive source (tstore.Store) ----------------------------------------------
@@ -843,19 +705,19 @@ func NewStoreSource(name string, st *tstore.Store) Source {
 
 func (a *storeSource) Name() string { return a.name }
 
-func (a *storeSource) Trajectory(mmsi uint32, from, to time.Time) []model.VesselState {
+func (a *storeSource) Trajectory(_ context.Context, mmsi uint32, from, to time.Time) []model.VesselState {
 	return a.store.TimeRange(mmsi, from, to)
 }
 
-func (a *storeSource) SpaceTime(r geo.Rect, from, to time.Time) []model.VesselState {
+func (a *storeSource) SpaceTime(_ context.Context, r geo.Rect, from, to time.Time) []model.VesselState {
 	return a.store.SpaceTime(r, from, to)
 }
 
-func (a *storeSource) Nearest(p geo.Point, at time.Time, tol time.Duration, k int) []model.VesselState {
+func (a *storeSource) Nearest(_ context.Context, p geo.Point, at time.Time, tol time.Duration, k int) []model.VesselState {
 	return a.snap.get().NearestVessels(p, at, tol, k)
 }
 
-func (a *storeSource) Live(r geo.Rect) []model.VesselState {
+func (a *storeSource) Live(_ context.Context, r geo.Rect) []model.VesselState {
 	latest := a.store.LatestStates() // O(vessels), already MMSI-ordered
 	out := latest[:0]
 	for _, s := range latest {
@@ -866,11 +728,11 @@ func (a *storeSource) Live(r geo.Rect) []model.VesselState {
 	return out
 }
 
-func (a *storeSource) Alerts() []events.Alert { return nil }
+func (a *storeSource) Alerts(context.Context) []events.Alert { return nil }
 
-func (a *storeSource) Stats() SourceStats {
+func (a *storeSource) Stats(context.Context) SourceStats {
 	ss := SourceStats{
-		Name: a.name, Points: a.store.Len(), Vessels: a.store.VesselCount(),
+		Name: a.name, Points: a.store.Len(), Vessels: a.store.VesselCount(), MMSIs: a.store.MMSIs(),
 	}
 	tc := a.store.Tier()
 	if tc.EvictedPoints > 0 {
@@ -880,7 +742,8 @@ func (a *storeSource) Stats() SourceStats {
 	return ss
 }
 
-func (a *storeSource) DistinctMMSI() []uint32 { return a.store.MMSIs() }
+// Derived: an archive holds no online state; every derived kind replays.
+func (a *storeSource) Derived(context.Context, Request) (*Result, bool) { return nil, false }
 
 // snapshotCache lazily builds a store's spatial snapshot and reuses it
 // until the store grows — archives are static after recovery, so their

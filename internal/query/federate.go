@@ -13,7 +13,7 @@ import (
 // This file makes *Client a Source — the federation member of the read
 // surface. The Source and Executor contracts are two views of the same
 // remote daemon: an Executor answers whole typed Requests, a Source
-// answers the six primitive reads an Engine merges. Implementing the
+// answers the primitive reads an Engine merges. Implementing the
 // latter in terms of the former means any daemon serving /v1/query can
 // be composed into another daemon's query engine verbatim:
 //
@@ -32,16 +32,16 @@ import (
 //     mutually-peered daemons cannot create a query cycle.
 //   - Degraded mode. A peer that times out (PeerTimeout, default 5s) or
 //     errors contributes nothing to that answer instead of failing it;
-//     the failure is retained and surfaced through Stats().Err, so an
+//     the failure is retained and surfaced in the peer's SourceStats.Err, so an
 //     operator sees the degradation in any stats read.
 //
-// The actual read bodies live on peerView, a Source view of the client
-// bound to (at most) one traced request: when the engine runs a traced
-// query it substitutes c.withTrace(tr), and every federated exchange
-// forwards Request.Trace, grafts the peer's returned spans under a
-// peer/<addr> span (rebased onto the local trace's clock), and records
-// a degraded child when the peer failed — one stitched tree spanning
-// daemons instead of a trace that dies at the HTTP hop.
+// A federated read runs under the request's context bounded by the peer
+// timeout, so a caller that gives up releases the exchange at once. When
+// that context carries a trace (obs.FromContext) the exchange forwards
+// Request.Trace, grafts the peer's returned spans under a peer/<addr>
+// span (rebased onto the local trace's clock), and records a degraded
+// child when the peer failed — one stitched tree spanning daemons
+// instead of a trace that dies at the HTTP hop.
 
 // PeerSource is a Source that answers from another daemon. Engines skip
 // peer sources when a request is marked Local — the loop guard that keeps
@@ -50,12 +50,6 @@ type PeerSource interface {
 	Source
 	// Peer identifies the federation member (its base URL).
 	Peer() string
-}
-
-// traceSource is a Source that can bind a per-request trace; the engine
-// substitutes the returned view for the duration of one traced request.
-type traceSource interface {
-	withTrace(tr *obs.Trace) Source
 }
 
 // Name implements Source: the label peers carry in Result.Sources.
@@ -68,9 +62,6 @@ func (c *Client) Name() string {
 
 // Peer implements PeerSource.
 func (c *Client) Peer() string { return c.Base }
-
-// withTrace implements traceSource.
-func (c *Client) withTrace(tr *obs.Trace) Source { return peerView{c: c, tr: tr} }
 
 // PeerErr returns the most recent federated-read failure (nil while the
 // peer is healthy or after it recovers).
@@ -108,41 +99,29 @@ func (c *Client) notePeer(err error) {
 	}
 }
 
-// peerView is the client's Source implementation, carrying the trace of
-// the request it is answering (nil on the untraced path — the Client's
-// own Source methods delegate through a zero-trace view).
-type peerView struct {
-	c  *Client
-	tr *obs.Trace
-}
-
-// Name implements Source.
-func (v peerView) Name() string { return v.c.Name() }
-
-// Peer implements PeerSource.
-func (v peerView) Peer() string { return v.c.Base }
-
 // peerQuery issues one federated read: local-only on the peer, bounded
-// by the peer timeout, failures recorded instead of propagated. Callers
-// use the returned error (not PeerErr, which a concurrent recovered read
-// may have cleared in the meantime). The read deliberately skips the
-// client's retry policy: a dead peer must degrade after one connection
-// attempt, not charge backoff to every local query that fans to it —
-// retrying is the next query's job. Under a trace, the peer computes its
-// own stage spans (Request.Trace forwarded) and stitch grafts them in.
-func (v peerView) peerQuery(req Request) (*Result, error) {
-	c := v.c
+// by the peer timeout inside the caller's context, failures recorded
+// instead of propagated. Callers use the returned error (not PeerErr,
+// which a concurrent recovered read may have cleared in the meantime).
+// The read deliberately skips the client's retry policy: a dead peer
+// must degrade after one connection attempt, not charge backoff to every
+// local query that fans to it — retrying is the next query's job. Under
+// a trace, the peer computes its own stage spans (Request.Trace
+// forwarded) and stitch grafts them in.
+func (c *Client) peerQuery(ctx context.Context, req Request) (*Result, error) {
+	tr := obs.FromContext(ctx)
 	req.Local = true
-	req.Trace = v.tr != nil
-	start := v.tr.Offset()
+	req.Trace = tr != nil
+	start := tr.Offset()
 	t0 := time.Now()
-	//lint:ignore ctxflow the Source interface is ctx-free (ROADMAP: ctx threading lands with the cluster refactor); the peer timeout bounds this detached call
-	ctx, cancel := context.WithTimeout(context.Background(), c.peerTimeout())
+	pctx, cancel := context.WithTimeout(ctx, c.peerTimeout())
 	defer cancel()
-	res, err := c.queryContext(ctx, req, RetryPolicy{})
-	c.notePeer(err)
-	if v.tr != nil {
-		v.stitch(start, time.Since(t0), res, err)
+	res, err := c.queryContext(pctx, req, RetryPolicy{})
+	if ctx.Err() == nil { // a caller that gave up says nothing about the peer's health
+		c.notePeer(err)
+	}
+	if tr != nil {
+		c.stitch(tr, start, time.Since(t0), res, err)
 	}
 	return res, err
 }
@@ -153,11 +132,11 @@ func (v peerView) peerQuery(req Request) (*Result, error) {
 // spans stay distinct, offsets rebased onto the local clock — the hop's
 // network time is the gap between the parent and its children), and a
 // degraded child instead of silence when the peer failed.
-func (v peerView) stitch(start, dur time.Duration, res *Result, err error) {
-	parent := "peer/" + v.c.Base
-	v.tr.Add(obs.Span{Name: parent, Parent: "source:" + v.c.Name(), Start: start, Dur: dur})
+func (c *Client) stitch(tr *obs.Trace, start, dur time.Duration, res *Result, err error) {
+	parent := "peer/" + c.Base
+	tr.Add(obs.Span{Name: parent, Parent: "source:" + c.Name(), Start: start, Dur: dur})
 	if err != nil {
-		v.tr.Add(obs.Span{Name: parent + "/degraded", Parent: parent, Start: start, Dur: dur})
+		tr.Add(obs.Span{Name: parent + "/degraded", Parent: parent, Start: start, Dur: dur})
 		return
 	}
 	for _, ts := range res.Trace {
@@ -165,7 +144,7 @@ func (v peerView) stitch(start, dur time.Duration, res *Result, err error) {
 		if ts.Parent != "" {
 			p = parent + "/" + ts.Parent
 		}
-		v.tr.Add(obs.Span{
+		tr.Add(obs.Span{
 			Name:   parent + "/" + ts.Name,
 			Parent: p,
 			Start:  start + time.Duration(ts.StartNS),
@@ -174,49 +153,43 @@ func (v peerView) stitch(start, dur time.Duration, res *Result, err error) {
 	}
 }
 
-// Trajectory implements Source.
-func (v peerView) Trajectory(mmsi uint32, from, to time.Time) []model.VesselState {
-	res, err := v.peerQuery(Request{Kind: KindTrajectory, MMSI: mmsi, From: from, To: to})
+// peerStates is the shared shape of the sample reads: a degraded peer
+// contributes nothing.
+func (c *Client) peerStates(ctx context.Context, req Request) []model.VesselState {
+	res, err := c.peerQuery(ctx, req)
 	if err != nil {
 		return nil
 	}
 	return res.ModelStates()
+}
+
+// Trajectory implements Source.
+func (c *Client) Trajectory(ctx context.Context, mmsi uint32, from, to time.Time) []model.VesselState {
+	return c.peerStates(ctx, Request{Kind: KindTrajectory, MMSI: mmsi, From: from, To: to})
 }
 
 // SpaceTime implements Source.
-func (v peerView) SpaceTime(r geo.Rect, from, to time.Time) []model.VesselState {
+func (c *Client) SpaceTime(ctx context.Context, r geo.Rect, from, to time.Time) []model.VesselState {
 	b := BoxOf(r)
-	res, err := v.peerQuery(Request{Kind: KindSpaceTime, Box: &b, From: from, To: to})
-	if err != nil {
-		return nil
-	}
-	return res.ModelStates()
+	return c.peerStates(ctx, Request{Kind: KindSpaceTime, Box: &b, From: from, To: to})
 }
 
 // Nearest implements Source.
-func (v peerView) Nearest(p geo.Point, at time.Time, tol time.Duration, k int) []model.VesselState {
-	res, err := v.peerQuery(Request{
+func (c *Client) Nearest(ctx context.Context, p geo.Point, at time.Time, tol time.Duration, k int) []model.VesselState {
+	return c.peerStates(ctx, Request{
 		Kind: KindNearest, Lat: p.Lat, Lon: p.Lon, At: at, Tol: Duration(tol), K: k,
 	})
-	if err != nil {
-		return nil
-	}
-	return res.ModelStates()
 }
 
 // Live implements Source.
-func (v peerView) Live(r geo.Rect) []model.VesselState {
+func (c *Client) Live(ctx context.Context, r geo.Rect) []model.VesselState {
 	b := BoxOf(r)
-	res, err := v.peerQuery(Request{Kind: KindLivePicture, Box: &b})
-	if err != nil {
-		return nil
-	}
-	return res.ModelStates()
+	return c.peerStates(ctx, Request{Kind: KindLivePicture, Box: &b})
 }
 
 // Alerts implements Source.
-func (v peerView) Alerts() []events.Alert {
-	res, err := v.peerQuery(Request{Kind: KindAlertHistory})
+func (c *Client) Alerts(ctx context.Context) []events.Alert {
+	res, err := c.peerQuery(ctx, Request{Kind: KindAlertHistory})
 	if err != nil {
 		return nil
 	}
@@ -227,151 +200,38 @@ func (v peerView) Alerts() []events.Alert {
 	return out
 }
 
-// Stats implements Source: the peer's aggregate holdings under this
-// peer's name, with the degradation (if any) in Err.
-func (v peerView) Stats() SourceStats {
-	res, err := v.peerQuery(Request{Kind: KindStats})
+// Stats implements Source: one stats read with the identifier sets
+// requested, so the engine's stats aggregation costs this peer exactly
+// one HTTP exchange carrying both the aggregate numbers (reported under
+// this peer's name) and a sorted uint32 list — O(vessels) integers, not
+// the peer's worldwide live picture. A degraded peer reports why in Err
+// and contributes no identifiers, like every other federated read.
+func (c *Client) Stats(ctx context.Context) SourceStats {
+	res, err := c.peerQuery(ctx, Request{Kind: KindStats, MMSIs: true})
 	if err != nil {
-		return SourceStats{Name: v.Name(), Err: err.Error()}
+		return SourceStats{Name: c.Name(), Err: err.Error()}
 	}
 	if res.Stats == nil {
 		// A nonconforming peer (version skew, interposed proxy) must
 		// degrade like any other failure, not panic the daemon.
-		return SourceStats{Name: v.Name(), Err: "peer answered without stats"}
+		return SourceStats{Name: c.Name(), Err: "peer answered without stats"}
 	}
 	st := res.Stats
 	return SourceStats{
-		Name: v.Name(), Points: st.Points, Vessels: st.Vessels,
-		Live: st.Live, Alerts: st.Alerts,
+		Name: c.Name(), Points: st.Points, Vessels: st.Vessels,
+		Live: st.Live, Alerts: st.Alerts, MMSIs: st.MMSIs,
 	}
 }
 
-// Track implements TrackIntelSource: the peer computes (or reads) the
-// fused state server-side, so a federated track answer costs one
-// exchange, not a trajectory fetch plus a local replay.
-func (v peerView) Track(mmsi uint32) (*TrackState, bool) {
-	res, err := v.peerQuery(Request{Kind: KindTrack, MMSI: mmsi})
-	if err != nil || res.Track == nil {
-		return nil, false
+// Derived implements Source: the peer computes (or reads) the answer
+// server-side, so a federated derived kind — track, predict, quality,
+// anomalies, any kind added to the table — costs one exchange of the
+// request itself, not a trajectory fetch plus a local replay. A degraded
+// peer answers nothing, authoritatively, like every other federated read.
+func (c *Client) Derived(ctx context.Context, req Request) (*Result, bool) {
+	res, err := c.peerQuery(ctx, req)
+	if err != nil { // already noted and stitched; the answer is empty
+		res = &Result{}
 	}
-	return res.Track, true
+	return res, true
 }
-
-// Predict implements TrackIntelSource.
-func (v peerView) Predict(mmsi uint32, horizon time.Duration) (*Prediction, bool) {
-	res, err := v.peerQuery(Request{Kind: KindPredict, MMSI: mmsi, Horizon: Duration(horizon)})
-	if err != nil || res.Prediction == nil {
-		return nil, false
-	}
-	return res.Prediction, true
-}
-
-// Quality implements TrackIntelSource.
-func (v peerView) Quality(mmsi uint32) (*QualityScore, bool) {
-	res, err := v.peerQuery(Request{Kind: KindQuality, MMSI: mmsi})
-	if err != nil || res.Quality == nil {
-		return nil, false
-	}
-	return res.Quality, true
-}
-
-// VesselAnomaly implements AnomalySource: the peer folds (or reads) the
-// behavior profile server-side, one exchange per federated answer.
-func (v peerView) VesselAnomaly(mmsi uint32) (*VesselAnomaly, bool) {
-	res, err := v.peerQuery(Request{Kind: KindAnomalies, MMSI: mmsi})
-	if err != nil || res.Anomalies == nil || res.Anomalies.Vessel == nil {
-		return nil, false
-	}
-	return res.Anomalies.Vessel, true
-}
-
-// RankedAnomalies implements AnomalySource. A degraded peer answers
-// ok=false and contributes nothing, like every other federated read.
-func (v peerView) RankedAnomalies(limit int) ([]VesselAnomaly, bool) {
-	res, err := v.peerQuery(Request{Kind: KindAnomalies, Limit: limit})
-	if err != nil || res.Anomalies == nil {
-		return nil, false
-	}
-	return res.Anomalies.Ranked, true
-}
-
-// DistinctMMSI implements Source: one stats read with the identifier
-// sets requested — the peer answers with a sorted uint32 list, so a
-// federated stats poll moves O(vessels) integers instead of the peer's
-// entire worldwide live picture. A degraded peer contributes nil, like
-// every other federated read.
-func (v peerView) DistinctMMSI() []uint32 {
-	_, set := v.StatsWithMMSI()
-	return set
-}
-
-// StatsWithMMSI implements StatsSetSource: the engine's stats
-// aggregation costs this peer exactly one HTTP exchange, carrying both
-// the aggregate numbers and the distinct identifier set.
-func (v peerView) StatsWithMMSI() (SourceStats, []uint32) {
-	res, err := v.peerQuery(Request{Kind: KindStats, MMSIs: true})
-	if err != nil {
-		return SourceStats{Name: v.Name(), Err: err.Error()}, nil
-	}
-	if res.Stats == nil {
-		return SourceStats{Name: v.Name(), Err: "peer answered without stats"}, nil
-	}
-	st := res.Stats
-	return SourceStats{
-		Name: v.Name(), Points: st.Points, Vessels: st.Vessels,
-		Live: st.Live, Alerts: st.Alerts,
-	}, st.MMSIs
-}
-
-// --- the Client's own Source surface: untraced delegations -----------------------
-
-// Trajectory implements Source.
-func (c *Client) Trajectory(mmsi uint32, from, to time.Time) []model.VesselState {
-	return peerView{c: c}.Trajectory(mmsi, from, to)
-}
-
-// SpaceTime implements Source.
-func (c *Client) SpaceTime(r geo.Rect, from, to time.Time) []model.VesselState {
-	return peerView{c: c}.SpaceTime(r, from, to)
-}
-
-// Nearest implements Source.
-func (c *Client) Nearest(p geo.Point, at time.Time, tol time.Duration, k int) []model.VesselState {
-	return peerView{c: c}.Nearest(p, at, tol, k)
-}
-
-// Live implements Source.
-func (c *Client) Live(r geo.Rect) []model.VesselState { return peerView{c: c}.Live(r) }
-
-// Alerts implements Source.
-func (c *Client) Alerts() []events.Alert { return peerView{c: c}.Alerts() }
-
-// Stats implements Source.
-func (c *Client) Stats() SourceStats { return peerView{c: c}.Stats() }
-
-// Track implements TrackIntelSource.
-func (c *Client) Track(mmsi uint32) (*TrackState, bool) { return peerView{c: c}.Track(mmsi) }
-
-// Predict implements TrackIntelSource.
-func (c *Client) Predict(mmsi uint32, horizon time.Duration) (*Prediction, bool) {
-	return peerView{c: c}.Predict(mmsi, horizon)
-}
-
-// Quality implements TrackIntelSource.
-func (c *Client) Quality(mmsi uint32) (*QualityScore, bool) { return peerView{c: c}.Quality(mmsi) }
-
-// VesselAnomaly implements AnomalySource.
-func (c *Client) VesselAnomaly(mmsi uint32) (*VesselAnomaly, bool) {
-	return peerView{c: c}.VesselAnomaly(mmsi)
-}
-
-// RankedAnomalies implements AnomalySource.
-func (c *Client) RankedAnomalies(limit int) ([]VesselAnomaly, bool) {
-	return peerView{c: c}.RankedAnomalies(limit)
-}
-
-// DistinctMMSI implements Source.
-func (c *Client) DistinctMMSI() []uint32 { return peerView{c: c}.DistinctMMSI() }
-
-// StatsWithMMSI implements StatsSetSource.
-func (c *Client) StatsWithMMSI() (SourceStats, []uint32) { return peerView{c: c}.StatsWithMMSI() }

@@ -27,21 +27,22 @@ type ContextExecutor interface {
 	QueryContext(ctx context.Context, req Request) (*Result, error)
 }
 
+// execute runs req through exec, under ctx when the executor takes one.
+func execute(ctx context.Context, exec Executor, req Request) (*Result, error) {
+	if cx, ok := exec.(ContextExecutor); ok {
+		return cx.QueryContext(ctx, req)
+	}
+	return exec.Query(req)
+}
+
 // Server serves the unified query surface over HTTP as JSON:
 //
-//	POST /v1/query        body = Request            (the canonical route)
-//	POST /v1/stream       body = StreamRequest      (standing query, NDJSON)
-//	GET  /v1/trajectory   ?mmsi=&from=&to=&limit=
-//	GET  /v1/spacetime    ?box=&from=&to=&limit=
-//	GET  /v1/nearest      ?point=lat,lon&at=&tol=&k=
-//	GET  /v1/live         ?box=&limit=
-//	GET  /v1/situation    ?box=&rows=&cols=&severity=
-//	GET  /v1/alerts       ?from=&to=&severity=&limit=
-//	GET  /v1/stats
-//	GET  /v1/track        ?mmsi=
-//	GET  /v1/predict      ?mmsi=&horizon=
-//	GET  /v1/quality      ?mmsi=
-//	GET  /v1/anomalies    ?mmsi=&limit=     (mmsi optional: omitted = ranked)
+//	POST /v1/query     body = Request         (the canonical route)
+//	POST /v1/stream    body = StreamRequest   (standing query, NDJSON)
+//	GET  /v1/<kind>    one route per entry of the kind table, taking the
+//	                   query-string parameters that entry lists — e.g.
+//	                   /v1/spacetime?box=&from=&to=&limit= (README lists
+//	                   them all; a test keeps that list equal to the table)
 //
 // ServeMetrics adds GET /metrics and GET /debug/vars; ServePprof adds
 // /debug/pprof/ (both opt-in mounts on the same mux). Every GET query
@@ -49,11 +50,11 @@ type ContextExecutor interface {
 //
 // Every one-shot route returns a Result; the GET routes are conveniences
 // that build the same Request the POST route accepts (times are RFC 3339,
-// tol is a Go duration, box is minLat,minLon,maxLat,maxLon). /v1/stream
-// turns the same Request into a standing query and pushes incremental
-// Updates as NDJSON (stream_http.go) — served when the executor also
-// implements Subscriber, 501 otherwise. Errors come back as
-// {"error": "..."} with status 400 (bad request), 405 (method), 500
+// tol and horizon Go durations, box is minLat,minLon,maxLat,maxLon).
+// /v1/stream turns the same Request into a standing query and pushes
+// incremental Updates as NDJSON (stream_http.go) — served when the
+// executor also implements Subscriber, 501 otherwise. Errors come back
+// as {"error": "..."} with status 400 (bad request), 405 (method), 500
 // (execution) or 501 (streaming unsupported).
 type Server struct {
 	exec Executor
@@ -74,18 +75,21 @@ func NewServer(exec Executor) *Server {
 	s.sub, _ = exec.(Subscriber)
 	s.mux.HandleFunc("/v1/query", s.handlePost)
 	s.mux.HandleFunc("/v1/stream", s.handleStream)
-	s.mux.HandleFunc("/v1/trajectory", s.handleGet(parseTrajectory))
-	s.mux.HandleFunc("/v1/spacetime", s.handleGet(parseSpaceTime))
-	s.mux.HandleFunc("/v1/nearest", s.handleGet(parseNearest))
-	s.mux.HandleFunc("/v1/live", s.handleGet(parseLive))
-	s.mux.HandleFunc("/v1/situation", s.handleGet(parseSituation))
-	s.mux.HandleFunc("/v1/alerts", s.handleGet(parseAlerts))
-	s.mux.HandleFunc("/v1/stats", s.handleGet(parseStats))
-	s.mux.HandleFunc("/v1/track", s.handleGet(parseTrack))
-	s.mux.HandleFunc("/v1/predict", s.handleGet(parsePredict))
-	s.mux.HandleFunc("/v1/quality", s.handleGet(parseQuality))
-	s.mux.HandleFunc("/v1/anomalies", s.handleGet(parseAnomalies))
+	for _, d := range kinds {
+		s.get("/v1/"+string(d.kind), s.handleGet(d))
+	}
 	return s
+}
+
+// get mounts a GET-only handler; any other method is a 405.
+func (s *Server) get(path string, h http.HandlerFunc) {
+	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
+			return
+		}
+		h(w, r)
+	})
 }
 
 // ServeHTTP implements http.Handler.
@@ -96,21 +100,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // (JSON snapshot of the same registry, histograms as
 // count/sum/max/p50/p90/p99 objects).
 func (s *Server) ServeMetrics(reg *obs.Registry) {
-	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-			return
-		}
+	s.get("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := reg.WritePrometheus(w); err != nil {
 			return // headers are gone; nothing more to do
 		}
 	})
-	s.mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-			return
-		}
+	s.get("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := reg.WriteJSON(w); err != nil {
 			return
@@ -129,22 +125,14 @@ func (s *Server) ServeMetrics(reg *obs.Registry) {
 // names the failing check instead of leaving the operator to guess.
 func (s *Server) ServeHealth(h *obs.Health) {
 	start := time.Now()
-	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-			return
-		}
+	s.get("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{
 			"alive":          true,
 			"uptime_seconds": time.Since(start).Seconds(),
 		})
 	})
-	s.mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-			return
-		}
+	s.get("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		v := h.Evaluate()
 		w.Header().Set("Content-Type", "application/json")
 		if !v.Ready {
@@ -159,18 +147,14 @@ func (s *Server) ServeHealth(h *obs.Health) {
 // ?layer= (exact match), ?level=info|warn|error (minimum), ?since=
 // (RFC 3339 wall-clock floor).
 func (s *Server) ServeFlight(f *obs.Flight) {
-	s.mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-			return
-		}
-		u := urlValues{r.URL.Query()}
+	s.get("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
 		flt := obs.FlightFilter{
-			Layer:    u.str("layer"),
-			MinLevel: obs.ParseFlightLevel(u.str("level")),
+			Layer:    q.Get("layer"),
+			MinLevel: obs.ParseFlightLevel(q.Get("level")),
 		}
 		var err error
-		if flt.Since, err = u.timeAt("since"); err != nil {
+		if flt.Since, err = parseTime("since", q.Get("since")); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -217,20 +201,24 @@ func (s *Server) handlePost(w http.ResponseWriter, r *http.Request) {
 	s.run(w, r, req)
 }
 
-// handleGet adapts a per-kind query-string parser into a handler.
-func (s *Server) handleGet(parse func(qs urlValues) (Request, error)) http.HandlerFunc {
+// handleGet serves a kind's GET route: every parameter its definition
+// accepts is parsed into the Request the POST route would have carried.
+func (s *Server) handleGet(d *kindDef) http.HandlerFunc {
+	for _, name := range d.params {
+		if _, ok := getParams[name]; !ok { // a defect in the table: fail the mount, not each request
+			panic(fmt.Sprintf("query: kind %s lists unknown GET parameter %q", d.kind, name))
+		}
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-			return
+		q := r.URL.Query()
+		req := Request{Kind: d.kind}
+		for _, name := range d.params {
+			if err := getParams[name].set(&req, name, q.Get(name)); err != nil {
+				writeError(w, http.StatusBadRequest, err)
+				return
+			}
 		}
-		u := urlValues{r.URL.Query()}
-		req, err := parse(u)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if b, _ := strconv.ParseBool(u.str("trace")); b {
+		if b, _ := strconv.ParseBool(q.Get("trace")); b {
 			req.Trace = true
 		}
 		s.run(w, r, req)
@@ -250,13 +238,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, req Request) {
 		req.Trace, forced = true, true
 	}
 	t0 := time.Now()
-	var res *Result
-	var err error
-	if cx, ok := s.exec.(ContextExecutor); ok {
-		res, err = cx.QueryContext(r.Context(), req)
-	} else {
-		res, err = s.exec.Query(req)
-	}
+	res, err := execute(r.Context(), s.exec, req)
 	if elapsed := time.Since(t0); s.slowAfter > 0 && elapsed >= s.slowAfter {
 		s.recordSlow(req, res, err, elapsed)
 	}
@@ -304,204 +286,4 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-// urlValues wraps url.Values with typed, error-reporting accessors.
-type urlValues struct{ v map[string][]string }
-
-func (u urlValues) str(key string) string {
-	if vs := u.v[key]; len(vs) > 0 {
-		return vs[0]
-	}
-	return ""
-}
-
-func (u urlValues) timeAt(key string) (time.Time, error) {
-	s := u.str(key)
-	if s == "" {
-		return time.Time{}, nil
-	}
-	t, err := time.Parse(time.RFC3339, s)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("query: %s must be RFC 3339 (got %q): %w", key, s, err)
-	}
-	return t, nil
-}
-
-func (u urlValues) intAt(key string) (int, error) {
-	s := u.str(key)
-	if s == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("query: %s must be an integer (got %q)", key, s)
-	}
-	return n, nil
-}
-
-func (u urlValues) uint32At(key string) (uint32, error) {
-	s := u.str(key)
-	if s == "" {
-		return 0, nil
-	}
-	n, err := strconv.ParseUint(s, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("query: %s must be an unsigned 32-bit integer (got %q)", key, s)
-	}
-	return uint32(n), nil
-}
-
-func (u urlValues) boxAt(key string) (*Box, error) {
-	s := u.str(key)
-	if s == "" {
-		return nil, nil
-	}
-	b, err := ParseBox(s)
-	if err != nil {
-		return nil, err
-	}
-	return &b, nil
-}
-
-// timeBounds parses the shared from/to pair.
-func (u urlValues) timeBounds(req *Request) error {
-	var err error
-	if req.From, err = u.timeAt("from"); err != nil {
-		return err
-	}
-	req.To, err = u.timeAt("to")
-	return err
-}
-
-func parseTrajectory(u urlValues) (Request, error) {
-	req := Request{Kind: KindTrajectory}
-	var err error
-	if req.MMSI, err = u.uint32At("mmsi"); err != nil {
-		return req, err
-	}
-	if err := u.timeBounds(&req); err != nil {
-		return req, err
-	}
-	req.Limit, err = u.intAt("limit")
-	return req, err
-}
-
-func parseSpaceTime(u urlValues) (Request, error) {
-	req := Request{Kind: KindSpaceTime}
-	var err error
-	if req.Box, err = u.boxAt("box"); err != nil {
-		return req, err
-	}
-	if err := u.timeBounds(&req); err != nil {
-		return req, err
-	}
-	req.Limit, err = u.intAt("limit")
-	return req, err
-}
-
-func parseNearest(u urlValues) (Request, error) {
-	req := Request{Kind: KindNearest}
-	s := u.str("point")
-	if s == "" {
-		return req, fmt.Errorf("query: nearest requires point=lat,lon")
-	}
-	p, err := ParsePoint(s)
-	if err != nil {
-		return req, err
-	}
-	req.Lat, req.Lon = p.Lat, p.Lon
-	if req.At, err = u.timeAt("at"); err != nil {
-		return req, err
-	}
-	if s := u.str("tol"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			return req, fmt.Errorf("query: tol must be a duration (got %q)", s)
-		}
-		req.Tol = Duration(d)
-	}
-	req.K, err = u.intAt("k")
-	return req, err
-}
-
-func parseLive(u urlValues) (Request, error) {
-	req := Request{Kind: KindLivePicture}
-	var err error
-	if req.Box, err = u.boxAt("box"); err != nil {
-		return req, err
-	}
-	req.Limit, err = u.intAt("limit")
-	return req, err
-}
-
-func parseSituation(u urlValues) (Request, error) {
-	req := Request{Kind: KindSituation}
-	var err error
-	if req.Box, err = u.boxAt("box"); err != nil {
-		return req, err
-	}
-	if req.Rows, err = u.intAt("rows"); err != nil {
-		return req, err
-	}
-	if req.Cols, err = u.intAt("cols"); err != nil {
-		return req, err
-	}
-	req.MinSeverity, err = u.intAt("severity")
-	return req, err
-}
-
-func parseAlerts(u urlValues) (Request, error) {
-	req := Request{Kind: KindAlertHistory}
-	if err := u.timeBounds(&req); err != nil {
-		return req, err
-	}
-	var err error
-	if req.MinSeverity, err = u.intAt("severity"); err != nil {
-		return req, err
-	}
-	req.Limit, err = u.intAt("limit")
-	return req, err
-}
-
-func parseStats(urlValues) (Request, error) { return Request{Kind: KindStats}, nil }
-
-func parseTrack(u urlValues) (Request, error) {
-	req := Request{Kind: KindTrack}
-	var err error
-	req.MMSI, err = u.uint32At("mmsi")
-	return req, err
-}
-
-func parsePredict(u urlValues) (Request, error) {
-	req := Request{Kind: KindPredict}
-	var err error
-	if req.MMSI, err = u.uint32At("mmsi"); err != nil {
-		return req, err
-	}
-	if s := u.str("horizon"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			return req, fmt.Errorf("query: horizon must be a duration (got %q)", s)
-		}
-		req.Horizon = Duration(d)
-	}
-	return req, nil
-}
-
-func parseQuality(u urlValues) (Request, error) {
-	req := Request{Kind: KindQuality}
-	var err error
-	req.MMSI, err = u.uint32At("mmsi")
-	return req, err
-}
-
-func parseAnomalies(u urlValues) (Request, error) {
-	req := Request{Kind: KindAnomalies}
-	var err error
-	if req.MMSI, err = u.uint32At("mmsi"); err != nil {
-		return req, err
-	}
-	req.Limit, err = u.intAt("limit")
-	return req, err
 }

@@ -97,13 +97,6 @@ const (
 	KindAnomalies Kind = "anomalies"
 )
 
-// Kinds lists every request kind (stable order, used by CLIs and docs).
-func Kinds() []Kind {
-	return []Kind{KindTrajectory, KindSpaceTime, KindNearest,
-		KindLivePicture, KindSituation, KindAlertHistory, KindStats,
-		KindTrack, KindPredict, KindQuality, KindAnomalies}
-}
-
 // Duration is a time.Duration with a human-readable JSON encoding: it
 // marshals as a Go duration string ("30m0s") and unmarshals from either a
 // duration string or a number of nanoseconds.
@@ -220,7 +213,8 @@ func splitFloats(s string, n int) ([]float64, error) {
 type Request struct {
 	Kind Kind `json:"kind"`
 
-	// MMSI selects the vessel for KindTrajectory.
+	// MMSI selects the vessel of the per-vessel kinds (trajectory, track,
+	// predict, quality) and switches anomalies to its per-vessel form.
 	MMSI uint32 `json:"mmsi,omitempty"`
 
 	// From/To bound event time (trajectory, space–time, alert history).
@@ -233,7 +227,8 @@ type Request struct {
 
 	// Lat/Lon is the reference point and At the reference instant for
 	// KindNearest; Tol is the half-width of the admissible time window
-	// around At (default 30m) and K the number of vessels (default 5).
+	// around At (default 30m) and K the number of vessels (default 5, at
+	// most 10000).
 	// An omitted point searches from (0,0) — the GET route and the CLI
 	// require it explicitly, the typed/JSON form trusts the caller.
 	Lat float64   `json:"lat,omitempty"`
@@ -242,7 +237,8 @@ type Request struct {
 	Tol Duration  `json:"tol,omitempty"`
 	K   int       `json:"k,omitempty"`
 
-	// Rows/Cols set the situation density resolution (default 12×48).
+	// Rows/Cols set the situation density resolution (default 12×48, at
+	// most 1<<20 cells).
 	Rows int `json:"rows,omitempty"`
 	Cols int `json:"cols,omitempty"`
 
@@ -274,100 +270,18 @@ type Request struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// normalize fills kind-specific defaults; called after Validate.
-func (r Request) normalize() Request {
-	if r.Kind == KindNearest {
-		if r.K <= 0 {
-			r.K = 5
-		}
-		if r.Tol <= 0 {
-			if r.At.IsZero() {
-				// No reference instant: time-agnostic nearest (any
-				// sample qualifies; time.Time.Sub saturates, so the
-				// max-duration tolerance admits every dt).
-				r.Tol = Duration(1<<63 - 1)
-			} else {
-				r.Tol = Duration(30 * time.Minute)
-			}
-		}
-	}
-	if r.Kind == KindSituation {
-		if r.Rows <= 0 {
-			r.Rows = 12
-		}
-		if r.Cols <= 0 {
-			r.Cols = 48
-		}
-	}
-	if r.Kind == KindAnomalies && r.MMSI == 0 && r.Limit <= 0 {
-		r.Limit = DefaultAnomalyLimit
-	}
-	return r
+// Validate checks that the request names a known kind and carries the
+// fields that kind requires, with every bound in range — the kind's own
+// definition (kinds.go) says which.
+func (r Request) Validate() error {
+	_, _, err := prepare(r)
+	return err
 }
 
-// Validate checks that the request names a known kind and carries the
-// fields that kind requires, with every bound in range.
-func (r Request) Validate() error {
-	switch r.Kind {
-	case KindTrajectory:
-		if r.MMSI == 0 {
-			return fmt.Errorf("query: trajectory requires mmsi")
-		}
-	case KindSpaceTime:
-		if r.Box == nil {
-			return fmt.Errorf("query: spacetime requires box")
-		}
-	case KindNearest:
-		// (0,0) is a legitimate reference point (Gulf of Guinea), so an
-		// omitted point is indistinguishable from it here; the HTTP GET
-		// route and the CLI require the point parameter explicitly.
-		if r.Lat < -90 || r.Lat > 90 || r.Lon < -180 || r.Lon > 180 {
-			return fmt.Errorf("query: nearest point out of range: %g,%g", r.Lat, r.Lon)
-		}
-		if r.K < 0 {
-			return fmt.Errorf("query: nearest k must be positive, got %d", r.K)
-		}
-	case KindLivePicture, KindSituation:
-		if r.Box == nil {
-			return fmt.Errorf("query: %s requires box", r.Kind)
-		}
-	case KindAlertHistory, KindStats:
-		// No required fields.
-	case KindAnomalies:
-		// MMSI is optional: set, the per-vessel report; unset, the
-		// fleet-ranked form.
-	case KindTrack, KindQuality:
-		if r.MMSI == 0 {
-			return fmt.Errorf("query: %s requires mmsi", r.Kind)
-		}
-	case KindPredict:
-		if r.MMSI == 0 {
-			return fmt.Errorf("query: predict requires mmsi")
-		}
-		if r.Horizon <= 0 {
-			return fmt.Errorf("query: predict requires a positive horizon")
-		}
-		if time.Duration(r.Horizon) > MaxPredictHorizon {
-			return fmt.Errorf("query: predict horizon %s exceeds %s",
-				time.Duration(r.Horizon), MaxPredictHorizon)
-		}
-	case "":
-		return fmt.Errorf("query: missing kind (one of %v)", Kinds())
-	default:
-		return fmt.Errorf("query: unknown kind %q (one of %v)", r.Kind, Kinds())
-	}
-	if r.Box != nil {
-		if err := r.Box.Validate(); err != nil {
-			return err
-		}
-	}
-	if !r.From.IsZero() && !r.To.IsZero() && r.To.Before(r.From) {
-		return fmt.Errorf("query: to %s precedes from %s", r.To.Format(time.RFC3339), r.From.Format(time.RFC3339))
-	}
-	if r.Limit < 0 {
-		return fmt.Errorf("query: negative limit %d", r.Limit)
-	}
-	return nil
+// normalize fills the kind's defaults into a valid request.
+func (r Request) normalize() Request {
+	r, _, _ = prepare(r)
+	return r
 }
 
 // timeRange returns the effective [from, to] with zero values widened to
@@ -378,6 +292,13 @@ func (r Request) timeRange() (time.Time, time.Time) {
 		to = time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC)
 	}
 	return from, to
+}
+
+// window is the standing-query form of timeRange: a predicate admitting
+// the instants inside [From, To].
+func (r Request) window() func(time.Time) bool {
+	from, to := r.timeRange()
+	return func(at time.Time) bool { return !at.Before(from) && !at.After(to) }
 }
 
 // State is the wire form of one vessel state sample.
@@ -487,8 +408,8 @@ type SourceStats struct {
 	ResidentPoints int `json:"resident_points,omitempty"`
 	EvictedVessels int `json:"evicted_vessels,omitempty"`
 
-	// MMSIs is the source's distinct vessel identifier set, sorted —
-	// populated only when the request set Request.MMSIs.
+	// MMSIs is the source's distinct vessel identifier set, sorted — in
+	// an answer, populated only when the request set Request.MMSIs.
 	MMSIs []uint32 `json:"mmsis,omitempty"`
 }
 
@@ -539,7 +460,7 @@ type Result struct {
 }
 
 // TraceSpan is one named stage of a traced request as it appears on the
-/// wire: offset from request start and duration, both in nanoseconds.
+// wire: offset from request start and duration, both in nanoseconds.
 // Parent names the span this one nests under ("" = root) — federated
 // traces use it to hang a peer's stages below its peer/<addr> span.
 type TraceSpan struct {

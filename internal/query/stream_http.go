@@ -27,7 +27,7 @@ type StreamRequest struct {
 	Buffer int `json:"buffer,omitempty"`
 	// Heartbeat is the keep-alive cadence (default 15s, min 100ms).
 	Heartbeat Duration `json:"heartbeat,omitempty"`
-	// Tick is the situation assembly cadence (situation kind only).
+	// Tick is the recompute cadence of the ticker kinds (see SubOptions).
 	Tick Duration `json:"tick,omitempty"`
 }
 
@@ -81,6 +81,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	// Also what ends a ticker kind's in-flight recompute when the client
+	// hangs up: the request context's end returns from the loop below.
 	defer sub.Cancel()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/events"
-	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/stream"
@@ -22,8 +22,9 @@ import (
 // consumer drops updates — counted, never blocking the publisher), keeps
 // a replay ring so a reconnecting subscriber can resume from its last
 // sequence number, and a Streamer adds the kinds a pure pub/sub cannot
-// serve (the periodic situation ticker). The HTTP form is /v1/stream
-// (stream_http.go); Client.Subscribe is the remote peer (client.go).
+// serve — the tickers; each kind's standing mode is part of its
+// definition in kinds.go. The HTTP form is /v1/stream (stream_http.go);
+// Client.Subscribe is the remote peer (client.go).
 
 // UpdateKind discriminates the payload of a pushed Update.
 type UpdateKind string
@@ -132,8 +133,8 @@ type SubOptions struct {
 	// 15s, minimum 100ms). In-process subscriptions ignore it.
 	Heartbeat time.Duration
 	// Tick is the recompute cadence of the ticker kinds — situation,
-	// track, predict, quality — (default 2s, minimum 10ms). Other kinds
-	// ignore it.
+	// track, predict, quality, anomalies — (default 2s, minimum 10ms).
+	// Other kinds ignore it.
 	Tick time.Duration
 }
 
@@ -158,7 +159,7 @@ func (o SubOptions) tick() time.Duration {
 }
 
 // Subscriber turns a Request into a standing query. Implementations:
-// Hub (state/alert kinds), Streamer (adds situation tickers), the ingest
+// Hub (state/alert kinds), Streamer (adds the ticker kinds), the ingest
 // engine (its hub + query engine), and Client (a remote daemon's hub over
 // /v1/stream) — the push half of the Executor contract.
 type Subscriber interface {
@@ -452,20 +453,24 @@ func (h *Hub) Instrument(reg *obs.Registry) {
 	})
 }
 
-// Subscribe turns req into a standing query against the hub. Supported
-// kinds: trajectory (follow one vessel), spacetime (watch a box, time
-// bounds honoured), live (watch a box, no time bounds) and alerts
-// (severity- and time-filtered feed). Situation tickers need an executor
-// — subscribe through a Streamer (or the ingest engine) for those.
+// Subscribe turns req into a standing query against the hub. It serves
+// the kinds whose definition carries a match predicate: trajectory
+// (follow one vessel), spacetime (watch a box, time bounds honoured),
+// live (watch a box, no time bounds) and alerts (severity- and
+// time-filtered feed). The ticker kinds need an executor — subscribe
+// through a Streamer (or the ingest engine) for those.
 func (h *Hub) Subscribe(req Request, opt SubOptions) (*Subscription, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	req = req.normalize()
-	filter, err := filterFor(req)
+	req, def, err := prepare(req)
 	if err != nil {
 		return nil, err
 	}
+	if def.match == nil {
+		return nil, fmt.Errorf("query: kind %q is not streamable (one of %v, or %v via a Streamer)", req.Kind,
+			kindsWhere(func(d *kindDef) bool { return d.match != nil }),
+			kindsWhere(func(d *kindDef) bool { return d.tick != nil }))
+	}
+	want, matches := def.update, def.match(req)
+	filter := func(u *Update) bool { return u.Kind == want && matches(u) }
 	buf := opt.Buffer
 	if buf < 1 {
 		buf = h.cfg.Buffer
@@ -518,54 +523,6 @@ func (h *Hub) remove(sub *Subscription) {
 	}
 }
 
-// filterFor derives the standing-query predicate from a normalized
-// request.
-func filterFor(req Request) (func(*Update) bool, error) {
-	from, to := req.timeRange()
-	inWindow := func(at time.Time) bool { return !at.Before(from) && !at.After(to) }
-	switch req.Kind {
-	case KindTrajectory:
-		return func(u *Update) bool {
-			return u.Kind == UpdateState && u.State.MMSI == req.MMSI && inWindow(u.State.At)
-		}, nil
-	case KindSpaceTime:
-		r := req.Box.Rect()
-		return func(u *Update) bool {
-			return u.Kind == UpdateState && inWindow(u.State.At) &&
-				r.Contains(geo.Point{Lat: u.State.Lat, Lon: u.State.Lon})
-		}, nil
-	case KindLivePicture:
-		r := req.Box.Rect()
-		return func(u *Update) bool {
-			return u.Kind == UpdateState &&
-				r.Contains(geo.Point{Lat: u.State.Lat, Lon: u.State.Lon})
-		}, nil
-	case KindAlertHistory:
-		return func(u *Update) bool {
-			return u.Kind == UpdateAlert && u.Alert.Severity >= req.MinSeverity &&
-				inWindow(u.Alert.At)
-		}, nil
-	default:
-		return nil, fmt.Errorf("query: kind %q is not streamable (one of %v, or %v via a Streamer)",
-			req.Kind, []Kind{KindTrajectory, KindSpaceTime, KindLivePicture, KindAlertHistory},
-			tickerKinds)
-	}
-}
-
-// tickerKinds are the standing queries a pure hub cannot serve: their
-// answers are recomputed through an executor on a cadence, not filtered
-// from the publication stream. The Streamer turns each into a ticker.
-var tickerKinds = []Kind{KindSituation, KindTrack, KindPredict, KindQuality, KindAnomalies}
-
-func isTickerKind(k Kind) bool {
-	for _, t := range tickerKinds {
-		if k == t {
-			return true
-		}
-	}
-	return false
-}
-
 // Streamer is the full Subscriber over a hub plus an executor: pub/sub
 // kinds go to the hub, the ticker kinds (situation, track, predict,
 // quality, anomalies) periodically recompute their answer through the
@@ -583,9 +540,6 @@ func NewStreamer(hub *Hub, exec Executor) *Streamer {
 	return &Streamer{hub: hub, exec: exec}
 }
 
-// Hub returns the underlying hub.
-func (st *Streamer) Hub() *Hub { return st.hub }
-
 // Query implements Executor by delegating to the composed executor.
 func (st *Streamer) Query(req Request) (*Result, error) {
 	if st.exec == nil {
@@ -594,28 +548,33 @@ func (st *Streamer) Query(req Request) (*Result, error) {
 	return st.exec.Query(req)
 }
 
-// Subscribe implements Subscriber.
+// Subscribe implements Subscriber. A ticker kind's recomputes run under
+// the subscription's own context — a standing query outlives any one
+// request, so Cancel is what ends it — and an in-flight recompute is
+// abandoned with it instead of running on for a subscriber that left.
 func (st *Streamer) Subscribe(req Request, opt SubOptions) (*Subscription, error) {
-	if !isTickerKind(req.Kind) {
-		return st.hub.Subscribe(req, opt)
-	}
-	if err := req.Validate(); err != nil {
+	req, def, err := prepare(req)
+	if err != nil {
 		return nil, err
+	}
+	if def.tick == nil {
+		return st.hub.Subscribe(req, opt)
 	}
 	if st.exec == nil {
 		return nil, fmt.Errorf("query: %s subscriptions need an executor", req.Kind)
 	}
-	req = req.normalize()
 	buf := opt.Buffer
 	if buf < 1 {
 		buf = st.hub.cfg.Buffer
 	}
-	done := make(chan struct{})
+	lifetime := context.Background()
+	ctx, cancel := context.WithCancel(lifetime)
 	sub := &Subscription{req: req, ch: make(chan Update, buf), startSeq: opt.FromSeq, flight: st.hub.flight.Load()}
 	sub.epoch.Store(st.hub.epoch)
-	sub.stop = func() { close(done) }
+	sub.stop = cancel
 	go func() {
 		defer close(sub.ch)
+		defer cancel() // also when the ticker ends on its own (executor error)
 		tick := time.NewTicker(opt.tick())
 		defer tick.Stop()
 		// Ticks are recomputed, not replayed: Seq counts them — seeded
@@ -624,39 +583,21 @@ func (st *Streamer) Subscribe(req Request, opt SubOptions) (*Subscription, error
 		n := opt.FromSeq
 		for {
 			select {
-			case <-done:
+			case <-ctx.Done():
 				return
 			case <-tick.C:
 			}
-			res, err := st.exec.Query(req)
+			res, err := execute(ctx, st.exec, req)
+			if ctx.Err() != nil {
+				return // cancelled mid-recompute: a clean end, not a failure
+			}
 			if err != nil {
 				sub.setErr(err)
 				return
 			}
-			u := Update{}
-			switch req.Kind {
-			case KindSituation:
-				u.Kind, u.Situation = UpdateSituation, res.Situation
-			case KindTrack:
-				if res.Track == nil { // vessel unknown yet: no tick
-					continue
-				}
-				u.Kind, u.Track = UpdateTrack, res.Track
-			case KindPredict:
-				if res.Prediction == nil {
-					continue
-				}
-				u.Kind, u.Prediction = UpdatePredict, res.Prediction
-			case KindQuality:
-				if res.Quality == nil {
-					continue
-				}
-				u.Kind, u.Quality = UpdateQuality, res.Quality
-			case KindAnomalies:
-				if res.Anomalies == nil { // vessel unknown yet: no tick
-					continue
-				}
-				u.Kind, u.Anomalies = UpdateAnomalies, res.Anomalies
+			u := Update{Kind: def.update}
+			if !def.tick(res, &u) { // vessel unknown yet: no tick
+				continue
 			}
 			n++
 			u.Seq = n

@@ -4,8 +4,8 @@
 // deterministic replay that answers them from any Source.
 //
 // A Source that maintains live fused state (the ingest engine's
-// internal/track stage, a federation peer) implements TrackIntelSource
-// and answers directly; every other source is answered by replaying its
+// internal/track stage, a federation peer) answers through
+// Source.Derived; every other source is answered by replaying its
 // stored trajectory through the same fusion/forecast/quality libraries
 // the online stage runs (DeriveTrack / DerivePredict / DeriveQuality).
 // The replay is a pure function of the point sequence — no wall clock,
@@ -42,23 +42,6 @@ const (
 	// confidence envelope to the recent past, mirroring forecast.Kalman.
 	predictConfWindow = 30 * time.Minute
 )
-
-// TrackIntelSource is the optional Source extension for the track
-// intelligence kinds. Sources that maintain (or can fetch) fused track
-// state answer directly — the engine takes an implementation's answer
-// as authoritative, nil result included. Sources without it are
-// answered by replaying their stored trajectory (DeriveTrack et al).
-type TrackIntelSource interface {
-	// Track returns the vessel's fused track state, or ok=false when the
-	// vessel is unknown.
-	Track(mmsi uint32) (*TrackState, bool)
-	// Predict forecasts the vessel's position horizon ahead of its last
-	// fix, or ok=false when the vessel is unknown.
-	Predict(mmsi uint32, horizon time.Duration) (*Prediction, bool)
-	// Quality returns the vessel's data-integrity score, or ok=false
-	// when the vessel is unknown.
-	Quality(mmsi uint32) (*QualityScore, bool)
-}
 
 // TrackState is the wire form of one vessel's fused track: the smoothed
 // position/velocity estimate of a constant-velocity Kalman filter and

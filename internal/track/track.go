@@ -14,9 +14,9 @@
 //   - a quality.Profile integrity score folded per vessel
 //     (query.QualityAccumulator).
 //
-// The stage answers the engine's three track-intelligence kinds through
-// query.TrackIntelSource (Stages routes each vessel to its owning
-// shard's stage), so one-shot HTTP, standing /v1/stream queries,
+// The stage answers the engine's three track-intelligence kinds as a
+// query.Lane behind the live source (Stages.Lane routes each vessel to
+// its owning shard's stage), so one-shot HTTP, standing /v1/stream queries,
 // federation and tiering all read the same state. Everything is
 // off-switchable: a nil ingest Config.Track means no stage in the tee
 // and zero cost.
@@ -126,7 +126,6 @@ type Stage struct {
 }
 
 var _ tstore.Sink = (*Stage)(nil)
-var _ query.TrackIntelSource = (*Stage)(nil)
 
 // NewStage builds one shard's stage.
 func NewStage(cfg Config) *Stage {
@@ -229,7 +228,8 @@ func (v *vesselTrack) asTrack(mmsi uint32) *fusion.Track {
 	}
 }
 
-// Track implements query.TrackIntelSource for this shard's vessels.
+// Track returns the fused state of one of this shard's vessels, ok=false
+// when the stage does not know it.
 func (s *Stage) Track(mmsi uint32) (*query.TrackState, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -240,7 +240,7 @@ func (s *Stage) Track(mmsi uint32) (*query.TrackState, bool) {
 	return query.TrackStateOf(v.asTrack(mmsi)), true
 }
 
-// Predict implements query.TrackIntelSource: the shard-shared route
+// Predict forecasts from the stage's state: the shard-shared route
 // model (every vessel's lanes) with dead-reckoning fallback, over the
 // vessel's recent points.
 func (s *Stage) Predict(mmsi uint32, horizon time.Duration) (*query.Prediction, bool) {
@@ -259,7 +259,7 @@ func (s *Stage) Predict(mmsi uint32, horizon time.Duration) (*query.Prediction, 
 	return p, true
 }
 
-// Quality implements query.TrackIntelSource.
+// Quality returns the vessel's folded integrity score.
 func (s *Stage) Quality(mmsi uint32) (*query.QualityScore, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -397,9 +397,8 @@ func (s *Stage) orphanLocked(d Detection) {
 }
 
 // Stages is the sharded stage set: one Stage per ingest shard, vessels
-// routed by the same hash the pipelines shard by. It implements
-// query.TrackIntelSource, so the engine's live source reads fused state
-// straight from it.
+// routed by the same hash the pipelines shard by. Lane is its read side
+// for the query engine's live source.
 type Stages []*Stage
 
 // NewStages builds n stages (one per shard).
@@ -419,19 +418,29 @@ func (ss Stages) ShardFor(mmsi uint32) *Stage {
 	return ss[stream.ShardOf(uint64(mmsi), len(ss))]
 }
 
-// Track implements query.TrackIntelSource.
+// Track returns a vessel's fused state from its owning stage.
 func (ss Stages) Track(mmsi uint32) (*query.TrackState, bool) {
 	return ss.ShardFor(mmsi).Track(mmsi)
 }
 
-// Predict implements query.TrackIntelSource.
-func (ss Stages) Predict(mmsi uint32, horizon time.Duration) (*query.Prediction, bool) {
-	return ss.ShardFor(mmsi).Predict(mmsi, horizon)
-}
-
-// Quality implements query.TrackIntelSource.
-func (ss Stages) Quality(mmsi uint32) (*query.QualityScore, bool) {
-	return ss.ShardFor(mmsi).Quality(mmsi)
+// Lane is the stages' read side as the live source consumes it: the
+// three track-intelligence kinds answered from the owning shard's fused
+// state, ok=false where the stage does not know the vessel.
+func (ss Stages) Lane() query.Lane {
+	return query.Lane{
+		query.KindTrack: func(r query.Request) (*query.Result, bool) {
+			ts, ok := ss.Track(r.MMSI)
+			return &query.Result{Track: ts}, ok
+		},
+		query.KindPredict: func(r query.Request) (*query.Result, bool) {
+			p, ok := ss.ShardFor(r.MMSI).Predict(r.MMSI, time.Duration(r.Horizon))
+			return &query.Result{Prediction: p}, ok
+		},
+		query.KindQuality: func(r query.Request) (*query.Result, bool) {
+			qs, ok := ss.ShardFor(r.MMSI).Quality(r.MMSI)
+			return &query.Result{Quality: qs}, ok
+		},
+	}
 }
 
 // Process fuses a batch of detections, grouped into scans by timestamp
