@@ -1,4 +1,4 @@
-// Top-level benchmarks: one per experiment in DESIGN.md's index. Each
+// Top-level benchmarks: one per experiment cmd/benchrunner runs. Each
 // bench regenerates the corresponding table/figure of the reproduction
 // (cmd/benchrunner prints the same rows for EXPERIMENTS.md); b.N drives
 // repetition so `go test -bench=.` also measures the harness cost itself.

@@ -1,5 +1,5 @@
-// Command benchrunner regenerates every experiment in DESIGN.md's index
-// (E1–E22) and prints the paper-style tables EXPERIMENTS.md records. It
+// Command benchrunner regenerates every experiment of the reproduction
+// (E1–E22, internal/experiments) and prints the paper-style tables EXPERIMENTS.md records. It
 // also emits a machine-readable BENCH_<n>.json next to the working
 // directory's previous ones (auto-numbered), so the repository accumulates
 // a perf trajectory across PRs; disable with -json off or redirect with

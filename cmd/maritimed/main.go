@@ -54,28 +54,36 @@
 // backlog, upload-queue age, storage errors, peer reachability, hub
 // drops) into a machine-readable verdict.
 //
-// With -track the daemon runs the online track-intelligence stage:
-// fused per-vessel Kalman state, incrementally learned route forecasts
-// and integrity scores, answering the track/predict/quality query kinds
-// live instead of by archive replay. With -detections it additionally
-// parses $PRADAR radar-contact lines interleaved in the feed (aisgen
+// With -track and -anomaly the daemon attaches online lanes to the
+// ingest tee — per-vessel folds on one shared sharded host
+// (internal/lane), answering the derived query kinds live instead of by
+// archive replay; with -data-dir every recovered trajectory is folded
+// back into them at startup, so those answers continue across a restart
+// exactly where a replay of the archive stands (alerts are not
+// replayed).
+//
+// -track is the track-intelligence lane: fused per-vessel Kalman state,
+// incrementally learned route forecasts and integrity scores behind the
+// track/predict/quality kinds. With -detections it additionally parses
+// $PRADAR radar-contact lines interleaved in the feed (aisgen
 // -radar-range emits them) and fuses those identity-less contacts into
 // the vessel tracks. With -data-dir, anonymous radar-only tracks (which
 // exist nowhere in the archive) are snapshotted to orphans.json at
 // shutdown and resumed at startup, so the whole track picture survives
 // a restart.
 //
-// With -anomaly the daemon runs the streaming anomaly lane: a behavior
-// profile per vessel (sliding-window distribution shift against the
-// vessel's own history), stop/move episodes materialised into a
-// semantic store as they close, and continuous open-world CEP —
-// reporting gaps matched across vessels for physically feasible covert
-// meetings, raised as possible-rendezvous alerts on the daemon's alert
-// stream (and every /v1/stream alert subscription). The anomalies query
-// kind (/v1/anomalies, msaquery -anomalies / -watch anomalies) answers
-// live from the stage. Failure semantics: the stage never refuses
-// traffic or fails a query; without -anomaly the kind still answers,
-// derived from the archive on demand.
+// -anomaly is the streaming anomaly lane: a behavior profile per vessel
+// (sliding-window distribution shift against the vessel's own history),
+// stop/move episodes materialised into a semantic store as they close,
+// and continuous open-world CEP — reporting gaps matched across vessels
+// for physically feasible covert meetings, raised as
+// possible-rendezvous alerts on the daemon's alert stream (and every
+// /v1/stream alert subscription), behind the anomalies kind
+// (/v1/anomalies, msaquery -anomalies / -watch anomalies).
+//
+// Failure semantics of both: a lane never refuses traffic or fails a
+// query; without its flag the kinds still answer, derived from the
+// archive on demand.
 //
 // With -mem-budget the archive exceeds RAM: once resident points pass
 // the budget, the coldest vessels are evicted down to compact stubs and
@@ -322,8 +330,8 @@ func main() {
 	engine.Start(ctx)
 
 	// Anonymous radar-only tracks exist nowhere in the archive (identified
-	// tracks rebuild from it), so with -track and -data-dir the orphan
-	// picture parked at the previous shutdown is resumed here.
+	// tracks were seeded from it by Resume), so with -track and -data-dir
+	// the orphan picture parked at the previous shutdown is resumed here.
 	orphansPath := ""
 	if *dataDir != "" && (*trackOn || *detections) {
 		orphansPath = filepath.Join(*dataDir, "orphans.json")
@@ -507,7 +515,7 @@ func main() {
 		}
 		fmt.Println()
 		// Park the anonymous picture for the next process; identified
-		// tracks need no snapshot (the archive replays them).
+		// tracks need no snapshot (Resume seeds them from the archive).
 		if orphansPath != "" {
 			if data, err := tracks.EncodeOrphans(); err != nil {
 				fmt.Fprintln(os.Stderr, "maritimed: snapshotting orphan tracks:", err)

@@ -36,15 +36,18 @@
 //	msaquery -http localhost:8080 -follow 201000091        # vessel follow
 //	msaquery -http localhost:8080 -watch "42,4,44,9" -count 100 -json
 //	msaquery -http localhost:8080 -watch predict -predict 201000091 -horizon 10m
+//	msaquery -http localhost:8080 -watch track -track 201000091
 //	msaquery -http localhost:8080 -watch anomalies                    # ranked board ticker
 //	msaquery -http localhost:8080 -watch anomalies -anomalies 201000091
 //
-// -watch predict is the forecast ticker: a standing predict query that
-// pushes a fresh dead-reckoned (or route-model) fix every tick, showing
-// the vessel's expected motion between AIS reports. -watch anomalies is
-// the deviation ticker: the fleet ranked by behavior-shift score (or one
-// vessel's report, with -anomalies MMSI) pushed every tick — a client
-// watching "vessels deviating from their own history".
+// -watch KIND turns the one-shot request the other flags spell into a
+// standing one (the daemon rejects kinds that do not stream). -watch
+// predict is the forecast ticker: a fresh dead-reckoned (or route-model)
+// fix every tick, showing the vessel's expected motion between AIS
+// reports. -watch anomalies is the deviation ticker: the fleet ranked by
+// behavior-shift score (or one vessel's report, with -anomalies MMSI)
+// pushed every tick — a client watching "vessels deviating from their
+// own history".
 package main
 
 import (
@@ -53,6 +56,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -97,7 +101,7 @@ func main() {
 	asJSON := flag.Bool("json", false, "print the raw Result JSON instead of a summary")
 	trace := flag.Bool("trace", false, "request a per-stage trace and print where the query spent its time")
 
-	watch := flag.String("watch", "", "standing box watch (requires -http): minLat,minLon,maxLat,maxLon — or the literal \"predict\" with -predict/-horizon for a forecast ticker, or \"anomalies\" (optionally with -anomalies MMSI) for a deviation ticker")
+	watch := flag.String("watch", "", "standing query (requires -http): a box minLat,minLon,maxLat,maxLon to watch — or a query kind (predict, track, quality, anomalies, ...) made standing, with that kind's own flags (-watch predict -predict MMSI -horizon 10m; -watch anomalies alone is the ranked board)")
 	follow := flag.Uint("follow", 0, "standing per-vessel follow (requires -http): MMSI")
 	count := flag.Int("count", 0, "stop a -watch/-follow stream after this many updates (0 = until interrupted)")
 	fromSeq := flag.Uint64("from-seq", 0, "resume a -watch/-follow stream after this sequence number")
@@ -108,21 +112,22 @@ func main() {
 		return
 	}
 
-	if *watch != "" || *follow != 0 {
-		if *httpAddr == "" {
-			log.Fatal("-watch/-follow are standing queries against a daemon: pass -http ADDR")
-		}
-		streamUpdates(*httpAddr, *watch, uint32(*follow), uint32(*predict), *horizon, *anomalies, *count, *fromSeq, *asJSON)
-		return
-	}
-
-	req, err := buildRequest(reqFlags{
+	flags := reqFlags{
 		vessel: uint32(*vessel), box: *box, knn: *knn, k: *k,
 		live: *live, situation: *situation, alerts: *alerts, stats: *stats,
 		track: uint32(*track), predict: uint32(*predict), horizon: *horizon, quality: uint32(*quality),
 		anomalies: *anomalies,
 		severity:  *severity, from: *from, to: *to, at: *at, tol: *tol, limit: *limit,
-	})
+	}
+	if *watch != "" || *follow != 0 {
+		if *httpAddr == "" {
+			log.Fatal("-watch/-follow are standing queries against a daemon: pass -http ADDR")
+		}
+		streamUpdates(*httpAddr, *watch, uint32(*follow), flags, *count, *fromSeq, *asJSON)
+		return
+	}
+
+	req, err := buildRequest(flags)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -217,6 +222,11 @@ type reqFlags struct {
 	from, to, at    string
 	tol             time.Duration
 	limit           int
+	// watch is the kind -watch KIND names: the request must come out as
+	// that kind, and with no query flag at all it is the kind's bare
+	// request (the ranked anomalies board; anything that needs more fails
+	// the kind's own validation).
+	watch query.Kind
 }
 
 // buildRequest translates the flags into exactly one validated Request.
@@ -299,6 +309,12 @@ func buildRequest(f reqFlags) (query.Request, error) {
 			return req, err
 		}
 		req.MMSI = mmsi
+	}
+	if modes == 0 && f.watch != "" {
+		modes, req.Kind = 1, f.watch
+	}
+	if f.watch != "" && req.Kind != f.watch {
+		return req, fmt.Errorf("-watch %s with the flags of a %s query", f.watch, req.Kind)
 	}
 	if modes != 1 {
 		return req, fmt.Errorf("pass exactly one of -vessel, -box, -knn, -live, -situation, -alerts, -stats, -track, -predict, -quality, -anomalies (got %d)", modes)
@@ -405,45 +421,24 @@ func openExecutor(read, data, remote, httpAddr string) (query.Executor, string, 
 }
 
 // streamUpdates runs a standing query (-watch / -follow) over /v1/stream
-// and prints updates as they arrive. -watch predict (with -predict and
-// -horizon) is the forecast ticker: a fresh dead-reckoned or route-model
-// fix every tick, showing expected motion between AIS reports. -watch
-// anomalies is the deviation ticker: the ranked behavior-shift board
-// (or one vessel's report, with -anomalies MMSI) every tick.
-func streamUpdates(httpAddr, watch string, follow, predict uint32, horizon time.Duration, anomalies string, count int, fromSeq uint64, asJSON bool) {
-	var req query.Request
+// and prints updates as they arrive. The request is the one-shot path's
+// (buildRequest): -watch BOX is a -box watch, -follow MMSI a -vessel
+// follow, and -watch KIND the request the kind's own flags spell, made
+// standing — whether a kind streams is the daemon's call.
+func streamUpdates(httpAddr, watch string, follow uint32, f reqFlags, count int, fromSeq uint64, asJSON bool) {
 	switch {
 	case watch != "" && follow != 0:
 		log.Fatal("pass exactly one of -watch, -follow")
-	case watch == "predict":
-		if predict == 0 {
-			log.Fatal("-watch predict needs the vessel: pass -predict MMSI (and -horizon)")
-		}
-		req = query.Request{Kind: query.KindPredict, MMSI: predict, Horizon: query.Duration(horizon)}
-		if err := req.Validate(); err != nil {
-			log.Fatal(err)
-		}
-	case watch == "anomalies":
-		var mmsi uint32
-		if anomalies != "" {
-			m, err := parseAnomalyTarget(anomalies)
-			if err != nil {
-				log.Fatal(err)
-			}
-			mmsi = m
-		}
-		req = query.Request{Kind: query.KindAnomalies, MMSI: mmsi}
-		if err := req.Validate(); err != nil {
-			log.Fatal(err)
-		}
-	case watch != "":
-		b, err := query.ParseBox(watch)
-		if err != nil {
-			log.Fatalf("bad -watch: %v", err)
-		}
-		req = query.Request{Kind: query.KindSpaceTime, Box: &b}
+	case follow != 0:
+		f.vessel = follow
+	case slices.Contains(query.Kinds(), query.Kind(watch)):
+		f.watch = query.Kind(watch)
 	default:
-		req = query.Request{Kind: query.KindTrajectory, MMSI: follow}
+		f.box = watch
+	}
+	req, err := buildRequest(f)
+	if err != nil {
+		log.Fatalf("standing query: %v", err)
 	}
 	c := query.NewClient(httpAddr)
 	sub, err := c.Subscribe(req, query.SubOptions{FromSeq: fromSeq})

@@ -13,7 +13,7 @@ import (
 
 func main() {
 	// 1. A synthetic world stands in for live AIS feeds (the library's
-	// substitution for radio receivers; see DESIGN.md).
+	// substitution for radio receivers; see README.md).
 	cfg := maritime.SimConfig{
 		Seed:       42,
 		NumVessels: 80,

@@ -1,7 +1,7 @@
-// Package anomaly is the streaming anomaly lane: a per-shard sink
-// behind the ingest engine's post-synopsis tee (alongside the hub, the
-// persistence flusher and the track stage) that watches the live feed
-// for behavioral anomalies as records arrive —
+// Package anomaly is the streaming anomaly lane: per-vessel folds on the
+// shared lane host (internal/lane — sharding, the post-synopsis tee
+// sink, locking, seeding on Resume) that watch the live feed for
+// behavioral anomalies as records arrive —
 //
 //   - a behavior profile per vessel (query.AnomalyAccumulator): sliding-
 //     window distribution shift over speed/heading/position against the
@@ -17,29 +17,28 @@
 //     physically feasible covert meetings (events.PossibleRendezvous) —
 //     the offline E13 sweep, folded into the stream.
 //
-// The stage answers the engine's anomalies kind as a query.Lane behind
-// the live source (Stages.Lane routes each vessel to its owning shard's
-// stage), so one-shot HTTP, standing /v1/stream subscriptions,
-// federation and tiering all read the same state — and the profile fold
-// itself lives in internal/query, shared with the offline replay
-// (query.DeriveAnomalies), so online and replayed reports are
+// What is this package's own is what it does with the facts the fold
+// surfaces: the cross-shard episode materialiser and gap→rendezvous
+// matcher (shared). The lane answers the engine's anomalies kind as a
+// query.Lane behind the live source (Stages.Lane routes each vessel to
+// its owning shard), so one-shot HTTP, standing /v1/stream
+// subscriptions, federation and tiering all read the same state — and
+// the profile fold itself lives in internal/query, shared with the
+// offline replay (query.Replay), so online and replayed reports are
 // byte-identical. Everything is off-switchable: a nil ingest
-// Config.Anomaly means no stage in the tee and zero cost.
+// Config.Anomaly means no lane in the tee and zero cost.
 package anomaly
 
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/events"
 	"repro/internal/geo"
-	"repro/internal/model"
+	"repro/internal/lane"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/semstore"
-	"repro/internal/stream"
-	"repro/internal/tstore"
 	"repro/internal/zones"
 )
 
@@ -84,116 +83,12 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// vesselProfile is one vessel's stage state: the shared fold plus the
-// monotone index the next closed episode materialises under (batch
-// materialisation numbers a vessel's episodes from zero; the online
-// counter does the same, one episode at a time).
-type vesselProfile struct {
-	acc      *query.AnomalyAccumulator
-	episodes int
-}
-
-// Stage is one shard's online anomaly stage. It implements tstore.Sink,
-// so the ingest engine tees archived records into it; per-vessel state
-// lives here, while episode materialisation and gap matching cross
-// shards through the set's shared core.
-type Stage struct {
-	shared *shared
-
-	mu      sync.Mutex
-	vessels map[uint32]*vesselProfile
-
-	appends  atomic.Int64
-	appendNS *obs.Histogram // sampled (1/64); nil when uninstrumented
-}
-
-var _ tstore.Sink = (*Stage)(nil)
-
-// closedEpisode pairs an episode the fold closed with its
-// materialisation index, carried out of the stage lock.
-type closedEpisode struct {
-	ep  semstore.Episode
-	idx int
-}
-
-// Append implements tstore.Sink: every archived record advances its
-// vessel's behavior profile. It never fails — like the hub, a stage
-// cannot refuse traffic. Closed episodes and gaps are collected under
-// the stage lock but acted on (materialised, matched, alerted) after
-// release, so the ingest hot path never blocks on the shared core.
-func (s *Stage) Append(recs ...model.VesselState) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	var t0 time.Time
-	timed := s.appendNS != nil && s.appends.Add(1)&63 == 0
-	if timed {
-		t0 = time.Now()
-	}
-	var eps []closedEpisode
-	var gaps []events.Gap
-	s.mu.Lock()
-	for i := range recs {
-		rec := recs[i]
-		v, ok := s.vessels[rec.MMSI]
-		if !ok {
-			v = &vesselProfile{acc: query.NewAnomalyAccumulator(rec.MMSI)}
-			s.vessels[rec.MMSI] = v
-		}
-		ep, gap := v.acc.Observe(rec)
-		if ep != nil {
-			eps = append(eps, closedEpisode{ep: *ep, idx: v.episodes})
-			v.episodes++
-		}
-		if gap != nil {
-			gaps = append(gaps, *gap)
-		}
-	}
-	s.mu.Unlock()
-	if timed {
-		s.appendNS.ObserveSince(t0)
-	}
-	for _, ce := range eps {
-		s.shared.episodeClosed(ce.ep, ce.idx)
-	}
-	for _, g := range gaps {
-		s.shared.gapClosed(g)
-	}
-	return nil
-}
-
-// VesselAnomaly renders one vessel's report (nil, false when unknown).
-func (s *Stage) VesselAnomaly(mmsi uint32) (*query.VesselAnomaly, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.vessels[mmsi]
-	if !ok {
-		return nil, false
-	}
-	va := v.acc.Report()
-	return va, va != nil
-}
-
-// reports renders every vessel of this shard (order unspecified; the
-// set sorts the merged answer).
-func (s *Stage) reports() []query.VesselAnomaly {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]query.VesselAnomaly, 0, len(s.vessels))
-	for _, v := range s.vessels {
-		if va := v.acc.Report(); va != nil {
-			out = append(out, *va)
-		}
-	}
-	return out
-}
-
-// VesselCount returns the number of profiled vessels in this shard.
-func (s *Stage) VesselCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.vessels)
-}
+// Stage is one shard's online anomaly stage: the host shard holding its
+// vessels' behavior profiles — the fold itself, nothing wrapped around
+// it. It implements tstore.Sink, so the ingest engine tees archived
+// records into it; the facts its folds surface cross shards through the
+// set's shared core.
+type Stage = lane.Shard[*query.AnomalyAccumulator, query.AnomalyFacts]
 
 // shared is the cross-shard core of a stage set: episode
 // materialisation and the continuous rendezvous matcher. Gaps of two
@@ -213,6 +108,21 @@ type shared struct {
 	head   int
 	alerts []events.Alert // ring of the last retainedAlerts CEP alerts
 	ahead  int
+}
+
+// deliver acts on the facts a fold surfaced, outside every stage lock.
+// Seeded facts (Resume replaying the archive) rebuild only what is
+// per-process: closed episodes re-materialise into the semantic store,
+// which restarts empty, while gaps are skipped — the previous process
+// already counted and matched them, so seeding raises no alert and
+// leaves the recent-gap ring empty.
+func (sh *shared) deliver(f query.AnomalyFacts, seeded bool) {
+	if f.Closed != nil {
+		sh.episodeClosed(*f.Closed, f.Index)
+	}
+	if f.Gap != nil && !seeded {
+		sh.gapClosed(*f.Gap)
+	}
 }
 
 // episodeClosed counts, annotates and (when configured) materialises
@@ -275,37 +185,20 @@ func (sh *shared) gapClosed(g events.Gap) {
 	}
 }
 
-// Stages is the sharded stage set: one Stage per ingest shard, vessels
-// routed by the same hash the pipelines shard by, plus the shared
-// materialisation/CEP core. Lane is its read side for the query engine's
-// live source.
+// Stages is the sharded lane: a lane.Host of per-vessel profiles (shard
+// routing, the tee sinks, Stage/ShardFor, VesselCount, Seed — promoted
+// from the host) plus the shared materialisation/CEP core. Lane is its
+// read side for the query engine's live source.
 type Stages struct {
-	stages []*Stage
+	*lane.Host[*query.AnomalyAccumulator, query.AnomalyFacts]
 	shared *shared
 }
 
-// NewStages builds n stages (one per shard) over one shared core.
+// NewStages builds the lane over n shards (one per ingest shard) and
+// one shared core.
 func NewStages(n int, cfg Config) *Stages {
-	if n < 1 {
-		n = 1
-	}
 	sh := &shared{cfg: cfg.normalize()}
-	ss := &Stages{stages: make([]*Stage, n), shared: sh}
-	for i := range ss.stages {
-		ss.stages[i] = &Stage{shared: sh, vessels: make(map[uint32]*vesselProfile)}
-	}
-	return ss
-}
-
-// Len returns the shard count.
-func (ss *Stages) Len() int { return len(ss.stages) }
-
-// Stage returns shard i's stage (for tee attachment).
-func (ss *Stages) Stage(i int) *Stage { return ss.stages[i] }
-
-// ShardFor returns the stage owning a vessel.
-func (ss *Stages) ShardFor(mmsi uint32) *Stage {
-	return ss.stages[stream.ShardOf(uint64(mmsi), len(ss.stages))]
+	return &Stages{shared: sh, Host: lane.New("anomaly", n, query.NewAnomalyAccumulator, sh.deliver)}
 }
 
 // OnAlert installs the CEP alert consumer (the ingest engine wires the
@@ -313,9 +206,11 @@ func (ss *Stages) ShardFor(mmsi uint32) *Stage {
 // is called outside every stage lock.
 func (ss *Stages) OnAlert(fn func(events.Alert)) { ss.shared.onAlert = fn }
 
-// VesselAnomaly returns one vessel's report from its owning stage.
-func (ss *Stages) VesselAnomaly(mmsi uint32) (*query.VesselAnomaly, bool) {
-	return ss.ShardFor(mmsi).VesselAnomaly(mmsi)
+// VesselAnomaly returns one vessel's report from its owning stage
+// (nil, false when unknown).
+func (ss *Stages) VesselAnomaly(mmsi uint32) (va *query.VesselAnomaly, ok bool) {
+	ss.ShardFor(mmsi).Vessel(mmsi, func(acc *query.AnomalyAccumulator) { va = acc.Report() })
+	return va, va != nil
 }
 
 // RankedAnomalies is the fleet ranking: every shard's reports
@@ -323,8 +218,14 @@ func (ss *Stages) VesselAnomaly(mmsi uint32) (*query.VesselAnomaly, bool) {
 // truncated to limit when limit > 0.
 func (ss *Stages) RankedAnomalies(limit int) ([]query.VesselAnomaly, bool) {
 	var out []query.VesselAnomaly
-	for _, st := range ss.stages {
-		out = append(out, st.reports()...)
+	for i := range ss.Len() {
+		ss.Stage(i).View(func(vessels map[uint32]*query.AnomalyAccumulator) {
+			for _, acc := range vessels {
+				if va := acc.Report(); va != nil {
+					out = append(out, *va)
+				}
+			}
+		})
 	}
 	query.SortRankedAnomalies(out)
 	if limit > 0 && len(out) > limit {
@@ -349,19 +250,12 @@ func (ss *Stages) Lane() query.Lane {
 	}}
 }
 
-// VesselCount sums profiled vessels across stages.
-func (ss *Stages) VesselCount() int {
-	n := 0
-	for _, st := range ss.stages {
-		n += st.VesselCount()
-	}
-	return n
-}
-
-// EpisodeCount returns closed (kept) stop/move episodes so far.
+// EpisodeCount returns closed (kept) stop/move episodes so far,
+// re-materialised ones of a resumed archive included.
 func (ss *Stages) EpisodeCount() int64 { return ss.shared.episodes.Load() }
 
-// GapCount returns reporting gaps recognised so far.
+// GapCount returns reporting gaps recognised on the live feed so far
+// (a resumed archive's gaps were the previous process's).
 func (ss *Stages) GapCount() int64 { return ss.shared.gaps.Load() }
 
 // RendezvousCount returns possible-rendezvous alerts fired so far.
@@ -392,19 +286,16 @@ func (ss *Stages) Alerts() []events.Alert {
 	return out
 }
 
-// Instrument registers the stage-set series with reg: profiled-vessel
-// gauge, episode/gap/rendezvous counters, sampled append cost, and the
-// semantic-store triple gauge when materialisation is on.
+// Instrument registers the lane's series with reg: the host's
+// profiled-vessel gauge and sampled append cost, episode/gap/rendezvous
+// counters, and the semantic-store triple gauge when materialisation is
+// on.
 func (ss *Stages) Instrument(reg *obs.Registry) {
-	reg.GaugeFunc("anomaly_vessels", func() float64 { return float64(ss.VesselCount()) })
+	ss.Host.Instrument(reg)
 	reg.CounterFunc("anomaly_episodes_total", func() float64 { return float64(ss.EpisodeCount()) })
 	reg.CounterFunc("anomaly_gaps_total", func() float64 { return float64(ss.GapCount()) })
 	reg.CounterFunc("anomaly_rendezvous_total", func() float64 { return float64(ss.RendezvousCount()) })
 	if st := ss.shared.cfg.Semantic; st != nil {
 		reg.GaugeFunc("anomaly_semantic_triples", func() float64 { return float64(st.Len()) })
-	}
-	appendNS := reg.Histogram("anomaly_append_ns")
-	for _, st := range ss.stages {
-		st.appendNS = appendNS
 	}
 }

@@ -103,7 +103,7 @@ func feed(ss *Stages, all []model.VesselState) {
 
 // TestStageMatchesOfflineReplay pins the anomalies equivalence contract
 // at the stage level: the online fold, fed shard-concurrently, renders
-// byte-identical reports to query.DeriveAnomalies replaying the same
+// byte-identical reports to query.Replay folding the same
 // histories — per vessel and for the fleet ranking. Run under -race this
 // also exercises the stage/shared locking.
 func TestStageMatchesOfflineReplay(t *testing.T) {
@@ -113,7 +113,7 @@ func TestStageMatchesOfflineReplay(t *testing.T) {
 
 	var derived []query.VesselAnomaly
 	for mmsi, pts := range fleet {
-		want := query.DeriveAnomalies(mmsi, pts)
+		want := query.Replay(query.NewAnomalyAccumulator, mmsi, pts)
 		got, ok := ss.VesselAnomaly(mmsi)
 		if !ok || got == nil {
 			t.Fatalf("vessel %d missing from the stage", mmsi)

@@ -10,7 +10,8 @@
 // the alert stream and forecasts. For multi-core scaling, a Sharded
 // pipeline partitions the fleet by MMSI across independent pipelines
 // (pairwise detection then happens per shard; the E5 bench quantifies the
-// throughput gain and DESIGN.md records the cross-shard trade-off).
+// throughput gain and README.md, "Sharded async ingest", records the
+// cross-shard trade-off).
 package core
 
 import (

@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment in DESIGN.md's index (E1–E22), each returning the
+// per experiment cmd/benchrunner runs (E1–E22), each returning the
 // paper-style table rows that EXPERIMENTS.md records. Everything is
 // seeded and deterministic (E5/E14/E15/E16/E17/E18 wall-clock columns
 // vary with the hardware; counts do not).
@@ -427,7 +427,7 @@ func E5(seed int64, shards []int) Table {
 	}
 	t.Notes = append(t.Notes,
 		"the paper's 18M/day world feed averages ~208 msg/s; a single shard exceeds that by orders of magnitude, bursts included",
-		"sharding trades cross-shard pairwise detection for linear ingest scaling (see DESIGN.md)")
+		"sharding trades cross-shard pairwise detection for linear ingest scaling (see README.md, Sharded async ingest)")
 	return t
 }
 

@@ -305,26 +305,6 @@ func TestTrackerDropsStaleTracks(t *testing.T) {
 	}
 }
 
-func TestCovarianceIntersection(t *testing.T) {
-	// Two estimates of the same point with orthogonal confidence: the fused
-	// estimate must be tighter than either and sit between them.
-	x1 := [2]float64{0, 0}
-	P1 := Mat2{100, 0, 0, 10000} // confident in x, vague in y
-	x2 := [2]float64{10, 10}
-	P2 := Mat2{10000, 0, 0, 100} // vague in x, confident in y
-	xf, Pf := CovarianceIntersection(x1, P1, x2, P2)
-	if Pf.det() >= P1.det() || Pf.det() >= P2.det() {
-		t.Errorf("fused covariance not tighter: det %e vs %e/%e", Pf.det(), P1.det(), P2.det())
-	}
-	// Fused x should lean toward x1's x (more confident) and x2's y.
-	if math.Abs(xf[0]-0) > 5 {
-		t.Errorf("fused x %f should be near 0", xf[0])
-	}
-	if math.Abs(xf[1]-10) > 5 {
-		t.Errorf("fused y %f should be near 10", xf[1])
-	}
-}
-
 func TestSourceReliability(t *testing.T) {
 	r := NewSourceReliability()
 	if r.Score("unknown") != 0.5 {

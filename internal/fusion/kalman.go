@@ -4,8 +4,7 @@
 // describe the same object, and fusing track estimates. The pieces are a
 // constant-velocity Kalman filter on a local tangent plane, Mahalanobis
 // gating, global-nearest-neighbour association via the Hungarian
-// algorithm, a track lifecycle manager, and covariance intersection for
-// track-to-track fusion.
+// algorithm, and a track lifecycle manager.
 package fusion
 
 import (
@@ -264,39 +263,4 @@ func (k *KalmanCV) PositionUncertaintyM() float64 {
 func (k *KalmanCV) PredictedPosition(at time.Time) geo.Point {
 	dt := at.Sub(k.T).Seconds()
 	return k.Plane.Inverse(k.X[0]+k.X[2]*dt, k.X[1]+k.X[3]*dt)
-}
-
-// CovarianceIntersection fuses two (position, covariance) estimates of the
-// same object without knowing their cross-correlation — the standard
-// conservative rule for track-to-track fusion across systems. omega is
-// chosen to minimise the fused covariance determinant over a small grid.
-func CovarianceIntersection(x1 [2]float64, P1 Mat2, x2 [2]float64, P2 Mat2) ([2]float64, Mat2) {
-	best := math.Inf(1)
-	var bestX [2]float64
-	var bestP Mat2
-	for w := 0.05; w <= 0.951; w += 0.05 {
-		P1i, ok1 := P1.inv()
-		P2i, ok2 := P2.inv()
-		if !ok1 || !ok2 {
-			continue
-		}
-		var Ci Mat2
-		for i := range Ci {
-			Ci[i] = w*P1i[i] + (1-w)*P2i[i]
-		}
-		C, ok := Ci.inv()
-		if !ok {
-			continue
-		}
-		// y = C (w P1⁻¹ x1 + (1-w) P2⁻¹ x2)
-		a0 := w*(P1i[0]*x1[0]+P1i[1]*x1[1]) + (1-w)*(P2i[0]*x2[0]+P2i[1]*x2[1])
-		a1 := w*(P1i[2]*x1[0]+P1i[3]*x1[1]) + (1-w)*(P2i[2]*x2[0]+P2i[3]*x2[1])
-		y := [2]float64{C[0]*a0 + C[1]*a1, C[2]*a0 + C[3]*a1}
-		if d := C.det(); d < best {
-			best = d
-			bestX = y
-			bestP = C
-		}
-	}
-	return bestX, bestP
 }

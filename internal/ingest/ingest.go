@@ -65,6 +65,7 @@ import (
 	"repro/internal/anomaly"
 	"repro/internal/core"
 	"repro/internal/events"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/quality"
 	"repro/internal/query"
@@ -130,25 +131,26 @@ type Config struct {
 	// deduplicated on (MMSI, timestamp). A degraded peer is skipped, not
 	// fatal — see query.PeerSource.
 	Peers []query.Source
-	// Track, when non-nil, runs the online track-intelligence stage: a
-	// per-shard tracker attached to the post-synopsis tee (alongside the
+	// Track, when non-nil, runs the online track-intelligence lane:
+	// per-vessel folds attached to the post-synopsis tee (alongside the
 	// hub and the flusher) maintaining fused Kalman state, an incremental
 	// route model and an integrity profile per vessel, answering the
 	// track/predict/quality query kinds live (and accepting non-AIS
-	// detections through IngestDetections). Nil means no stage in the tee
-	// and zero cost — the query engine then derives those kinds from the
-	// archive on demand.
+	// detections through IngestDetections); Resume seeds it from the
+	// recovered archive. Nil means no lane in the tee and zero cost — the
+	// query engine then derives those kinds from the archive on demand.
 	Track *track.Config
-	// Anomaly, when non-nil, runs the streaming anomaly lane: a
-	// per-shard stage attached to the post-synopsis tee maintaining a
-	// behavior profile per vessel (sliding-window distribution shift
-	// against the vessel's own history), extracting stop/move episodes
-	// incrementally into Anomaly.Semantic, and matching reporting gaps
-	// continuously for feasible covert meetings — possible-rendezvous
-	// alerts surface on the engine's Alerts stream and every /v1/stream
-	// alert subscription. Answers the anomalies query kind live. Nil
-	// means no stage in the tee and zero cost — the query engine then
-	// derives the kind from the archive on demand.
+	// Anomaly, when non-nil, runs the streaming anomaly lane: per-vessel
+	// folds attached to the post-synopsis tee maintaining a behavior
+	// profile per vessel (sliding-window distribution shift against the
+	// vessel's own history), extracting stop/move episodes incrementally
+	// into Anomaly.Semantic, and matching reporting gaps continuously for
+	// feasible covert meetings — possible-rendezvous alerts surface on
+	// the engine's Alerts stream and every /v1/stream alert subscription.
+	// Answers the anomalies query kind live; Resume seeds it from the
+	// recovered archive (state and episodes, never alerts). Nil means no
+	// lane in the tee and zero cost — the query engine then derives the
+	// kind from the archive on demand.
 	Anomaly *anomaly.Config
 	// Obs, when non-nil, instruments every stage of the dataflow through
 	// the registry: message and decode counters, sampled decode and
@@ -208,8 +210,9 @@ type Engine struct {
 	flusher   *store.Flusher
 	flushDone chan struct{}
 	tier      *tier.Manager
-	tracks    track.Stages    // nil unless Config.Track is set
+	tracks    *track.Stages   // nil unless Config.Track is set
 	anoms     *anomaly.Stages // nil unless Config.Anomaly is set
+	lanes     []lane          // the attached online lanes: tracks and anoms, where set
 
 	// Instrumentation handles, set in Start (before any worker goroutine
 	// launches) when Config.Obs is non-nil; nil means "don't measure".
@@ -230,14 +233,41 @@ type Engine struct {
 	workers   sync.WaitGroup
 }
 
-// New builds an engine (and its sharded pipelines) without starting it.
+// lane is what the engine needs of an attached online lane (the
+// lane.Host behind track.Stages and anomaly.Stages): a sink per shard
+// for the post-synopsis tee, under a layer name; its metric series; its
+// read side for the live source; and seeding from a recovered
+// trajectory. Everything else about a lane goes through its typed
+// accessor (Tracks, Anomalies).
+type lane interface {
+	Name() string
+	Sink(shard int) tstore.Sink
+	Instrument(*obs.Registry)
+	Lane() query.Lane
+	Seed(mmsi uint32, pts []model.VesselState)
+}
+
+// New builds an engine (its sharded pipelines and the online lanes the
+// config asks for) without starting it.
 func New(cfg Config) *Engine {
 	cfg.normalize()
-	return &Engine{
+	e := &Engine{
 		cfg:     cfg,
 		sharded: core.NewSharded(cfg.Pipeline, cfg.Shards),
 		hub:     query.NewHub(cfg.Hub),
 	}
+	if cfg.Track != nil {
+		ts := track.NewStages(cfg.Shards, *cfg.Track)
+		e.tracks, e.lanes = ts, append(e.lanes, ts)
+	}
+	if cfg.Anomaly != nil {
+		as := anomaly.NewStages(cfg.Shards, *cfg.Anomaly)
+		// CEP alerts join the pipelines' own detections on every standing
+		// alert subscription (a no-op publish until someone subscribes).
+		as.OnAlert(e.hub.PublishAlert)
+		e.anoms, e.lanes = as, append(e.lanes, as)
+	}
+	return e
 }
 
 // Start wires the dataflow: partitioner, one worker per shard, merged
@@ -262,32 +292,19 @@ func (e *Engine) Start(ctx context.Context) {
 			e.flusher.SetFlight(e.cfg.Flight)
 		}
 	}
-	if e.cfg.Track != nil {
-		e.tracks = track.NewStages(len(e.sharded.Shards), *e.cfg.Track)
-	}
-	if e.cfg.Anomaly != nil {
-		e.anoms = anomaly.NewStages(len(e.sharded.Shards), *e.cfg.Anomaly)
-		// CEP alerts join the pipelines' own detections on every standing
-		// alert subscription (a no-op publish until someone subscribes).
-		e.anoms.OnAlert(e.hub.PublishAlert)
-	}
 	// Every shard store tees its post-synopsis appends into the hub
 	// (standing queries see exactly the records a one-shot replay would
-	// return), the flush stage when persistence is on, and the track
-	// stage when track intelligence is on. The hub is a single atomic
-	// check per batch until something subscribes.
+	// return), the flush stage when persistence is on, and every attached
+	// lane (same shard routing as the pipelines, so each lane shard sees
+	// exactly its shard's vessels). The hub is a single atomic check per
+	// batch until something subscribes.
 	for i, p := range e.sharded.Shards {
 		sinks := []tstore.Sink{e.hub}
 		if e.flusher != nil {
 			sinks = append(sinks, e.flusher)
 		}
-		if e.tracks != nil {
-			// Same shard routing as the pipelines (stream.ShardOf), so each
-			// stage sees exactly its shard's vessels.
-			sinks = append(sinks, e.flightWrap(e.tracks[i], "track"))
-		}
-		if e.anoms != nil {
-			sinks = append(sinks, e.flightWrap(e.anoms.Stage(i), "anomaly"))
+		for _, l := range e.lanes {
+			sinks = append(sinks, e.flightWrap(l.Sink(i), l.Name()))
 		}
 		if len(sinks) == 1 {
 			p.Store.Attach(sinks[0])
@@ -393,22 +410,23 @@ func (e *Engine) instrument(reg *obs.Registry) {
 	if e.tier != nil {
 		e.tier.Instrument(reg)
 	}
-	if e.tracks != nil {
-		e.tracks.Instrument(reg)
-	}
-	if e.anoms != nil {
-		e.anoms.Instrument(reg)
+	for _, l := range e.lanes {
+		l.Instrument(reg)
 	}
 	e.hub.Instrument(reg)
 }
 
 // Resume preloads a recovered archive (store.Open) into the engine's
 // shards before Start: each vessel's trajectory lands in its owning
-// shard's store and its newest state seeds that shard's live picture. It
-// returns the number of points loaded. Resumed points are not re-persisted
-// (the flush stage attaches at Start) and do not count in pipeline
-// metrics; detector and synopsis state restarts fresh — only the stored
-// picture resumes, matching what the WAL can know.
+// shard's store, its newest state seeds that shard's live picture, and
+// every attached lane folds the trajectory in (lane.Host.Seed), so the
+// online derived kinds answer exactly what a replay of the archive would
+// from the first post-restart record on. It returns the number of points
+// loaded. Resumed points are not re-persisted (the flush stage attaches
+// at Start), not published to the hub, raise no alerts and do not count
+// in pipeline metrics; detector and synopsis state restarts fresh — only
+// what the stored picture determines resumes, matching what the WAL can
+// know.
 func (e *Engine) Resume(st *tstore.Store) int {
 	if e.started {
 		panic("ingest: Resume after Start")
@@ -422,6 +440,9 @@ func (e *Engine) Resume(st *tstore.Store) int {
 		p := e.sharded.ShardFor(mmsi)
 		p.Store.AppendAll(tr.Points)
 		p.Live.Update(tr.Points[len(tr.Points)-1])
+		for _, l := range e.lanes {
+			l.Seed(mmsi, tr.Points)
+		}
 		n += len(tr.Points)
 	}
 	return n
@@ -604,7 +625,7 @@ func (e *Engine) TierStats() tier.Stats {
 // tracks). Detections are fused synchronously — callers interleave them
 // with Ingest in timeline order. Returns the number of contacts fused
 // into identified tracks; a no-op 0 when the stage is off (Config.Track
-// nil) or before Start.
+// nil).
 func (e *Engine) IngestDetections(ds []track.Detection) int {
 	if e.tracks == nil {
 		return 0
@@ -615,7 +636,7 @@ func (e *Engine) IngestDetections(ds []track.Detection) int {
 // Tracks exposes the online track stage (nil when Config.Track is nil):
 // fused per-vessel state, the lane the query engine reads, and the stage
 // counters.
-func (e *Engine) Tracks() track.Stages { return e.tracks }
+func (e *Engine) Tracks() *track.Stages { return e.tracks }
 
 // Anomalies exposes the streaming anomaly lane (nil when Config.Anomaly
 // is nil): per-vessel behavior profiles, the lane the query engine
@@ -639,14 +660,11 @@ func (e *Engine) Sharded() *core.Sharded { return e.sharded }
 func (e *Engine) QueryEngine() *query.Engine {
 	e.queryOnce.Do(func() {
 		// The live source answers the derived kinds straight from the
-		// online stages that run; the rest keep the replay-from-archive
+		// online lanes that run; the rest keep the replay-from-archive
 		// fallback.
 		var lanes []query.Lane
-		if e.tracks != nil {
-			lanes = append(lanes, e.tracks.Lane())
-		}
-		if e.anoms != nil {
-			lanes = append(lanes, e.anoms.Lane())
+		for _, l := range e.lanes {
+			lanes = append(lanes, l.Lane())
 		}
 		sources := append([]query.Source{query.NewLiveSource(e.sharded, lanes...)}, e.cfg.Peers...)
 		e.query = query.NewEngine(sources...)

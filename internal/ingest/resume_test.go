@@ -1,0 +1,158 @@
+package ingest
+
+import (
+	"context"
+	"encoding/json"
+	"testing"
+	"time"
+
+	"repro/internal/anomaly"
+	"repro/internal/fusion"
+	"repro/internal/model"
+	"repro/internal/query"
+	"repro/internal/semstore"
+	"repro/internal/track"
+)
+
+// TestResumeSeedsLanes pins "online == replay" across a restart: engine
+// A runs a feed with both lanes on; engine B resumes A's shard stores,
+// ingests one further report per vessel, and must answer track, quality
+// and per-vessel anomalies byte-identically to the generic replay over
+// its own archive. Before Resume seeded the lanes, the cold stages
+// answered from the one post-restart record alone (checked=1) and
+// shadowed the archive.
+//
+// It also pins what seeding does not do: no alert, nothing on the hub,
+// the recent-gap ring left empty — while closed episodes re-materialise
+// into the (per-process) semantic store.
+func TestResumeSeedsLanes(t *testing.T) {
+	run := simTraffic(t, 47, 40, 45*time.Minute)
+	_, a := runEngine(t, run, Config{
+		Pipeline: pipelineCfg(run, 60), Shards: 3,
+		Track: &track.Config{}, Anomaly: &anomaly.Config{},
+	})
+	a.Wait()
+
+	sem := semstore.NewStore()
+	b := New(Config{
+		Pipeline: pipelineCfg(run, 60), Shards: 2, // resharded restart: routing is the host's
+		Track: &track.Config{}, Anomaly: &anomaly.Config{Semantic: sem},
+	})
+	// Arm the hub before Resume, so a publication during seeding would count.
+	sub, err := b.Subscribe(query.Request{Kind: query.KindAlertHistory}, query.SubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+
+	last := map[uint32]model.VesselState{}
+	for _, p := range a.Sharded().Shards {
+		b.Resume(p.Store)
+		for _, mmsi := range p.Store.MMSIs() {
+			pts := p.Store.Trajectory(mmsi).Points
+			last[mmsi] = pts[len(pts)-1]
+		}
+	}
+	if len(last) == 0 {
+		t.Fatal("fixture archived nothing")
+	}
+	if a.Anomalies().GapCount() == 0 {
+		t.Fatal("fixture has no reporting gaps — nothing for seeding to skip")
+	}
+
+	// Seeding folds state only.
+	if got := b.Tracks().VesselCount(); got != len(last) {
+		t.Fatalf("track lane seeded %d vessels, archive holds %d", got, len(last))
+	}
+	an := b.Anomalies()
+	if got := an.VesselCount(); got != len(last) {
+		t.Fatalf("anomaly lane seeded %d vessels, archive holds %d", got, len(last))
+	}
+	if n := b.Hub().Metrics.In.Load(); n != 0 {
+		t.Fatalf("seeding published %d updates to the hub", n)
+	}
+	if an.RendezvousCount() != 0 || len(an.Alerts()) != 0 {
+		t.Fatalf("seeding raised alerts: %d fired, %d retained", an.RendezvousCount(), len(an.Alerts()))
+	}
+	if an.GapCount() != 0 || len(an.RecentGaps()) != 0 {
+		t.Fatalf("seeding refilled the gap matcher: %d counted, %d in the ring", an.GapCount(), len(an.RecentGaps()))
+	}
+	// Closed episodes are re-materialised: same count the first process
+	// closed live, and the triples are in B's store.
+	if want := a.Anomalies().EpisodeCount(); want == 0 || an.EpisodeCount() != want {
+		t.Fatalf("seeding closed %d episodes, the first process closed %d (want equal, non-zero)", an.EpisodeCount(), want)
+	}
+	if sem.Len() == 0 {
+		t.Fatal("seeded episodes were not materialised into Anomaly.Semantic")
+	}
+
+	// One further report per vessel, then compare every lane answer with
+	// the replay over B's archive.
+	ctx := context.Background()
+	b.Start(ctx)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for range b.Alerts() {
+		}
+	}()
+	reports := map[uint32]int{}
+	for i := range run.Positions {
+		reports[run.Positions[i].Report.MMSI] = i
+	}
+	for mmsi, s := range last {
+		rep := run.Positions[reports[mmsi]].Report
+		if !b.Ingest(ctx, s.At.Add(time.Minute), &rep) {
+			t.Fatal("resumed engine refused ingest")
+		}
+	}
+	b.Close()
+	<-drained
+	b.Wait()
+	if got, want := b.Snapshot().Archived, int64(len(last)); got != want {
+		t.Fatalf("resumed engine archived %d post-restart records, want one per vessel (%d)", got, want)
+	}
+
+	asJSON := func(v any) string {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for mmsi := range last {
+		pts := b.Sharded().ShardFor(mmsi).Store.Trajectory(mmsi).Points
+		ask := func(k query.Kind) *query.Result {
+			res, err := b.Query(query.Request{Kind: k, MMSI: mmsi})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		if got, want := asJSON(ask(query.KindTrack).Track),
+			asJSON(query.Replay(query.TrackFold(fusion.DefaultTrackerConfig()), mmsi, pts)); got != want {
+			t.Fatalf("vessel %d track after restart != replay of the archive (%d points)\nonline: %s\nreplay: %s", mmsi, len(pts), got, want)
+		}
+		if got, want := asJSON(ask(query.KindQuality).Quality),
+			asJSON(query.Replay(query.NewQualityAccumulator, mmsi, pts)); got != want {
+			t.Fatalf("vessel %d quality after restart != replay of the archive (%d points)\nonline: %s\nreplay: %s", mmsi, len(pts), got, want)
+		}
+		if got, want := asJSON(ask(query.KindAnomalies).Anomalies.Vessel),
+			asJSON(query.Replay(query.NewAnomalyAccumulator, mmsi, pts)); got != want {
+			t.Fatalf("vessel %d anomalies after restart != replay of the archive (%d points)\nonline: %s\nreplay: %s", mmsi, len(pts), got, want)
+		}
+	}
+}
+
+// TestResumeWithoutLanesDoesNoExtraPass pins the cost contract of
+// seeding: an engine with no lane attached has nothing to seed, so
+// Resume's per-vessel lane loop is empty and the preload costs what it
+// did before lanes could be seeded.
+func TestResumeWithoutLanesDoesNoExtraPass(t *testing.T) {
+	if e := New(Config{Shards: 2}); len(e.lanes) != 0 || e.Tracks() != nil || e.Anomalies() != nil {
+		t.Fatalf("engine without Track/Anomaly attached %d lanes", len(e.lanes))
+	}
+	if e := New(Config{Shards: 2, Track: &track.Config{}, Anomaly: &anomaly.Config{}}); len(e.lanes) != 2 {
+		t.Fatalf("engine with both lanes attached %d", len(e.lanes))
+	}
+}

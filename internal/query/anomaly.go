@@ -8,7 +8,7 @@
 // per-vessel profiles (the ingest engine's internal/anomaly stage, a
 // federation peer) answers through Source.Derived; every other source
 // is answered by replaying its stored trajectory through the same
-// AnomalyAccumulator fold (DeriveAnomalies). The fold is a pure
+// AnomalyAccumulator fold (Replay). The fold is a pure
 // function of the point sequence — fixed bin layouts, fixed thresholds
 // (the package constants below, not a config), no wall clock — so online
 // and replayed answers are byte-identical, and a tiered store that
@@ -28,7 +28,7 @@ import (
 )
 
 // Anomaly-fold tuning shared by the online stage and the offline replay.
-// These are constants, not configuration: DeriveAnomalies has no config
+// These are constants, not configuration: the replay has no config
 // parameter, so anything tunable here would break the online==offline
 // equivalence the kind is pinned to. Episode thresholds come from
 // semstore.DefaultEpisodeConfig() for the same reason.
@@ -177,8 +177,8 @@ type winSample struct {
 // pinned by TestAccumulatorMatchesBatchSegmenter), and a reporting-gap
 // detector with FindGaps semantics (a gap is recognised when the first
 // sample after the silence arrives). The online stage keeps one per
-// vessel; DeriveAnomalies replays a stored history through one — the same
-// fold either way, so online and replayed reports agree exactly.
+// vessel; Replay folds a stored history through one — the same fold
+// either way, so online and replayed reports agree exactly.
 type AnomalyAccumulator struct {
 	mmsi    uint32
 	epCfg   semstore.EpisodeConfig
@@ -200,6 +200,7 @@ type AnomalyAccumulator struct {
 	curLat, curLon, curSpd float64
 	curN                   int
 	closed                 []semstore.Episode // ring, cap AnomalyRecentEpisodes
+	kept                   int                // episodes closed (and kept) so far
 }
 
 // NewAnomalyAccumulator returns an empty accumulator for one vessel.
@@ -248,20 +249,29 @@ func (a *AnomalyAccumulator) flushEpisode(end time.Time) (semstore.Episode, bool
 	return e, true
 }
 
-// Observe folds in the vessel's next sample (time order, like the feed).
-// It reports the stream facts the sample completed, for callers that act
-// on them (the online stage materialises closed episodes into semstore
-// and feeds gaps to the rendezvous matcher): a stop/move episode closed
-// by an activity change, and a reporting gap ended by this sample. Both
-// are nil on the vast majority of samples.
-func (a *AnomalyAccumulator) Observe(s model.VesselState) (closed *semstore.Episode, gap *events.Gap) {
+// AnomalyFacts are the stream facts one sample completed, for callers
+// that act on them (the online stage materialises closed episodes into
+// semstore and feeds gaps to the rendezvous matcher): a stop/move
+// episode closed by an activity change — Index numbers the vessel's
+// kept episodes from zero, as batch materialisation does — and a
+// reporting gap ended by the sample. Both are nil on the vast majority
+// of samples.
+type AnomalyFacts struct {
+	Closed *semstore.Episode
+	Index  int
+	Gap    *events.Gap
+}
+
+// Observe folds in the vessel's next sample (time order, like the feed)
+// and reports the facts it completed.
+func (a *AnomalyAccumulator) Observe(s model.VesselState) (facts AnomalyFacts) {
 	// Gap detection (FindGaps semantics: recognised at the first sample
 	// after the silence).
 	if a.samples > 0 && s.At.Sub(a.last.At) > AnomalyGapThreshold {
 		a.gaps++
 		a.lastGap = events.Gap{MMSI: a.mmsi, Before: a.last, After: s}
 		g := a.lastGap
-		gap = &g
+		facts.Gap = &g
 	}
 	// Episode segmentation (semstore.SegmentEpisodes, incremental).
 	act := a.classify(s)
@@ -269,7 +279,8 @@ func (a *AnomalyAccumulator) Observe(s model.VesselState) (closed *semstore.Epis
 		a.cur = semstore.Episode{MMSI: a.mmsi, Activity: act, Start: s.At}
 	} else if act != a.cur.Activity {
 		if e, ok := a.flushEpisode(s.At); ok {
-			closed = &e
+			facts.Closed, facts.Index = &e, a.kept
+			a.kept++
 		}
 		a.cur = semstore.Episode{MMSI: a.mmsi, Activity: act, Start: s.At}
 	}
@@ -294,7 +305,7 @@ func (a *AnomalyAccumulator) Observe(s model.VesselState) (closed *semstore.Epis
 	}
 	a.last = s
 	a.samples++
-	return closed, gap
+	return facts
 }
 
 // tv is half the L1 distance between the baseline distribution (counts
@@ -385,26 +396,6 @@ func (a *AnomalyAccumulator) Report() *VesselAnomaly {
 	return va
 }
 
-// LastGap returns the most recent reporting gap, if any — the online
-// stage's rendezvous matcher seed for vessels already dark at attach.
-func (a *AnomalyAccumulator) LastGap() (events.Gap, bool) {
-	return a.lastGap, a.gaps > 0
-}
-
-// DeriveAnomalies replays a vessel's stored samples (time-ordered)
-// through a fresh accumulator — the offline equivalent of the online
-// stage's fold. Nil when the history is empty.
-func DeriveAnomalies(mmsi uint32, pts []model.VesselState) *VesselAnomaly {
-	if len(pts) == 0 {
-		return nil
-	}
-	acc := NewAnomalyAccumulator(mmsi)
-	for _, p := range pts {
-		acc.Observe(p)
-	}
-	return acc.Report()
-}
-
 // DeriveRankedAnomalies answers the fleet-ranked form from a plain
 // source: every known vessel's history replayed through the fold, sorted
 // by score (descending; MMSI breaks ties), truncated to limit when
@@ -417,7 +408,7 @@ func DeriveRankedAnomalies(ctx context.Context, s Source, limit int) []VesselAno
 		if ctx.Err() != nil {
 			return nil
 		}
-		if va := DeriveAnomalies(mmsi, fullHistory(ctx, s, mmsi)); va != nil {
+		if va := Replay(NewAnomalyAccumulator, mmsi, fullHistory(ctx, s, mmsi)); va != nil {
 			out = append(out, *va)
 		}
 	}

@@ -90,11 +90,11 @@ func TestAccumulatorMatchesBatchSegmenter(t *testing.T) {
 	var closed []semstore.Episode
 	var gaps int
 	for _, p := range pts {
-		ep, gap := acc.Observe(p)
-		if ep != nil {
-			closed = append(closed, *ep)
+		f := acc.Observe(p)
+		if f.Closed != nil {
+			closed = append(closed, *f.Closed)
 		}
-		if gap != nil {
+		if f.Gap != nil {
 			gaps++
 		}
 	}

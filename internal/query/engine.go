@@ -444,12 +444,49 @@ func fullHistory(ctx context.Context, s Source, mmsi uint32) []model.VesselState
 	return s.Trajectory(ctx, mmsi, time.Time{}, time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC))
 }
 
+// Fold is the one shape behind every per-vessel derived kind: an
+// accumulator whose Observe folds in the vessel's next sample (time
+// order, like the feed), returning whatever stream facts the sample
+// completed (NoFacts for a fold that surfaces none), and whose Report
+// renders the accumulated state — nil before any observation. The
+// online stages keep one per vessel behind the ingest tee
+// (internal/lane hosts them); Replay folds a stored trajectory through
+// a fresh one. Same code either way, so online and replayed answers are
+// byte-identical by construction.
+type Fold[T any, E comparable] interface {
+	Observe(model.VesselState) E
+	Report() *T
+}
+
+// NoFacts is the fact type of a fold that surfaces no stream facts.
+type NoFacts = struct{}
+
+// Replay folds a vessel's stored samples (time-ordered) through a fresh
+// accumulator from newFold and renders it — the offline half of every
+// fold. Nil when the history is empty.
+func Replay[T any, E comparable, F Fold[T, E]](newFold func(mmsi uint32) F, mmsi uint32, pts []model.VesselState) *T {
+	if len(pts) == 0 {
+		return nil
+	}
+	f := newFold(mmsi)
+	for _, p := range pts {
+		f.Observe(p)
+	}
+	return f.Report()
+}
+
+// replayOf adapts a fold constructor into derived's per-source fallback.
+func replayOf[T any, E comparable, F Fold[T, E]](newFold func(mmsi uint32) F) func(Request, []model.VesselState) *T {
+	return func(r Request, pts []model.VesselState) *T { return Replay(newFold, r.MMSI, pts) }
+}
+
 // derived builds the run of a per-vessel derived kind: every source
 // answers — its own answer when it holds one (Source.Derived;
-// authoritative, empty included), a deterministic replay of its stored
-// trajectory through fold otherwise — and the best non-nil answer under
-// better wins (ties keep the earlier source, so merged answers are
-// deterministic). field locates the kind's payload in a Result.
+// authoritative, empty included), a deterministic read of its stored
+// trajectory through fold otherwise (replayOf a fold constructor, or
+// predict's read over the same history) — and the best non-nil answer
+// under better wins (ties keep the earlier source, so merged answers
+// are deterministic). field locates the kind's payload in a Result.
 func derived[T any](field func(*Result) **T, fold func(r Request, pts []model.VesselState) *T,
 	better func(a, b *T) bool) func(*call, *Result) {
 	return func(c *call, res *Result) {
@@ -497,9 +534,7 @@ var runVesselAnomaly = derived(func(res *Result) **VesselAnomaly {
 		res.Anomalies = &AnomalyReport{}
 	}
 	return &res.Anomalies.Vessel
-}, func(r Request, pts []model.VesselState) *VesselAnomaly {
-	return DeriveAnomalies(r.MMSI, pts)
-}, betterVesselAnomaly)
+}, replayOf(NewAnomalyAccumulator), betterVesselAnomaly)
 
 // runRankedAnomalies merges per-source fleet rankings — the source's own
 // (an online stage's, a peer's) or a replay over its distinct vessels —
@@ -577,8 +612,8 @@ func runStats(c *call, res *Result) {
 // Lane is the read side of an online stage behind the live source: for
 // each derived kind the stage maintains state for, the function that
 // answers a request from that state — ok=false when the stage does not
-// know the vessel (stage attached after a preload), which sends the
-// live source back to replaying its store. internal/track and
+// know the vessel (never fed nor seeded with it), which sends the live
+// source back to replaying its store. internal/track and
 // internal/anomaly build theirs (Stages.Lane).
 type Lane map[Kind]func(Request) (*Result, bool)
 
@@ -597,9 +632,9 @@ type liveSource struct {
 // archive grows. Each lane puts an online stage behind the derived
 // kinds it serves: those answer from the stage's state where it knows
 // the vessel and by a deterministic store replay where it does not
-// (no stage, or history preloaded before the stage started observing
-// the feed — the store pages evicted history back, so tiering keeps the
-// replay exact).
+// (no stage, or a store loaded behind the stage's back — Engine.Resume
+// seeds the stages it preloads for; the store pages evicted history
+// back, so tiering keeps the replay exact).
 func NewLiveSource(s *core.Sharded, lanes ...Lane) Source {
 	src := &liveSource{sharded: s, lanes: Lane{}}
 	for _, lane := range lanes {

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/fusion"
 	"repro/internal/geo"
 	"repro/internal/model"
 )
@@ -176,7 +177,7 @@ var kinds = []*kindDef{
 		params:   []string{"mmsi"},
 		required: []string{"mmsi"},
 		run: derived(func(res *Result) **TrackState { return &res.Track },
-			func(r Request, pts []model.VesselState) *TrackState { return DeriveTrack(r.MMSI, pts) },
+			replayOf(TrackFold(fusion.DefaultTrackerConfig())),
 			func(a, b *TrackState) bool { return a.At.After(b.At) }),
 		update: UpdateTrack,
 		tick: func(res *Result, u *Update) bool {
@@ -198,9 +199,7 @@ var kinds = []*kindDef{
 			return nil
 		},
 		run: derived(func(res *Result) **Prediction { return &res.Prediction },
-			func(r Request, pts []model.VesselState) *Prediction {
-				return DerivePredict(r.MMSI, pts, time.Duration(r.Horizon))
-			},
+			derivePredict,
 			func(a, b *Prediction) bool { return a.From.After(b.From) }),
 		update: UpdatePredict,
 		tick: func(res *Result, u *Update) bool {
@@ -213,7 +212,7 @@ var kinds = []*kindDef{
 		params:   []string{"mmsi"},
 		required: []string{"mmsi"},
 		run: derived(func(res *Result) **QualityScore { return &res.Quality },
-			func(r Request, pts []model.VesselState) *QualityScore { return DeriveQuality(r.MMSI, pts) },
+			replayOf(NewQualityAccumulator),
 			func(a, b *QualityScore) bool { return a.Checked > b.Checked }),
 		update: UpdateQuality,
 		tick: func(res *Result, u *Update) bool {

@@ -6,11 +6,12 @@
 // A Source that maintains live fused state (the ingest engine's
 // internal/track stage, a federation peer) answers through
 // Source.Derived; every other source is answered by replaying its
-// stored trajectory through the same fusion/forecast/quality libraries
-// the online stage runs (DeriveTrack / DerivePredict / DeriveQuality).
-// The replay is a pure function of the point sequence — no wall clock,
-// no randomness — so a tiered store that evicted and paged a vessel
-// back answers byte-identically to one that never evicted it (pinned by
+// stored trajectory through the very folds the online stage keeps per
+// vessel (Replay over TrackAccumulator / QualityAccumulator; predict is
+// a read over the same history, derivePredict). The replay is a pure
+// function of the point sequence — no wall clock, no randomness — so a
+// tiered store that evicted and paged a vessel back answers
+// byte-identically to one that never evicted it (pinned by
 // TestQueryEquivalenceUnderEviction).
 package query
 
@@ -100,16 +101,6 @@ type QualityScore struct {
 	Issues map[string]int `json:"issues,omitempty"`
 }
 
-// AISMeasurement converts one AIS state sample into the fusion
-// measurement the tracker consumes — the single conversion both the
-// online stage and the offline replay use.
-func AISMeasurement(p model.VesselState) fusion.Measurement {
-	return fusion.Measurement{
-		At: p.At, Pos: p.Pos, SigmaM: AISPositionSigmaM,
-		Identity: p.MMSI, Source: "ais",
-	}
-}
-
 // TrackStateOf renders a fused track into its wire form. The error
 // ellipse is the eigendecomposition of the filter's 2×2 position
 // covariance block; axes are 1-sigma, orientation is the bearing of the
@@ -143,25 +134,94 @@ func TrackStateOf(tr *fusion.Track) *TrackState {
 	return out
 }
 
-// DeriveTrack replays a vessel's stored samples (time-ordered) through a
-// fresh fusion.Tracker and returns the resulting track state — the
-// offline equivalent of the online stage's AIS path (identity-bound
+// TrackAccumulator folds one vessel's measurement stream into its fused
+// constant-velocity Kalman track: the identity-bound path of
+// fusion.Tracker — the first fix anchors the local plane and initialises
+// the filter, every later one predicts to its instant and updates, hits
+// count towards confirmation — without the per-scan association
+// scaffolding a one-vessel scan does not need, and bit-identical to it
+// (pinned by TestTrackAccumulatorMatchesTracker). Identified
 // measurements always reach their track, so gaps in the history never
-// lose state, online or offline). Nil when the history is empty.
-func DeriveTrack(mmsi uint32, pts []model.VesselState) *TrackState {
-	if len(pts) == 0 {
-		return nil
+// lose state. AIS samples arrive through Observe; a radar contact the
+// online stage assigned to this vessel arrives through Fuse.
+type TrackAccumulator struct {
+	cfg fusion.TrackerConfig
+	tr  fusion.Track // Filter nil before the first measurement; Sources filled by Report
+	// Per-sensor measurement counts, held as plain ints (a map increment
+	// per record would hash a string key on the ingest hot path); Report
+	// materialises the Sources map.
+	srcAIS   int
+	srcRadar int
+}
+
+// TrackFold returns the TrackAccumulator constructor for a tracker
+// lifecycle (process noise, confirmation). The offline replay always
+// folds under fusion.DefaultTrackerConfig(); the AIS measurement model
+// itself is fixed (AISPositionSigmaM).
+func TrackFold(cfg fusion.TrackerConfig) func(mmsi uint32) *TrackAccumulator {
+	return func(mmsi uint32) *TrackAccumulator {
+		return &TrackAccumulator{cfg: cfg, tr: fusion.Track{ID: 1, Identity: mmsi}}
 	}
-	tk := fusion.NewTracker(fusion.DefaultTrackerConfig())
-	for _, p := range pts {
-		tk.Process(p.At, []fusion.Measurement{AISMeasurement(p)})
-	}
-	for _, tr := range tk.Tracks {
-		if tr.Identity == mmsi {
-			return TrackStateOf(tr)
+}
+
+// measure advances the track with one position measurement.
+func (a *TrackAccumulator) measure(at time.Time, pos geo.Point, sigmaM float64) {
+	tr := &a.tr
+	if tr.Filter == nil {
+		tr.Filter = fusion.NewKalmanCV(pos, a.cfg.ProcessNoise)
+		tr.Filter.Init(at, pos, sigmaM)
+		tr.Hits = 1
+	} else {
+		tr.Filter.Predict(at)
+		tr.Filter.Update(pos, sigmaM)
+		tr.Hits++
+		if tr.Hits >= a.cfg.ConfirmHits {
+			tr.Confirmed = true
 		}
 	}
-	return nil
+	tr.LastSeen = at
+}
+
+// Observe folds in the vessel's next AIS sample (time order, like the
+// feed).
+func (a *TrackAccumulator) Observe(s model.VesselState) NoFacts {
+	a.measure(s.At, s.Pos, AISPositionSigmaM)
+	a.srcAIS++
+	return NoFacts{}
+}
+
+// Fuse folds in an anonymous detection the assignment bound to this
+// vessel (sigmaM is the sensor's 1-sigma noise).
+func (a *TrackAccumulator) Fuse(at time.Time, pos geo.Point, sigmaM float64) {
+	a.measure(at, pos, sigmaM)
+	a.srcRadar++
+}
+
+// Predicted returns a copy of the filter coasted to at — what a
+// detection at that instant is gated against; the live filter does not
+// advance. Only valid once the vessel has been observed.
+func (a *TrackAccumulator) Predicted(at time.Time) fusion.KalmanCV {
+	f := *a.tr.Filter
+	f.Predict(at)
+	return f
+}
+
+// Report renders the fused track; nil before any observation. Sources
+// carries only sensors that actually measured the vessel, matching the
+// map fusion.Tracker grows key by key.
+func (a *TrackAccumulator) Report() *TrackState {
+	if a.tr.Filter == nil {
+		return nil
+	}
+	tr := a.tr
+	tr.Sources = make(map[string]int, 2)
+	if a.srcAIS > 0 {
+		tr.Sources["ais"] = a.srcAIS
+	}
+	if a.srcRadar > 0 {
+		tr.Sources["radar"] = a.srcRadar
+	}
+	return TrackStateOf(&tr)
 }
 
 // PredictFrom forecasts from a vessel's samples (time-ordered) using a
@@ -197,40 +257,34 @@ func PredictFrom(mmsi uint32, pts []model.VesselState, horizon time.Duration, ro
 	}
 }
 
-// coastedUncertaintyM replays a constant-velocity filter over the recent
-// window and coasts it over the horizon: the 1-sigma envelope a
-// measurement-starved tracker would report at the target instant.
+// coastedUncertaintyM folds the recent window through a fresh track
+// accumulator and coasts its filter over the horizon: the 1-sigma
+// envelope a measurement-starved tracker would report at the target
+// instant.
 func coastedUncertaintyM(pts []model.VesselState, horizon time.Duration) float64 {
 	last := pts[len(pts)-1]
 	start := last.At.Add(-predictConfWindow)
-	var k *fusion.KalmanCV
+	acc := TrackFold(fusion.DefaultTrackerConfig())(last.MMSI)
 	for _, p := range pts {
-		if p.At.Before(start) {
-			continue
+		if !p.At.Before(start) {
+			acc.Observe(p)
 		}
-		if k == nil {
-			k = fusion.NewKalmanCV(p.Pos, fusion.DefaultTrackerConfig().ProcessNoise)
-			k.Init(p.At, p.Pos, AISPositionSigmaM)
-			continue
-		}
-		k.Predict(p.At)
-		k.Update(p.Pos, AISPositionSigmaM)
 	}
-	k.Predict(last.At.Add(horizon))
-	return k.PositionUncertaintyM()
+	f := acc.Predicted(last.At.Add(horizon))
+	return f.PositionUncertaintyM()
 }
 
-// DerivePredict forecasts from a vessel's stored samples alone: a route
+// derivePredict forecasts from a vessel's stored samples alone: a route
 // model trained on that single trajectory (the vessel's own habit),
 // dead reckoning where it abstains. The online stage is richer — its
 // shard-shared route model has seen every vessel's lanes.
-func DerivePredict(mmsi uint32, pts []model.VesselState, horizon time.Duration) *Prediction {
+func derivePredict(r Request, pts []model.VesselState) *Prediction {
 	if len(pts) == 0 {
 		return nil
 	}
 	rm := forecast.NewRouteModel(RouteCellDeg)
-	rm.Train(&model.Trajectory{MMSI: mmsi, Points: pts})
-	return PredictFrom(mmsi, pts, horizon, rm)
+	rm.Train(&model.Trajectory{MMSI: r.MMSI, Points: pts})
+	return PredictFrom(r.MMSI, pts, time.Duration(r.Horizon), rm)
 }
 
 // QualityAccumulator folds one vessel's sample stream into an integrity
@@ -239,9 +293,9 @@ func DerivePredict(mmsi uint32, pts []model.VesselState, horizon time.Duration) 
 // same prior and update core.Pipeline's quality.Profile applies per
 // vessel, held inline here — the online stage pays this per archived
 // record, so the fold must not hash a subject key every sample). The
-// online stage keeps one per vessel; DeriveQuality replays a stored
-// history through one — the same fold either way, so online and
-// replayed scores agree exactly.
+// online stage keeps one per vessel; Replay folds a stored history
+// through one — the same fold either way, so online and replayed scores
+// agree exactly.
 type QualityAccumulator struct {
 	mmsi    uint32
 	kc      quality.KinematicChecker
@@ -264,7 +318,7 @@ func NewQualityAccumulator(mmsi uint32) *QualityAccumulator {
 }
 
 // Observe folds in the vessel's next sample (time order, like the feed).
-func (q *QualityAccumulator) Observe(s model.VesselState) {
+func (q *QualityAccumulator) Observe(s model.VesselState) NoFacts {
 	issues := q.kc.Check(s)
 	q.checked++
 	if len(issues) > 0 {
@@ -279,10 +333,11 @@ func (q *QualityAccumulator) Observe(s model.VesselState) {
 	} else {
 		q.beta = q.beta.Observe(1, 0)
 	}
+	return NoFacts{}
 }
 
-// Score renders the accumulated profile; nil before any observation.
-func (q *QualityAccumulator) Score() *QualityScore {
+// Report renders the accumulated profile; nil before any observation.
+func (q *QualityAccumulator) Report() *QualityScore {
 	if q.checked == 0 {
 		return nil
 	}
@@ -298,17 +353,4 @@ func (q *QualityAccumulator) Score() *QualityScore {
 		}
 	}
 	return s
-}
-
-// DeriveQuality replays a vessel's stored samples through the kinematic
-// checks and Beta-Bernoulli profile. Nil when the history is empty.
-func DeriveQuality(mmsi uint32, pts []model.VesselState) *QualityScore {
-	if len(pts) == 0 {
-		return nil
-	}
-	acc := NewQualityAccumulator(mmsi)
-	for _, p := range pts {
-		acc.Observe(p)
-	}
-	return acc.Score()
 }

@@ -7,6 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fusion"
+	"repro/internal/model"
+	"repro/internal/sim"
 	"repro/internal/tstore"
 )
 
@@ -41,6 +44,52 @@ func TestTrackIntelRequestValidation(t *testing.T) {
 				t.Fatalf("want error containing %q, got %v", c.want, err)
 			}
 		})
+	}
+}
+
+// --- the fold against its reference -----------------------------------------------
+
+// TestTrackAccumulatorMatchesTracker keeps the cross-implementation check
+// explicit now that the online stage and the offline replay are the same
+// code: over simulated trajectories — dark windows and irregular cadence
+// included — a TrackAccumulator replay must equal, bit for bit, the
+// fusion.Tracker it distils (one identified measurement per scan, the
+// rendered track compared as JSON).
+func TestTrackAccumulatorMatchesTracker(t *testing.T) {
+	cfg := sim.Config{Seed: 5, NumVessels: 30, Duration: 90 * time.Minute, TickSec: 2}
+	cfg.DefaultAnomalyRates()
+	run, err := sim.Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	histories := map[uint32][]model.VesselState{}
+	for i := range run.Positions {
+		o := &run.Positions[i]
+		s := model.FromReport(o.At, &o.Report)
+		histories[s.MMSI] = append(histories[s.MMSI], s)
+	}
+	gapped := 0
+	for mmsi, pts := range histories {
+		tk := fusion.NewTracker(fusion.DefaultTrackerConfig())
+		for i, p := range pts {
+			if i > 0 && p.At.Sub(pts[i-1].At) > AnomalyGapThreshold {
+				gapped++
+			}
+			tk.Process(p.At, []fusion.Measurement{{
+				At: p.At, Pos: p.Pos, SigmaM: AISPositionSigmaM, Identity: p.MMSI, Source: "ais",
+			}})
+		}
+		if len(tk.Tracks) != 1 || tk.Tracks[0].Identity != mmsi {
+			t.Fatalf("vessel %d: reference tracker holds %d tracks", mmsi, len(tk.Tracks))
+		}
+		want, _ := json.Marshal(TrackStateOf(tk.Tracks[0]))
+		got, _ := json.Marshal(Replay(TrackFold(fusion.DefaultTrackerConfig()), mmsi, pts))
+		if string(got) != string(want) {
+			t.Fatalf("vessel %d (%d points): accumulator diverged from fusion.Tracker\nfold:    %s\ntracker: %s", mmsi, len(pts), got, want)
+		}
+	}
+	if gapped == 0 {
+		t.Fatal("fixture has no reporting gaps — the gap path went unexercised")
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // Orphan persistence: identified vessel tracks rebuild from the archive
-// on restart (the store replays them through the stage), but anonymous
-// radar-only tracks exist nowhere else — without a snapshot they die
+// on restart (Engine.Resume seeds every recovered trajectory into the
+// lane), but anonymous radar-only tracks exist nowhere else — without a snapshot they die
 // with the process. SnapshotOrphans/RestoreOrphans capture exactly that
 // state, one fusion.TrackerSnapshot per shard, so a daemon can park the
 // picture at shutdown and resume it at startup (maritimed keeps it next
@@ -19,11 +19,11 @@ import (
 // SnapshotOrphans captures every shard's anonymous-track picture,
 // indexed by shard.
 func (ss Stages) SnapshotOrphans() []fusion.TrackerSnapshot {
-	out := make([]fusion.TrackerSnapshot, len(ss))
-	for i, st := range ss {
-		st.mu.Lock()
+	out := make([]fusion.TrackerSnapshot, len(ss.stages))
+	for i, st := range ss.stages {
+		st.omu.Lock()
 		out[i] = st.orphans.Snapshot()
-		st.mu.Unlock()
+		st.omu.Unlock()
 	}
 	return out
 }
@@ -33,13 +33,13 @@ func (ss Stages) SnapshotOrphans() []fusion.TrackerSnapshot {
 // homed per shard; a resharded daemon starts its anonymous picture
 // empty rather than mishoming old tracks).
 func (ss Stages) RestoreOrphans(snaps []fusion.TrackerSnapshot) error {
-	if len(snaps) != len(ss) {
-		return fmt.Errorf("track: orphan snapshot has %d shards, stage set has %d", len(snaps), len(ss))
+	if len(snaps) != len(ss.stages) {
+		return fmt.Errorf("track: orphan snapshot has %d shards, stage set has %d", len(snaps), len(ss.stages))
 	}
-	for i, st := range ss {
-		st.mu.Lock()
+	for i, st := range ss.stages {
+		st.omu.Lock()
 		err := st.orphans.Restore(snaps[i])
-		st.mu.Unlock()
+		st.omu.Unlock()
 		if err != nil {
 			return err
 		}

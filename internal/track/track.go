@@ -1,11 +1,11 @@
-// Package track is the online track-intelligence stage: a per-shard
-// sink behind the ingest engine's post-synopsis tee (alongside the hub
-// and the persistence flusher) that maintains fused per-vessel state as
-// the feed arrives —
+// Package track is the online track-intelligence lane: per-vessel folds
+// on the shared lane host (internal/lane — sharding, the post-synopsis
+// tee sink, locking, seeding on Resume) that maintain fused state as the
+// feed arrives —
 //
-//   - a constant-velocity Kalman track per vessel, updated exactly as a
-//     fusion.Tracker replay of the vessel's archived trajectory would be
-//     (pinned by TestStageMatchesOfflineReplay), optionally fused with
+//   - a constant-velocity Kalman track per vessel
+//     (query.TrackAccumulator, the same fold the offline replay runs;
+//     pinned by TestStageMatchesOfflineReplay), optionally fused with
 //     anonymous radar detections (Mahalanobis-gated, Hungarian-assigned,
 //     identity bound to the owning MMSI by the assignment);
 //   - a shard-shared forecast.RouteModel trained incrementally per
@@ -14,11 +14,15 @@
 //   - a quality.Profile integrity score folded per vessel
 //     (query.QualityAccumulator).
 //
-// The stage answers the engine's three track-intelligence kinds as a
+// What is this package's own is what is not a fold: radar gating, the
+// Hungarian assignment across a scan, and the orphan tracker for
+// contacts no vessel gates (persist.go parks those across restarts).
+//
+// The lane answers the engine's three track-intelligence kinds as a
 // query.Lane behind the live source (Stages.Lane routes each vessel to
-// its owning shard's stage), so one-shot HTTP, standing /v1/stream queries,
+// its owning shard), so one-shot HTTP, standing /v1/stream queries,
 // federation and tiering all read the same state. Everything is
-// off-switchable: a nil ingest Config.Track means no stage in the tee
+// off-switchable: a nil ingest Config.Track means no lane in the tee
 // and zero cost.
 package track
 
@@ -32,11 +36,10 @@ import (
 	"repro/internal/forecast"
 	"repro/internal/fusion"
 	"repro/internal/geo"
+	"repro/internal/lane"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/stream"
-	"repro/internal/tstore"
 )
 
 // Detection is one non-AIS sensor measurement: a position without an
@@ -77,23 +80,10 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// vesselTrack is one vessel's fused state. The Kalman bookkeeping
-// mirrors fusion.Tracker's identity-bound path exactly — predict to the
-// measurement instant, update, hits/confirmation — without the
-// per-scan association scaffolding a one-vessel scan does not need, so
-// the ingest hot path pays filter arithmetic only.
+// vesselTrack is one vessel's lane state: the three folds the feed
+// advances together, plus the recent ring predictions read.
 type vesselTrack struct {
-	filter    *fusion.KalmanCV
-	hits      int
-	misses    int
-	confirmed bool
-	lastSeen  time.Time
-	// Per-sensor measurement counts, held as plain ints (a map increment
-	// per record would hash a string key on the ingest hot path); asTrack
-	// materialises the fusion.Track.Sources map at read time.
-	srcAIS   int
-	srcRadar int
-
+	kf      *query.TrackAccumulator
 	qa      *query.QualityAccumulator
 	trainer *forecast.Trainer
 
@@ -103,94 +93,10 @@ type vesselTrack struct {
 	head   int
 }
 
-// Stage is one shard's online tracker. It implements tstore.Sink, so
-// the ingest engine tees archived records into it, and answers the
-// track-intelligence reads for the vessels its shard owns.
-type Stage struct {
-	cfg Config
-
-	mu      sync.Mutex
-	vessels map[uint32]*vesselTrack
-	route   *forecast.RouteModel
-	orphans *fusion.Tracker // anonymous contacts gating to no vessel
-
-	appends   atomic.Int64
-	contacts  atomic.Int64
-	assocHits atomic.Int64
-	orphaned  atomic.Int64
-	predicts  atomic.Int64
-	predMiss  atomic.Int64
-
-	appendNS *obs.Histogram // sampled (1/64); nil when uninstrumented
-	assocNS  *obs.Histogram // per radar scan; nil when uninstrumented
-}
-
-var _ tstore.Sink = (*Stage)(nil)
-
-// NewStage builds one shard's stage.
-func NewStage(cfg Config) *Stage {
-	cfg = cfg.normalize()
-	return &Stage{
-		cfg:     cfg,
-		vessels: make(map[uint32]*vesselTrack),
-		route:   forecast.NewRouteModel(query.RouteCellDeg),
-		orphans: fusion.NewTracker(cfg.Tracker),
-	}
-}
-
-// Append implements tstore.Sink: every archived record advances its
-// vessel's fused state. It never fails — like the hub, a stage cannot
-// refuse traffic.
-func (s *Stage) Append(recs ...model.VesselState) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	var t0 time.Time
-	timed := s.appendNS != nil && s.appends.Add(1)&63 == 0
-	if timed {
-		t0 = time.Now()
-	}
-	s.mu.Lock()
-	for i := range recs {
-		s.observe(recs[i])
-	}
-	s.mu.Unlock()
-	if timed {
-		s.appendNS.ObserveSince(t0)
-	}
-	return nil
-}
-
-// observe folds one AIS record into its vessel (s.mu held).
-func (s *Stage) observe(rec model.VesselState) {
-	v, ok := s.vessels[rec.MMSI]
-	if !ok {
-		v = &vesselTrack{
-			qa:      query.NewQualityAccumulator(rec.MMSI),
-			trainer: s.route.NewTrainer(),
-			recent:  make([]model.VesselState, 0, s.cfg.RecentPoints),
-		}
-		s.vessels[rec.MMSI] = v
-	}
-	m := query.AISMeasurement(rec)
-	if v.filter == nil {
-		// First measurement: like fusion.Tracker, the vessel's first
-		// position anchors the local plane and initialises the filter.
-		v.filter = fusion.NewKalmanCV(rec.Pos, s.cfg.Tracker.ProcessNoise)
-		v.filter.Init(rec.At, rec.Pos, m.SigmaM)
-		v.hits = 1
-	} else {
-		v.filter.Predict(rec.At)
-		v.filter.Update(rec.Pos, m.SigmaM)
-		v.hits++
-		v.misses = 0
-		if !v.confirmed && v.hits >= s.cfg.Tracker.ConfirmHits {
-			v.confirmed = true
-		}
-	}
-	v.lastSeen = rec.At
-	v.srcAIS++
-
+// Observe folds one AIS record into the vessel (shard lock held — the
+// trainer writes the shard-shared route model).
+func (v *vesselTrack) Observe(rec model.VesselState) query.NoFacts {
+	v.kf.Observe(rec)
 	v.qa.Observe(rec)
 	v.trainer.Observe(rec)
 	if len(v.recent) < cap(v.recent) {
@@ -199,9 +105,10 @@ func (s *Stage) observe(rec model.VesselState) {
 		v.recent[v.head] = rec
 		v.head = (v.head + 1) % len(v.recent)
 	}
+	return query.NoFacts{}
 }
 
-// recentPoints materialises the ring in time order (s.mu held).
+// recentPoints materialises the ring in time order (shard lock held).
 func (v *vesselTrack) recentPoints() []model.VesselState {
 	out := make([]model.VesselState, 0, len(v.recent))
 	out = append(out, v.recent[v.head:]...)
@@ -209,104 +116,89 @@ func (v *vesselTrack) recentPoints() []model.VesselState {
 	return out
 }
 
-// asTrack views the vessel as a fusion.Track for wire rendering
-// (s.mu held; the view shares the live filter, render before unlocking).
-// Sources carries only sensors that actually measured the vessel,
-// matching the maps fusion.Tracker grows key by key.
-func (v *vesselTrack) asTrack(mmsi uint32) *fusion.Track {
-	sources := make(map[string]int, 2)
-	if v.srcAIS > 0 {
-		sources["ais"] = v.srcAIS
-	}
-	if v.srcRadar > 0 {
-		sources["radar"] = v.srcRadar
-	}
-	return &fusion.Track{
-		ID: 1, Filter: v.filter, Identity: mmsi,
-		Hits: v.hits, Misses: v.misses, Confirmed: v.confirmed,
-		LastSeen: v.lastSeen, Sources: sources,
-	}
+// Stage is one shard of the lane: the host shard holding its vessels'
+// folds (a tstore.Sink — the ingest engine tees archived records into
+// it) plus what the folds of one shard share and what is not a fold at
+// all: the route model they train, and the anonymous tracker for radar
+// contacts that gate to no vessel.
+type Stage struct {
+	*lane.Shard[*vesselTrack, query.NoFacts]
+	cfg   Config
+	route *forecast.RouteModel // written and read under the shard lock
+
+	omu     sync.Mutex
+	orphans *fusion.Tracker // anonymous contacts gating to no vessel
+
+	contacts  atomic.Int64
+	assocHits atomic.Int64
+	orphaned  atomic.Int64
+	predicts  atomic.Int64
+	predMiss  atomic.Int64
+
+	assocNS *obs.Histogram // per radar scan; nil when uninstrumented
 }
+
+// NewStage builds a one-shard lane.
+func NewStage(cfg Config) *Stage { return NewStages(1, cfg).stages[0] }
 
 // Track returns the fused state of one of this shard's vessels, ok=false
 // when the stage does not know it.
-func (s *Stage) Track(mmsi uint32) (*query.TrackState, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.vessels[mmsi]
-	if !ok || v.filter == nil {
-		return nil, false
-	}
-	return query.TrackStateOf(v.asTrack(mmsi)), true
+func (s *Stage) Track(mmsi uint32) (ts *query.TrackState, ok bool) {
+	s.Vessel(mmsi, func(v *vesselTrack) { ts = v.kf.Report() })
+	return ts, ts != nil
 }
 
 // Predict forecasts from the stage's state: the shard-shared route
 // model (every vessel's lanes) with dead-reckoning fallback, over the
 // vessel's recent points.
-func (s *Stage) Predict(mmsi uint32, horizon time.Duration) (*query.Prediction, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.vessels[mmsi]
-	if !ok {
+func (s *Stage) Predict(mmsi uint32, horizon time.Duration) (p *query.Prediction, ok bool) {
+	if !s.Vessel(mmsi, func(v *vesselTrack) {
+		p = query.PredictFrom(mmsi, v.recentPoints(), horizon, s.route)
+	}) {
 		return nil, false
 	}
 	s.predicts.Add(1)
-	p := query.PredictFrom(mmsi, v.recentPoints(), horizon, s.route)
 	if p == nil {
 		s.predMiss.Add(1)
-		return nil, false
 	}
-	return p, true
+	return p, p != nil
 }
 
 // Quality returns the vessel's folded integrity score.
-func (s *Stage) Quality(mmsi uint32) (*query.QualityScore, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.vessels[mmsi]
-	if !ok {
-		return nil, false
-	}
-	qs := v.qa.Score()
+func (s *Stage) Quality(mmsi uint32) (qs *query.QualityScore, ok bool) {
+	s.Vessel(mmsi, func(v *vesselTrack) { qs = v.qa.Report() })
 	return qs, qs != nil
-}
-
-// VesselCount returns the number of vessels with fused state.
-func (s *Stage) VesselCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.vessels)
 }
 
 // OrphanCount returns the anonymous (never identity-bound) tracks held
 // for detections that gated to no known vessel.
 func (s *Stage) OrphanCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.omu.Lock()
+	defer s.omu.Unlock()
 	return len(s.orphans.Tracks)
+}
+
+// sigmaOf is a detection's noise, defaulted from the config.
+func (s *Stage) sigmaOf(d Detection) float64 {
+	if d.SigmaM > 0 {
+		return d.SigmaM
+	}
+	return s.cfg.RadarSigmaM
 }
 
 // bestGate returns the smallest gated squared Mahalanobis distance from
 // the detection to any of this stage's vessel tracks (predicted,
 // non-mutating, to the detection instant).
 func (s *Stage) bestGate(d Detection) (float64, bool) {
-	sigma := d.SigmaM
-	if sigma <= 0 {
-		sigma = s.cfg.RadarSigmaM
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	best := math.Inf(1)
-	for _, v := range s.vessels {
-		if v.filter == nil {
-			continue
+	s.View(func(vessels map[uint32]*vesselTrack) {
+		for _, v := range vessels {
+			f := v.kf.Predicted(d.At)
+			if d2 := f.MahalanobisSq(d.Pos, s.sigmaOf(d)); d2 < best {
+				best = d2
+			}
 		}
-		f := *v.filter // value copy: predicted gating must not advance the live filter
-		f.Predict(d.At)
-		if d2 := f.MahalanobisSq(d.Pos, sigma); d2 < best {
-			best = d2
-		}
-	}
+	})
 	return best, best <= s.cfg.Tracker.GateChi2
 }
 
@@ -320,108 +212,91 @@ func (s *Stage) detect(at time.Time, contacts []Detection) int {
 	if s.assocNS != nil {
 		t0 = time.Now()
 	}
-	s.mu.Lock()
-	// Deterministic row order: map iteration must not decide ties.
-	mmsis := make([]uint32, 0, len(s.vessels))
-	for m, v := range s.vessels {
-		if v.filter != nil {
+	var assigned []fusion.Assignment
+	var free []int
+	s.View(func(vessels map[uint32]*vesselTrack) {
+		// Deterministic row order: map iteration must not decide ties.
+		mmsis := make([]uint32, 0, len(vessels))
+		for m := range vessels {
 			mmsis = append(mmsis, m)
 		}
-	}
-	sort.Slice(mmsis, func(i, j int) bool { return mmsis[i] < mmsis[j] })
-	costs := make([][]float64, len(mmsis))
-	for i, m := range mmsis {
-		costs[i] = make([]float64, len(contacts))
-		f := *s.vessels[m].filter
-		f.Predict(at)
-		for j, d := range contacts {
-			sigma := d.SigmaM
-			if sigma <= 0 {
-				sigma = s.cfg.RadarSigmaM
+		sort.Slice(mmsis, func(i, j int) bool { return mmsis[i] < mmsis[j] })
+		costs := make([][]float64, len(mmsis))
+		for i, m := range mmsis {
+			costs[i] = make([]float64, len(contacts))
+			f := vessels[m].kf.Predicted(at)
+			for j, d := range contacts {
+				d2 := f.MahalanobisSq(d.Pos, s.sigmaOf(d))
+				if d2 > s.cfg.Tracker.GateChi2 {
+					d2 = math.Inf(1)
+				}
+				costs[i][j] = d2
 			}
-			d2 := f.MahalanobisSq(d.Pos, sigma)
-			if d2 > s.cfg.Tracker.GateChi2 {
-				d2 = math.Inf(1)
-			}
-			costs[i][j] = d2
 		}
-	}
-	assigned, _, freeMeas := fusion.Associate(costs)
-	n := 0
-	for _, a := range assigned {
-		v, d := s.vessels[mmsis[a.Track]], contacts[a.Measurement]
-		sigma := d.SigmaM
-		if sigma <= 0 {
-			sigma = s.cfg.RadarSigmaM
+		assigned, _, free = fusion.Associate(costs)
+		for _, a := range assigned {
+			d := contacts[a.Measurement]
+			vessels[mmsis[a.Track]].kf.Fuse(at, d.Pos, s.sigmaOf(d))
 		}
-		v.filter.Predict(at)
-		v.filter.Update(d.Pos, sigma)
-		v.hits++
-		v.misses = 0
-		v.lastSeen = at
-		v.srcRadar++
-		if !v.confirmed && v.hits >= s.cfg.Tracker.ConfirmHits {
-			v.confirmed = true
-		}
-		n++
+	})
+	for _, j := range free {
+		s.orphan(contacts[j])
 	}
-	for _, j := range freeMeas {
-		s.orphanLocked(contacts[j])
-	}
-	s.mu.Unlock()
-	s.assocHits.Add(int64(n))
-	s.orphaned.Add(int64(len(freeMeas)))
+	s.assocHits.Add(int64(len(assigned)))
 	if s.assocNS != nil {
 		s.assocNS.ObserveSince(t0)
 	}
-	return n
+	return len(assigned)
 }
 
-// orphan routes one contact that gated to no vessel anywhere into this
-// stage's anonymous tracker (which associates it among the orphans).
+// orphan routes one contact that gated to no vessel into this stage's
+// anonymous tracker (which associates it among the orphans).
 func (s *Stage) orphan(d Detection) {
-	s.mu.Lock()
-	s.orphanLocked(d)
-	s.mu.Unlock()
+	s.omu.Lock()
+	s.orphans.Process(d.At, []fusion.Measurement{{
+		At: d.At, Pos: d.Pos, SigmaM: s.sigmaOf(d), Source: "radar",
+	}})
+	s.omu.Unlock()
 	s.orphaned.Add(1)
 }
 
-func (s *Stage) orphanLocked(d Detection) {
-	sigma := d.SigmaM
-	if sigma <= 0 {
-		sigma = s.cfg.RadarSigmaM
-	}
-	s.orphans.Process(d.At, []fusion.Measurement{{
-		At: d.At, Pos: d.Pos, SigmaM: sigma, Source: "radar",
-	}})
+// Stages is the sharded lane: a lane.Host of per-vessel folds (shard
+// routing, the tee sinks, VesselCount, Seed — promoted from the host)
+// plus each shard's Stage. The zero value is an empty stage set.
+type Stages struct {
+	*lane.Host[*vesselTrack, query.NoFacts]
+	stages []*Stage
 }
 
-// Stages is the sharded stage set: one Stage per ingest shard, vessels
-// routed by the same hash the pipelines shard by. Lane is its read side
-// for the query engine's live source.
-type Stages []*Stage
-
-// NewStages builds n stages (one per shard).
-func NewStages(n int, cfg Config) Stages {
-	if n < 1 {
-		n = 1
+// NewStages builds the lane over n shards (one per ingest shard).
+func NewStages(n int, cfg Config) *Stages {
+	cfg = cfg.normalize()
+	ss := &Stages{}
+	newKF := query.TrackFold(cfg.Tracker)
+	ss.Host = lane.New("track", n, func(mmsi uint32) *vesselTrack {
+		return &vesselTrack{
+			kf:      newKF(mmsi),
+			qa:      query.NewQualityAccumulator(mmsi),
+			trainer: ss.of(mmsi).route.NewTrainer(),
+			recent:  make([]model.VesselState, 0, cfg.RecentPoints),
+		}
+	}, nil)
+	for i := range ss.Len() {
+		ss.stages = append(ss.stages, &Stage{
+			Shard:   ss.Stage(i),
+			cfg:     cfg,
+			route:   forecast.NewRouteModel(query.RouteCellDeg),
+			orphans: fusion.NewTracker(cfg.Tracker),
+		})
 	}
-	out := make(Stages, n)
-	for i := range out {
-		out[i] = NewStage(cfg)
-	}
-	return out
+	return ss
 }
 
-// ShardFor returns the stage owning a vessel.
-func (ss Stages) ShardFor(mmsi uint32) *Stage {
-	return ss[stream.ShardOf(uint64(mmsi), len(ss))]
-}
+// of returns the stage owning a vessel.
+func (ss Stages) of(mmsi uint32) *Stage { return ss.stages[ss.Index(mmsi)] }
 
 // Track returns a vessel's fused state from its owning stage.
-func (ss Stages) Track(mmsi uint32) (*query.TrackState, bool) {
-	return ss.ShardFor(mmsi).Track(mmsi)
-}
+func (ss Stages) Track(mmsi uint32) (*query.TrackState, bool) { return ss.of(mmsi).Track(mmsi) }
 
 // Lane is the stages' read side as the live source consumes it: the
 // three track-intelligence kinds answered from the owning shard's fused
@@ -433,11 +308,11 @@ func (ss Stages) Lane() query.Lane {
 			return &query.Result{Track: ts}, ok
 		},
 		query.KindPredict: func(r query.Request) (*query.Result, bool) {
-			p, ok := ss.ShardFor(r.MMSI).Predict(r.MMSI, time.Duration(r.Horizon))
+			p, ok := ss.of(r.MMSI).Predict(r.MMSI, time.Duration(r.Horizon))
 			return &query.Result{Prediction: p}, ok
 		},
 		query.KindQuality: func(r query.Request) (*query.Result, bool) {
-			qs, ok := ss.ShardFor(r.MMSI).Quality(r.MMSI)
+			qs, ok := ss.of(r.MMSI).Quality(r.MMSI)
 			return &query.Result{Quality: qs}, ok
 		},
 	}
@@ -450,15 +325,11 @@ func (ss Stages) Lane() query.Lane {
 // gates go to an orphan tracker (homed by station). Returns the number
 // of contacts fused into identified vessel tracks.
 func (ss Stages) Process(ds []Detection) int {
-	if len(ss) == 0 || len(ds) == 0 {
+	if len(ss.stages) == 0 {
 		return 0
 	}
-	for i := range ss {
-		ss[i].contacts.Add(0) // touch nothing; counts added per scan below
-	}
 	n := 0
-	i := 0
-	for i < len(ds) {
+	for i := 0; i < len(ds); {
 		j := i + 1
 		for j < len(ds) && ds[j].At.Equal(ds[i].At) {
 			j++
@@ -470,10 +341,10 @@ func (ss Stages) Process(ds []Detection) int {
 }
 
 func (ss Stages) scan(at time.Time, contacts []Detection) int {
-	perStage := make([][]Detection, len(ss))
+	perStage := make([][]Detection, len(ss.stages))
 	for _, d := range contacts {
 		best, bestD2 := -1, math.Inf(1)
-		for si, st := range ss {
+		for si, st := range ss.stages {
 			if d2, ok := st.bestGate(d); ok && d2 < bestD2 {
 				best, bestD2 = si, d2
 			}
@@ -482,9 +353,9 @@ func (ss Stages) scan(at time.Time, contacts []Detection) int {
 		if home < 0 {
 			home = -home
 		}
-		ss[home%len(ss)].contacts.Add(1)
+		ss.stages[home%len(ss.stages)].contacts.Add(1)
 		if best < 0 {
-			ss[home%len(ss)].orphan(d)
+			ss.stages[home%len(ss.stages)].orphan(d)
 			continue
 		}
 		perStage[best] = append(perStage[best], d)
@@ -492,17 +363,8 @@ func (ss Stages) scan(at time.Time, contacts []Detection) int {
 	n := 0
 	for si, batch := range perStage {
 		if len(batch) > 0 {
-			n += ss[si].detect(at, batch)
+			n += ss.stages[si].detect(at, batch)
 		}
-	}
-	return n
-}
-
-// VesselCount sums fused vessels across stages.
-func (ss Stages) VesselCount() int {
-	n := 0
-	for _, st := range ss {
-		n += st.VesselCount()
 	}
 	return n
 }
@@ -510,38 +372,36 @@ func (ss Stages) VesselCount() int {
 // OrphanCount sums anonymous tracks across stages.
 func (ss Stages) OrphanCount() int {
 	n := 0
-	for _, st := range ss {
+	for _, st := range ss.stages {
 		n += st.OrphanCount()
 	}
 	return n
 }
 
-// Instrument registers the stage-set series with reg: vessel/orphan
-// track gauges, contact counters (seen / fused / orphaned), predict
-// counters (total / missed — the predict-error signal: a miss is a
-// predict with no kinematic basis), sampled append cost and per-scan
-// association latency.
+// Instrument registers the lane's series with reg: the host's vessel
+// gauge and sampled append cost, the orphan-track gauge, contact
+// counters (seen / fused / orphaned), predict counters (total / missed
+// — the predict-error signal: a miss is a predict with no kinematic
+// basis) and per-scan association latency.
 func (ss Stages) Instrument(reg *obs.Registry) {
 	sum := func(f func(*Stage) int64) func() float64 {
 		return func() float64 {
 			var n int64
-			for _, st := range ss {
+			for _, st := range ss.stages {
 				n += f(st)
 			}
 			return float64(n)
 		}
 	}
-	reg.GaugeFunc("track_vessels", func() float64 { return float64(ss.VesselCount()) })
+	ss.Host.Instrument(reg)
 	reg.GaugeFunc("track_orphan_tracks", func() float64 { return float64(ss.OrphanCount()) })
 	reg.CounterFunc("track_contacts_total", sum(func(st *Stage) int64 { return st.contacts.Load() }))
 	reg.CounterFunc("track_contacts_fused_total", sum(func(st *Stage) int64 { return st.assocHits.Load() }))
 	reg.CounterFunc("track_contacts_orphaned_total", sum(func(st *Stage) int64 { return st.orphaned.Load() }))
 	reg.CounterFunc("track_predicts_total", sum(func(st *Stage) int64 { return st.predicts.Load() }))
 	reg.CounterFunc("track_predict_misses_total", sum(func(st *Stage) int64 { return st.predMiss.Load() }))
-	appendNS := reg.Histogram("track_append_ns")
 	assocNS := reg.Histogram("track_associate_ns")
-	for _, st := range ss {
-		st.appendNS = appendNS
+	for _, st := range ss.stages {
 		st.assocNS = assocNS
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/forecast"
+	"repro/internal/fusion"
 	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/query"
@@ -74,7 +75,7 @@ func TestStageMatchesOfflineReplay(t *testing.T) {
 		if !ok {
 			t.Fatalf("vessel %d: no online track", mmsi)
 		}
-		offline := query.DeriveTrack(mmsi, pts)
+		offline := query.Replay(query.TrackFold(fusion.DefaultTrackerConfig()), mmsi, pts)
 		oj, _ := json.Marshal(online)
 		fj, _ := json.Marshal(offline)
 		if string(oj) != string(fj) {
@@ -85,7 +86,7 @@ func TestStageMatchesOfflineReplay(t *testing.T) {
 		if !ok {
 			t.Fatalf("vessel %d: no online quality", mmsi)
 		}
-		fq := query.DeriveQuality(mmsi, pts)
+		fq := query.Replay(query.NewQualityAccumulator, mmsi, pts)
 		oj, _ = json.Marshal(oq)
 		fj, _ = json.Marshal(fq)
 		if string(oj) != string(fj) {
