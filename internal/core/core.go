@@ -99,19 +99,39 @@ func (m *Metrics) Snapshot() Snapshot {
 type Pipeline struct {
 	cfg Config
 
-	mu          sync.Mutex
-	Store       *tstore.Store
-	Live        *tstore.Live
-	Engine      *events.Engine
-	Patterns    *events.PatternEngine
-	Quality     *quality.Profile
-	compressors map[uint32]*synopsis.StreamingCompressor
-	checkers    map[uint32]*quality.KinematicChecker
-	alerts      []events.Alert
+	mu       sync.Mutex
+	Store    *tstore.Store
+	Live     *tstore.Live
+	Engine   *events.Engine
+	Patterns *events.PatternEngine
+	Quality  *quality.Profile
+	vessels  map[uint32]*vessel
+	alerts   []events.Alert
 
 	forecaster *forecast.Hybrid
 
 	Metrics Metrics
+}
+
+// vessel is what the per-vessel stages carry from one report of a vessel
+// to its next, behind one lookup.
+type vessel struct {
+	subject    string // the vessel's key in the quality profile
+	checker    quality.KinematicChecker
+	compressor synopsis.StreamingCompressor
+}
+
+// vesselLocked returns the vessel's stage state, created on first sight.
+func (p *Pipeline) vesselLocked(mmsi uint32) *vessel {
+	v := p.vessels[mmsi]
+	if v == nil {
+		v = &vessel{subject: subjectOf(mmsi), compressor: synopsis.StreamingCompressor{
+			ToleranceM: p.cfg.SynopsisToleranceM,
+			MaxGap:     p.cfg.SynopsisMaxGap,
+		}}
+		p.vessels[mmsi] = v
+	}
+	return v
 }
 
 // New builds a pipeline with the full detector battery wired in.
@@ -137,14 +157,13 @@ func New(cfg Config) *Pipeline {
 	pe.Register(events.SmugglingRunPattern(4 * time.Hour))
 
 	return &Pipeline{
-		cfg:         cfg,
-		Store:       tstore.New(),
-		Live:        tstore.NewLive(0.25),
-		Engine:      engine,
-		Patterns:    pe,
-		Quality:     quality.NewProfile(),
-		compressors: make(map[uint32]*synopsis.StreamingCompressor),
-		checkers:    make(map[uint32]*quality.KinematicChecker),
+		cfg:      cfg,
+		Store:    tstore.New(),
+		Live:     tstore.NewLive(0.25),
+		Engine:   engine,
+		Patterns: pe,
+		Quality:  quality.NewProfile(),
+		vessels:  make(map[uint32]*vessel),
 	}
 }
 
@@ -190,6 +209,7 @@ func (p *Pipeline) ingestLocked(at time.Time, rep *ais.PositionReport) []events.
 
 	// Stage 1 — veracity. Hard failures (no usable position) reject the
 	// message; soft issues only depress the vessel's reliability profile.
+	var v *vessel
 	if !p.cfg.DisableQuality {
 		t0 := time.Now()
 		if !rep.HasPosition() {
@@ -197,13 +217,9 @@ func (p *Pipeline) ingestLocked(at time.Time, rep *ais.PositionReport) []events.
 			p.Metrics.NsQuality.Add(time.Since(t0).Nanoseconds())
 			return nil
 		}
-		ck, ok := p.checkers[s.MMSI]
-		if !ok {
-			ck = &quality.KinematicChecker{}
-			p.checkers[s.MMSI] = ck
-		}
-		issues := ck.Check(s)
-		p.Quality.Record(subjectOf(s.MMSI), len(issues) == 0)
+		v = p.vesselLocked(s.MMSI)
+		issues := v.checker.Check(s)
+		p.Quality.Record(v.subject, len(issues) == 0)
 		p.Metrics.NsQuality.Add(time.Since(t0).Nanoseconds())
 	}
 
@@ -216,15 +232,10 @@ func (p *Pipeline) ingestLocked(at time.Time, rep *ais.PositionReport) []events.
 	t0 = time.Now()
 	archive := true
 	if p.cfg.SynopsisToleranceM > 0 {
-		sc, ok := p.compressors[s.MMSI]
-		if !ok {
-			sc = &synopsis.StreamingCompressor{
-				ToleranceM: p.cfg.SynopsisToleranceM,
-				MaxGap:     p.cfg.SynopsisMaxGap,
-			}
-			p.compressors[s.MMSI] = sc
+		if v == nil {
+			v = p.vesselLocked(s.MMSI)
 		}
-		_, archive = sc.Push(s)
+		_, archive = v.compressor.Push(s)
 	}
 	p.Metrics.NsSynopsis.Add(time.Since(t0).Nanoseconds())
 	if archive {

@@ -334,3 +334,93 @@ func BenchmarkPipelineIngest(b *testing.B) {
 		p.Ingest(obs.At, &obs.Report)
 	}
 }
+
+// A report that raises nothing, from a vessel every stage already knows,
+// allocates nothing: the per-vessel state (quality subject included) is
+// behind one lookup, the proximity grid reuses its cells, and no stage
+// builds a slice to return it empty.
+func TestIngestSteadyStateAllocatesNothing(t *testing.T) {
+	p := New(Config{Zones: sim.MediterraneanWorld(1).Zones, SynopsisToleranceM: 60})
+	start := time.Date(2017, 3, 21, 0, 0, 0, 0, time.UTC)
+	// Three vessels 2 km apart in open water on the same course and speed:
+	// inside each other's pairing horizon, never converging.
+	const stepSec = 10
+	v := geo.Velocity{SpeedMS: 10 * geo.Knot, CourseDg: 90}
+	reps := make([]ais.PositionReport, 3)
+	for i := range reps {
+		reps[i] = ais.PositionReport{
+			Type: ais.TypePositionA, MMSI: uint32(227000001 + i), Status: ais.StatusUnderWayEngine,
+			Position: geo.Point{Lat: 34.0 + 0.018*float64(i), Lon: 18.0}, SpeedKn: 10, CourseDeg: 90,
+		}
+	}
+	n := 0
+	ingest := func() {
+		rep := &reps[n%len(reps)]
+		if got := p.Ingest(start.Add(time.Duration(n/len(reps)*stepSec)*time.Second), rep); len(got) != 0 {
+			t.Fatalf("report %d raised %v; the scenario is meant to be quiet", n, got)
+		}
+		if n++; n%len(reps) == 0 {
+			for i := range reps {
+				reps[i].Position = geo.Project(reps[i].Position, v, stepSec)
+			}
+		}
+	}
+	for n < 300 {
+		ingest()
+	}
+	if allocs := testing.AllocsPerRun(300, ingest); allocs != 0 {
+		t.Errorf("steady-state Ingest allocates %.0f times per report, want 0", allocs)
+	}
+}
+
+// Pairwise detection is per shard, so a sharded pipeline finds a pair only
+// when both vessels hash to the same shard: about one pair in n. This puts
+// the number next to E14's shard speed-up, most of which is this same
+// density split. One seeded feed, the one-pipeline answer as truth; a pair
+// alert is recalled when a shard raises it identically (a co-sharded pair
+// sees exactly the reports it saw in one pipeline), and no shard may raise a
+// pair alert the one pipeline did not.
+func TestShardedPairAlertRecall(t *testing.T) {
+	simCfg := sim.Config{Seed: 1, World: sim.MediterraneanWorld(1), NumVessels: 800, Duration: 30 * time.Minute, TickSec: 2}
+	simCfg.DefaultAnomalyRates()
+	run := runScenario(t, simCfg)
+	cfg := Config{Zones: simCfg.World.Zones, SynopsisToleranceM: 60}
+
+	pairAlerts := func(n int) map[events.Alert]bool {
+		s := NewSharded(cfg, n)
+		out := make(map[events.Alert]bool)
+		for i := range run.Positions {
+			obs := &run.Positions[i]
+			for _, a := range s.Ingest(obs.At, &obs.Report) {
+				if a.Kind == events.KindRendezvous || a.Kind == events.KindCollisionRisk {
+					out[a] = true
+				}
+			}
+		}
+		return out
+	}
+	truth := pairAlerts(1)
+	if len(truth) < 200 {
+		t.Fatalf("one pipeline raised %d pair alerts; too few to read a recall from", len(truth))
+	}
+	// Floors sit a fifth under the 1/n a uniform hash gives, a third at eight
+	// shards, where five alerts move the ratio by a point.
+	for _, tc := range []struct {
+		shards int
+		floor  float64
+	}{{1, 1}, {2, 0.40}, {4, 0.20}, {8, 0.08}} {
+		got := pairAlerts(tc.shards)
+		hit := 0
+		for a := range got {
+			if !truth[a] {
+				t.Fatalf("%d shards raised %v, which one pipeline does not", tc.shards, a)
+			}
+			hit++
+		}
+		recall := float64(hit) / float64(len(truth))
+		t.Logf("%d shards: pair-alert recall %.3f (%d of %d), floor %.2f", tc.shards, recall, hit, len(truth), tc.floor)
+		if recall < tc.floor {
+			t.Errorf("%d shards: pair-alert recall %.3f under its floor %.2f", tc.shards, recall, tc.floor)
+		}
+	}
+}

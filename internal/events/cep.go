@@ -34,7 +34,6 @@ type PatternEngine struct {
 	Ctx      *Context
 	patterns []*Pattern
 	state    map[patternKey]*patternProgress
-	alerts   []Alert
 }
 
 type patternKey struct {
@@ -66,7 +65,6 @@ func (pe *PatternEngine) Process(s model.VesselState) []Alert {
 			out = append(out, a)
 		}
 	}
-	pe.alerts = append(pe.alerts, out...)
 	return out
 }
 
@@ -119,9 +117,6 @@ func (pe *PatternEngine) step(p *Pattern, s model.VesselState) (Alert, bool) {
 		Note:     fmt.Sprintf("sequence %q completed", p.Name),
 	}, true
 }
-
-// Alerts returns the accumulated pattern alerts.
-func (pe *PatternEngine) Alerts() []Alert { return pe.alerts }
 
 // --- canonical maritime patterns ---------------------------------------------------
 

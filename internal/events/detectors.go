@@ -338,8 +338,39 @@ func (d *RendezvousDetector) Name() string { return "rendezvous" }
 
 func pairKey(a, b uint32) uint64 { return uint64(a)<<32 | uint64(b) }
 
+// gateMargin widens every gate threshold. What a gate computes is off
+// from the exact math by rounding and by a few parts in 10^5 (see offset);
+// the margin is a thousand times that.
+const gateMargin = 0.01
+
+// offset places b relative to a in metres east and north on a plane whose
+// east axis is scaled by the smaller of the two cos(lat), which makes the
+// planar range a lower bound on both the great-circle range and the range
+// on CPA's tangent plane (2 parts in 10^5 short at worst). exErr is how far
+// east may be from that tangent plane's: its cos(lat), taken at the
+// great-circle midpoint, lies between the two vessels' to within 1e-4. ok
+// is false past half a degree on either axis, where none of this holds and
+// no gate may fire.
+func offset(a, b *Contact) (east, north, exErr float64, ok bool) {
+	const m = math.Pi / 180 * geo.EarthRadius
+	lon, lat := b.Pos.Lon-a.Pos.Lon, b.Pos.Lat-a.Pos.Lat
+	if !(math.Abs(lon) <= 0.5 && math.Abs(lat) <= 0.5) {
+		return 0, 0, 0, false
+	}
+	lon *= m
+	return lon * math.Min(a.cosLat, b.cosLat), lat * m,
+		math.Abs(lon) * (math.Abs(a.cosLat-b.cosLat) + 1e-4), true
+}
+
+// beyond reports whether a and b are provably more than reach metres apart.
+func beyond(a, b *Contact, reach float64) bool {
+	dx, dy, _, ok := offset(a, b)
+	reach *= 1 + gateMargin
+	return ok && dx*dx+dy*dy > reach*reach
+}
+
 // ProcessPair implements PairDetector.
-func (d *RendezvousDetector) ProcessPair(a, b model.VesselState, ctx *Context) []Alert {
+func (d *RendezvousDetector) ProcessPair(a, b *Contact, ctx *Context) []Alert {
 	if d.ProximityM == 0 {
 		d.ProximityM = 1000
 	}
@@ -353,6 +384,13 @@ func (d *RendezvousDetector) ProcessPair(a, b model.VesselState, ctx *Context) [
 		d.pairs = make(map[uint64]*pairState)
 	}
 	key := pairKey(a.MMSI, b.MMSI)
+	// Gate: a pair with a fast vessel or provably out of reach is not close
+	// whatever the haversine and the port zones say, and all a not-close
+	// call does is forget the pair.
+	if a.SpeedKn > d.MaxSpeedKn || b.SpeedKn > d.MaxSpeedKn || beyond(a, b, d.ProximityM) {
+		delete(d.pairs, key)
+		return nil
+	}
 	isClose := geo.Distance(a.Pos, b.Pos) <= d.ProximityM &&
 		a.SpeedKn <= d.MaxSpeedKn && b.SpeedKn <= d.MaxSpeedKn &&
 		!ctx.InPort(a.Pos) && !ctx.InPort(b.Pos)
@@ -396,13 +434,14 @@ type CollisionRiskDetector struct {
 	Cooldown      time.Duration
 
 	lastAlert map[uint64]time.Time
+	pruneAt   int // len(lastAlert) at which entries past the cooldown are dropped
 }
 
 // Name implements PairDetector.
 func (d *CollisionRiskDetector) Name() string { return "collision-risk" }
 
 // ProcessPair implements PairDetector.
-func (d *CollisionRiskDetector) ProcessPair(a, b model.VesselState, _ *Context) []Alert {
+func (d *CollisionRiskDetector) ProcessPair(a, b *Contact, _ *Context) []Alert {
 	if d.CPAThresholdM == 0 {
 		d.CPAThresholdM = 500
 	}
@@ -421,19 +460,44 @@ func (d *CollisionRiskDetector) ProcessPair(a, b model.VesselState, _ *Context) 
 	if a.SpeedKn < d.MinSpeedKn || b.SpeedKn < d.MinSpeedKn {
 		return nil
 	}
-	cpa, tcpa := CPA(a, b)
-	if cpa > d.CPAThresholdM || tcpa <= 0 || tcpa > d.TCPAHorizon.Seconds() {
-		return nil
-	}
 	key := pairKey(a.MMSI, b.MMSI)
 	now := a.At
 	if b.At.After(now) {
 		now = b.At
 	}
+	horizon := d.TCPAHorizon.Seconds()
+	dvx, dvy := b.ve-a.ve, b.vn-a.vn
+	if dx, dy, exErr, ok := offset(a, b); ok {
+		// Gate: CPA and TCPA on the offset plane. Both are linear in the
+		// east offset, so the exact ones are within exErr metres and
+		// exErr/|dv| seconds of these.
+		dv := math.Sqrt(dvx*dvx + dvy*dvy)
+		miss := math.Abs(dx*dvy-dy*dvx) / dv
+		t := -(dx*dvx + dy*dvy) / (dv * dv)
+		if miss-exErr > d.CPAThresholdM*(1+gateMargin) ||
+			t+exErr/dv < -horizon*gateMargin || t-exErr/dv > horizon*(1+gateMargin) {
+			return nil
+		}
+	}
+	// Inside the cooldown the pair stays quiet whatever its CPA is.
 	if last, ok := d.lastAlert[key]; ok && now.Sub(last) < d.Cooldown {
 		return nil
 	}
+	cpa, tcpa := cpaOf(a, b)
+	if cpa > d.CPAThresholdM || tcpa <= 0 || tcpa > horizon {
+		return nil
+	}
 	d.lastAlert[key] = now
+	// An entry past its cooldown decides nothing. Dropping those each time
+	// the map has doubled keeps it the size of the pairs still cooling down.
+	if len(d.lastAlert) >= d.pruneAt {
+		for k, last := range d.lastAlert {
+			if now.Sub(last) >= d.Cooldown {
+				delete(d.lastAlert, k)
+			}
+		}
+		d.pruneAt = 2*len(d.lastAlert) + 16
+	}
 	return []Alert{{
 		Kind: KindCollisionRisk, MMSI: a.MMSI, Other: b.MMSI, At: now, Start: now,
 		Where: geo.Midpoint(a.Pos, b.Pos), Severity: 3,
@@ -446,17 +510,16 @@ func (d *CollisionRiskDetector) ProcessPair(a, b model.VesselState, _ *Context) 
 // on a local plane. A negative TCPA means the vessels are already past
 // their closest point.
 func CPA(a, b model.VesselState) (cpaM, tcpaSec float64) {
+	ca, cb := contactOf(a), contactOf(b)
+	return cpaOf(&ca, &cb)
+}
+
+func cpaOf(a, b *Contact) (cpaM, tcpaSec float64) {
 	plane := geo.NewLocalPlane(geo.Midpoint(a.Pos, b.Pos))
 	ax, ay := plane.Forward(a.Pos)
 	bx, by := plane.Forward(b.Pos)
-	av := a.Velocity()
-	bv := b.Velocity()
-	avx := av.SpeedMS * math.Sin(geo.Radians(av.CourseDg))
-	avy := av.SpeedMS * math.Cos(geo.Radians(av.CourseDg))
-	bvx := bv.SpeedMS * math.Sin(geo.Radians(bv.CourseDg))
-	bvy := bv.SpeedMS * math.Cos(geo.Radians(bv.CourseDg))
 	dx, dy := bx-ax, by-ay
-	dvx, dvy := bvx-avx, bvy-avy
+	dvx, dvy := b.ve-a.ve, b.vn-a.vn
 	dv2 := dvx*dvx + dvy*dvy
 	if dv2 < 1e-9 {
 		return math.Hypot(dx, dy), 0

@@ -6,11 +6,29 @@
 // query answers that §4 argues is essential when 27% of ships go dark.
 //
 // Detectors are deterministic stream processors: feed time-ordered
-// model.VesselState values into an Engine and collect Alerts.
+// model.VesselState values into an Engine and collect the Alerts each
+// Process call returns; the engine keeps no alert log.
+//
+// Pairwise detectors see a report against every vessel last heard in the
+// same cell of an equal-angle grid (Engine.processPairs) or the eight
+// around it. A cell is a slice of Contacts kept in MMSI order on insert,
+// so a vessel is found by bisection and the walk needs no sort and no
+// allocation; the alerts one report raises, rarely more than one, are put
+// in neighbour-MMSI order afterwards. A contact more than 30 min older
+// than a report visiting its cell is expired there and then, for good: a
+// late report stamped earlier does not get it back (the one difference
+// from checking age on every visit, and only for feeds whose event time
+// runs backwards). In front of their exact math the pair detectors gate:
+// a gate may skip a pair only when the exact path would raise nothing and
+// change no detector state, proved from a bound with a stated margin
+// (offset, gateMargin); everything inside the margin takes the exact path,
+// so alerts are the ungated detectors' byte for byte (oracle_test.go).
 package events
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -84,7 +102,7 @@ type VesselDetector interface {
 	Process(s model.VesselState, ctx *Context) []Alert
 }
 
-// Engine fans states to detectors and maintains the proximity structure
+// Engine fans states to detectors and maintains the proximity grid
 // pairwise detectors need.
 type Engine struct {
 	Ctx       *Context
@@ -92,10 +110,48 @@ type Engine struct {
 	pairwise  []PairDetector
 
 	grid    geo.Grid
-	cells   map[geo.CellID]map[uint32]model.VesselState
+	cells   map[geo.CellID]*cell
 	lastPos map[uint32]geo.CellID
+}
 
-	alerts []Alert
+// staleAfter is how far apart in event time two reports may be and still
+// pair: generous, because satellite revisit gaps legitimately silence
+// open-sea vessels for ~25 min between passes.
+const staleAfter = int64(30 * time.Minute)
+
+// Contact is a vessel's latest report as the proximity grid holds it: the
+// state plus what pair detectors need of this vessel alone, computed once
+// per report instead of once per pair.
+type Contact struct {
+	model.VesselState
+	ve, vn float64 // east and north velocity in m/s, the terms CPA projects
+	cosLat float64
+	at     int64 // At in Unix nanoseconds
+}
+
+func contactOf(s model.VesselState) Contact {
+	v := s.Velocity()
+	return Contact{
+		VesselState: s,
+		ve:          v.SpeedMS * math.Sin(geo.Radians(v.CourseDg)),
+		vn:          v.SpeedMS * math.Cos(geo.Radians(v.CourseDg)),
+		cosLat:      math.Cos(geo.Radians(s.Pos.Lat)),
+		at:          s.At.UnixNano(),
+	}
+}
+
+// cell holds the contacts last seen in one grid cell in ascending MMSI
+// order, kept on insert. No contact is older than oldest; a visit more than
+// staleAfter past it sweeps the cell.
+type cell struct {
+	contacts []Contact
+	oldest   int64
+}
+
+// find returns where mmsi is, or would be inserted, in c.
+func (c *cell) find(mmsi uint32) (int, bool) {
+	i := sort.Search(len(c.contacts), func(i int) bool { return c.contacts[i].MMSI >= mmsi })
+	return i, i < len(c.contacts) && c.contacts[i].MMSI == mmsi
 }
 
 // PairDetector observes co-located vessel pairs.
@@ -103,8 +159,10 @@ type PairDetector interface {
 	Name() string
 	// ProcessPair is called for each (a, b) pair currently within the
 	// engine's proximity horizon, once per state update of either vessel,
-	// with a.MMSI < b.MMSI.
-	ProcessPair(a, b model.VesselState, ctx *Context) []Alert
+	// with a.MMSI < b.MMSI. The contacts belong to the grid: a detector
+	// neither keeps the pointers nor writes through them. Alerts name the
+	// pair as MMSI a, Other b.
+	ProcessPair(a, b *Contact, ctx *Context) []Alert
 }
 
 // NewEngine returns an engine with the given context. proximityDeg sets
@@ -116,7 +174,7 @@ func NewEngine(ctx *Context, proximityDeg float64) *Engine {
 	return &Engine{
 		Ctx:     ctx,
 		grid:    geo.NewGrid(proximityDeg),
-		cells:   make(map[geo.CellID]map[uint32]model.VesselState),
+		cells:   make(map[geo.CellID]*cell),
 		lastPos: make(map[uint32]geo.CellID),
 	}
 }
@@ -127,8 +185,7 @@ func (e *Engine) Register(d VesselDetector) { e.detectors = append(e.detectors, 
 // RegisterPair adds a pairwise detector.
 func (e *Engine) RegisterPair(d PairDetector) { e.pairwise = append(e.pairwise, d) }
 
-// Process consumes one state update and returns the alerts it raised
-// (also accumulated in Alerts).
+// Process consumes one state update and returns the alerts it raised.
 func (e *Engine) Process(s model.VesselState) []Alert {
 	var out []Alert
 	for _, d := range e.detectors {
@@ -137,70 +194,94 @@ func (e *Engine) Process(s model.VesselState) []Alert {
 	if len(e.pairwise) > 0 {
 		out = append(out, e.processPairs(s)...)
 	}
-	e.alerts = append(e.alerts, out...)
 	return out
 }
 
-// processPairs updates the proximity grid and runs pairwise detectors
-// against neighbours.
+// processPairs moves the vessel's contact to the cell of its new position
+// and runs the pairwise detectors against every fresh contact in that cell
+// and the eight around it.
 func (e *Engine) processPairs(s model.VesselState) []Alert {
-	cell := e.grid.Cell(s.Pos)
-	if prev, ok := e.lastPos[s.MMSI]; ok && prev != cell {
-		delete(e.cells[prev], s.MMSI)
-	}
-	m, ok := e.cells[cell]
-	if !ok {
-		m = make(map[uint32]model.VesselState)
-		e.cells[cell] = m
-	}
-	m[s.MMSI] = s
-	e.lastPos[s.MMSI] = cell
-
-	// Collect neighbours in this and adjacent cells, deterministically.
-	var neighbours []model.VesselState
-	consider := func(c geo.CellID) {
-		for mm, st := range e.cells[c] {
-			if mm == s.MMSI {
-				continue
+	id := e.grid.Cell(s.Pos)
+	now := s.At.UnixNano()
+	own := e.visit(id, now) // before lastPos is read: it may expire this vessel's own last report
+	if prev, ok := e.lastPos[s.MMSI]; !ok || prev != id {
+		// The cell left behind keeps its slice for the next vessel through;
+		// if none comes, the first visit staleAfter from now drops it.
+		if c := e.cells[prev]; ok && c != nil {
+			if i, ok := c.find(s.MMSI); ok {
+				c.contacts = slices.Delete(c.contacts, i, i+1)
 			}
-			// Ignore stale co-location (no update in 30 min — generous,
-			// because satellite revisit gaps legitimately silence open-sea
-			// vessels for ~25 min between passes).
-			if s.At.Sub(st.At) > 30*time.Minute || st.At.Sub(s.At) > 30*time.Minute {
-				continue
-			}
-			neighbours = append(neighbours, st)
 		}
+		e.lastPos[s.MMSI] = id
 	}
-	consider(cell)
-	for _, c := range e.grid.Neighbors(cell, nil) {
-		consider(c)
+	if own == nil {
+		own = &cell{oldest: now}
+		e.cells[id] = own
 	}
-	sort.Slice(neighbours, func(i, j int) bool { return neighbours[i].MMSI < neighbours[j].MMSI })
+	i, found := own.find(s.MMSI)
+	if !found {
+		own.contacts = slices.Insert(own.contacts, i, Contact{})
+	}
+	own.contacts[i] = contactOf(s)
+	own.oldest = min(own.oldest, now)
+	self := &own.contacts[i]
 
 	var out []Alert
-	for _, nb := range neighbours {
-		a, b := s, nb
-		if b.MMSI < a.MMSI {
-			a, b = b, a
+	pair := func(c *cell) {
+		for i := range c.contacts {
+			a, b := self, &c.contacts[i]
+			// A neighbour from the future (a report that arrived out of
+			// order) is skipped, not expired: it is fresh to later reports.
+			if b == self || b.at-now > staleAfter {
+				continue
+			}
+			if b.MMSI < a.MMSI {
+				a, b = b, a
+			}
+			for _, d := range e.pairwise {
+				out = append(out, d.ProcessPair(a, b, e.Ctx)...)
+			}
 		}
-		for _, d := range e.pairwise {
-			out = append(out, d.ProcessPair(a, b, e.Ctx)...)
+	}
+	pair(own)
+	var around [8]geo.CellID
+	for _, nid := range e.grid.Neighbors(id, around[:0]) {
+		if c := e.visit(nid, now); c != nil {
+			pair(c)
 		}
+	}
+	// Cells were walked in grid order; alerts go out in neighbour MMSI
+	// order, detector order within a neighbour, whatever the walk was.
+	if len(out) > 1 {
+		other := func(a Alert) uint32 { return a.MMSI + a.Other - s.MMSI }
+		sort.SliceStable(out, func(i, j int) bool { return other(out[i]) < other(out[j]) })
 	}
 	return out
 }
 
-// Alerts returns every alert raised so far.
-func (e *Engine) Alerts() []Alert { return e.alerts }
-
-// AlertsOf filters accumulated alerts by kind.
-func (e *Engine) AlertsOf(k Kind) []Alert {
-	var out []Alert
-	for _, a := range e.alerts {
-		if a.Kind == k {
-			out = append(out, a)
-		}
+// visit returns the cell with the given id, nil if it holds nothing, after
+// expiring the contacts that are more than staleAfter older than now: with
+// event time running forward no later report could pair with them, and
+// their vessels re-enter the grid with their next report.
+func (e *Engine) visit(id geo.CellID, now int64) *cell {
+	c := e.cells[id]
+	if c == nil || now-c.oldest <= staleAfter {
+		return c
 	}
-	return out
+	kept := c.contacts[:0]
+	c.oldest = now
+	for _, k := range c.contacts {
+		if now-k.at > staleAfter {
+			delete(e.lastPos, k.MMSI)
+			continue
+		}
+		kept = append(kept, k)
+		c.oldest = min(c.oldest, k.at)
+	}
+	c.contacts = kept
+	if len(kept) == 0 {
+		delete(e.cells, id)
+		return nil
+	}
+	return c
 }

@@ -151,13 +151,13 @@ func TestRendezvousDetectorViaEngine(t *testing.T) {
 	e.RegisterPair(&RendezvousDetector{ProximityM: 1000, MaxSpeedKn: 2.5, MinDuration: 10 * time.Minute})
 	meet := geo.Point{Lat: 41.0, Lon: 8.5}
 	// Two vessels hold within 300 m for 30 minutes.
+	var got []Alert
 	for i := 0; i <= 60; i++ {
 		pa := geo.Destination(meet, 0, 150)
 		pb := geo.Destination(meet, 180, 150)
-		e.Process(st(100, i*30, pa, 0.4, 0))
-		e.Process(st(200, i*30, pb, 0.5, 180))
+		got = append(got, e.Process(st(100, i*30, pa, 0.4, 0))...)
+		got = append(got, e.Process(st(200, i*30, pb, 0.5, 180))...)
 	}
-	got := e.AlertsOf(KindRendezvous)
 	if len(got) != 1 {
 		t.Fatalf("rendezvous alerts: %d", len(got))
 	}
@@ -169,13 +169,14 @@ func TestRendezvousDetectorViaEngine(t *testing.T) {
 	e2.RegisterPair(&RendezvousDetector{ProximityM: 1000, MaxSpeedKn: 2.5, MinDuration: 10 * time.Minute})
 	a := geo.Point{Lat: 41.0, Lon: 8.0}
 	b := geo.Destination(a, 90, 20000)
+	got = nil
 	for i := 0; i <= 60; i++ {
-		e2.Process(st(100, i*30, a, 12, 90))
-		e2.Process(st(200, i*30, b, 12, 270))
+		got = append(got, e2.Process(st(100, i*30, a, 12, 90))...)
+		got = append(got, e2.Process(st(200, i*30, b, 12, 270))...)
 		a = geo.Project(a, geo.Velocity{SpeedMS: 12 * geo.Knot, CourseDg: 90}, 30)
 		b = geo.Project(b, geo.Velocity{SpeedMS: 12 * geo.Knot, CourseDg: 270}, 30)
 	}
-	if got := e2.AlertsOf(KindRendezvous); len(got) != 0 {
+	if len(got) != 0 {
 		t.Errorf("passing vessels flagged as rendezvous: %v", got)
 	}
 }
@@ -215,6 +216,26 @@ func TestCollisionRiskDetector(t *testing.T) {
 	got = e.Process(st(1, 10, geo.Destination(a, 90, 60), 12, 90))
 	if len(got) != 0 {
 		t.Errorf("cooldown violated: %v", got)
+	}
+}
+
+// The cooldown map holds the pairs still cooling down, not every pair that
+// ever alerted.
+func TestCollisionRiskCooldownMapIsBounded(t *testing.T) {
+	d := &CollisionRiskDetector{}
+	e := NewEngine(testCtx(), 0.1)
+	e.RegisterPair(d)
+	raised := 0
+	for i := 0; i < 500; i++ { // a new head-on pair every minute, each in waters of its own
+		a := geo.Point{Lat: 10 + float64(i%100)/2, Lon: 8 + float64(i/100)}
+		raised += len(e.Process(st(uint32(1000+2*i), i*60, a, 12, 90)))
+		raised += len(e.Process(st(uint32(1001+2*i), i*60, geo.Destination(a, 90, 6000), 12, 270)))
+	}
+	if raised != 500 {
+		t.Fatalf("%d alerts from 500 head-on pairs", raised)
+	}
+	if n := len(d.lastAlert); n > 50 {
+		t.Errorf("cooldown map holds %d pairs after 500 minutes; at most a cooldown's worth should remain", n)
 	}
 }
 
@@ -359,20 +380,27 @@ func TestScorePairOrderInsensitive(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineProcess(b *testing.B) {
-	ctx := testCtx()
-	e := NewEngine(ctx, 0.1)
-	for _, d := range DefaultDetectors() {
-		e.Register(d)
+// A report that raises nothing allocates nothing: the grid keeps its cells
+// and contacts in place, the nine cell ids live on the stack, and no
+// detector builds a slice to return it empty.
+func TestProcessSteadyStateAllocatesNothing(t *testing.T) {
+	e, _ := enginePair(testCtx(), 0.1)
+	// Three vessels 2 km apart in open water, same course and speed: inside
+	// each other's pairing horizon, never converging.
+	pos := []geo.Point{{Lat: 41.000, Lon: 8.3}, {Lat: 41.018, Lon: 8.3}, {Lat: 41.036, Lon: 8.3}}
+	n := 0
+	process := func() {
+		i := n % len(pos)
+		if got := e.Process(st(uint32(227000001+i), n/len(pos)*10, pos[i], 10, 90)); len(got) != 0 {
+			t.Fatalf("report %d raised %v; the scenario is meant to be quiet", n, got)
+		}
+		pos[i] = geo.Project(pos[i], geo.Velocity{SpeedMS: 10 * geo.Knot, CourseDg: 90}, 10)
+		n++
 	}
-	for _, d := range DefaultPairDetectors() {
-		e.RegisterPair(d)
+	for n < 30 {
+		process()
 	}
-	pos := geo.Point{Lat: 41, Lon: 8}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := st(uint32(201000000+i%200), i, geo.Destination(pos, float64(i%360), float64(i%50)*1000), 12, 90)
-		e.Process(s)
+	if allocs := testing.AllocsPerRun(100, process); allocs != 0 {
+		t.Errorf("steady-state Process allocates %.0f times per report, want 0", allocs)
 	}
 }

@@ -697,7 +697,9 @@ func (l *liveSource) Stats(context.Context) SourceStats {
 		st.Points += p.Store.Len()
 		st.Vessels += p.Store.VesselCount() // shards partition the fleet: no double count
 		st.Live += p.Live.Count()
-		st.Alerts += len(p.Alerts())
+		// The counter moves with the alert log; reading it takes no ingest
+		// lock and copies no alert.
+		st.Alerts += int(p.Metrics.Alerts.Load())
 		st.MMSIs = append(st.MMSIs, p.Live.MMSIs()...) // ...and no duplicate identifiers
 		tc := p.Store.Tier()
 		resident += tc.ResidentPoints
