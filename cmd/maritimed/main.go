@@ -167,6 +167,21 @@ func parseRadarLine(line string, at time.Time) (maritime.Detection, bool) {
 	}, true
 }
 
+// The query server's timeouts: a client that has not finished its request
+// headers after readHeaderTimeout, or leaves a keep-alive connection idle
+// for idleTimeout, is disconnected instead of holding a goroutine and a
+// file descriptor for ever. There is no write timeout: /v1/stream
+// responses are long-lived by design.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the query API's server around h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	synopsisTol := flag.Float64("synopsis", 60, "synopsis tolerance in metres (0 = archive everything)")
 	minSeverity := flag.Int("severity", 2, "minimum alert severity to print")
@@ -367,7 +382,7 @@ func main() {
 		if *pprofOn {
 			srv.ServePprof()
 		}
-		httpSrv = &http.Server{Handler: srv}
+		httpSrv = newHTTPServer(srv)
 		go func() {
 			if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "maritimed: query API:", err)

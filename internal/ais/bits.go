@@ -7,7 +7,9 @@
 //
 // The codec is binary-faithful: encoding a message and decoding the
 // resulting sentences yields the original field values up to the standard's
-// own quantisation (positions in 1/10000 minute, speeds in 1/10 knot).
+// own quantisation (positions in 1/10000 minute, speeds in 1/10 knot), and
+// whatever a sentence decodes to re-encodes to a sentence that decodes to
+// the same message (FuzzDecode).
 package ais
 
 import (

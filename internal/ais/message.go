@@ -317,10 +317,10 @@ func (s *StaticVoyage) encode() []byte {
 	w.writeUint(uint64(clampInt(s.DimPort, 0, 63)), 6)
 	w.writeUint(uint64(clampInt(s.DimStarb, 0, 63)), 6)
 	w.writeUint(1, 4) // EPFD: GPS
-	w.writeUint(uint64(clampInt(s.ETA.Month, 0, 12)), 4)
+	w.writeUint(uint64(clampInt(s.ETA.Month, 0, 15)), 4)
 	w.writeUint(uint64(clampInt(s.ETA.Day, 0, 31)), 5)
-	w.writeUint(uint64(clampInt(s.ETA.Hour, 0, 24)), 5)
-	w.writeUint(uint64(clampInt(s.ETA.Minute, 0, 60)), 6)
+	w.writeUint(uint64(clampInt(s.ETA.Hour, 0, 31)), 5)
+	w.writeUint(uint64(clampInt(s.ETA.Minute, 0, 63)), 6)
 	w.writeUint(uint64(clampInt(int(s.Draught*10+0.5), 0, 255)), 8)
 	w.writeString(s.Destination, 20)
 	w.writeUint(0, 1) // DTE
@@ -493,23 +493,26 @@ func decodeCourse(v uint64) float64 {
 	return float64(v) / 10
 }
 
-func encodeLon(deg float64) int64 {
-	if deg < -180 || deg > 180 {
-		deg = LonNotAvailable
-	}
-	return int64(roundHalfAway(deg * 600000))
-}
+func encodeLon(deg float64) int64 { return encodeDegrees(deg, LonNotAvailable, 28) }
 
 func decodeLon(v int64) float64 { return float64(v) / 600000 }
 
-func encodeLat(deg float64) int64 {
-	if deg < -90 || deg > 90 {
-		deg = LatNotAvailable
-	}
-	return int64(roundHalfAway(deg * 600000))
-}
+func encodeLat(deg float64) int64 { return encodeDegrees(deg, LatNotAvailable, 27) }
 
 func decodeLat(v int64) float64 { return float64(v) / 600000 }
+
+// encodeDegrees quantises an angle to 1/10000 minute in an n-bit signed
+// field. It keeps every angle the field can carry, so what a corrupt frame
+// decodes to (up to ±223° of longitude) re-encodes to the same frame;
+// anything else — NaN, past the field — becomes the not-available sentinel.
+func encodeDegrees(deg, notAvailable float64, n int) int64 {
+	lim := float64(int64(1) << (n - 1))
+	v := deg * 600000
+	if !(v > -lim-0.5 && v < lim-0.5) {
+		v = notAvailable * 600000
+	}
+	return int64(roundHalfAway(v))
+}
 
 // encodeROT encodes rate of turn in degrees/minute using the standard's
 // 4.733·sqrt(rot) companding. 128 would mean "not available"; we encode 0

@@ -19,41 +19,28 @@ import (
 // report every 3 min) are absorbed by the threshold choice.
 type DarkDetector struct {
 	Threshold time.Duration
-	last      map[uint32]model.VesselState
 }
 
 // Name implements VesselDetector.
 func (d *DarkDetector) Name() string { return "dark" }
 
 // Process implements VesselDetector.
-func (d *DarkDetector) Process(s model.VesselState, _ *Context) []Alert {
+func (d *DarkDetector) Process(s model.VesselState, r *Record, _ *Context) []Alert {
 	if d.Threshold == 0 {
 		d.Threshold = 10 * time.Minute
 	}
-	if d.last == nil {
-		d.last = make(map[uint32]model.VesselState)
-	}
-	prev, ok := d.last[s.MMSI]
-	d.last[s.MMSI] = s
-	if !ok {
+	if !r.seen {
 		return nil
 	}
-	gap := s.At.Sub(prev.At)
+	gap := s.At.Sub(r.last.At)
 	if gap <= d.Threshold {
 		return nil
 	}
 	return []Alert{{
-		Kind: KindDark, MMSI: s.MMSI, At: s.At, Start: prev.At,
-		Where: prev.Pos, Severity: 2,
+		Kind: KindDark, MMSI: s.MMSI, At: s.At, Start: r.last.At,
+		Where: r.last.Pos, Severity: 2,
 		Note: fmt.Sprintf("silent for %s", gap.Round(time.Second)),
 	}}
-}
-
-// LastSeen exposes the last state per vessel (the open-world layer needs
-// it to reason about what could have happened during silence).
-func (d *DarkDetector) LastSeen(mmsi uint32) (model.VesselState, bool) {
-	s, ok := d.last[mmsi]
-	return s, ok
 }
 
 // --- teleport / position spoofing --------------------------------------------------
@@ -62,35 +49,40 @@ func (d *DarkDetector) LastSeen(mmsi uint32) (model.VesselState, bool) {
 // the kinematic signature of GPS/position spoofing (§1, [36][43]).
 type TeleportDetector struct {
 	MaxSpeedKn float64
-	last       map[uint32]model.VesselState
 }
 
 // Name implements VesselDetector.
 func (d *TeleportDetector) Name() string { return "teleport" }
 
 // Process implements VesselDetector.
-func (d *TeleportDetector) Process(s model.VesselState, _ *Context) []Alert {
+func (d *TeleportDetector) Process(s model.VesselState, r *Record, _ *Context) []Alert {
 	if d.MaxSpeedKn == 0 {
 		d.MaxSpeedKn = 60
 	}
-	if d.last == nil {
-		d.last = make(map[uint32]model.VesselState)
-	}
-	prev, ok := d.last[s.MMSI]
-	d.last[s.MMSI] = s
-	if !ok {
+	if !r.seen {
 		return nil
 	}
-	dt := s.At.Sub(prev.At).Seconds()
+	prev := r.last.Pos
+	dt := s.At.Sub(r.last.At).Seconds()
 	if dt <= 0 {
 		return nil
 	}
-	impliedKn := geo.Distance(prev.Pos, s.Pos) / dt / geo.Knot
+	// Gate: along the meridian, then along the parallel, is a path between
+	// the two fixes, so R·(|Δφ|+|Δλ|) bounds the haversine from above. When
+	// even that implies at most 0.99 × MaxSpeedKn the exact speed cannot
+	// pass MaxSpeedKn, and a quiet Teleport changes no state. Off the
+	// sphere (|lat| > 90) the exact path decides.
+	if math.Abs(prev.Lat) <= 90 && math.Abs(s.Pos.Lat) <= 90 &&
+		geo.EarthRadius*geo.Radians(math.Abs(s.Pos.Lat-prev.Lat)+math.Abs(s.Pos.Lon-prev.Lon)) <=
+			(1-gateMargin)*d.MaxSpeedKn*geo.Knot*dt {
+		return nil
+	}
+	impliedKn := geo.Distance(prev, s.Pos) / dt / geo.Knot
 	if impliedKn <= d.MaxSpeedKn {
 		return nil
 	}
 	return []Alert{{
-		Kind: KindTeleport, MMSI: s.MMSI, At: s.At, Start: prev.At,
+		Kind: KindTeleport, MMSI: s.MMSI, At: s.At, Start: r.last.At,
 		Where: s.Pos, Severity: 3,
 		Note: fmt.Sprintf("implied speed %.0f kn", impliedKn),
 	}}
@@ -107,7 +99,7 @@ type IdentityDetector struct{}
 func (IdentityDetector) Name() string { return "identity" }
 
 // Process implements VesselDetector.
-func (IdentityDetector) Process(s model.VesselState, _ *Context) []Alert {
+func (IdentityDetector) Process(s model.VesselState, _ *Record, _ *Context) []Alert {
 	if s.MMSI >= 200000000 && s.MMSI <= 799999999 {
 		return nil
 	}
@@ -127,16 +119,13 @@ type LoiterDetector struct {
 	RadiusM     float64
 	MinDuration time.Duration
 	MaxSpeedKn  float64
-
-	anchor  map[uint32]model.VesselState
-	alerted map[uint32]bool
 }
 
 // Name implements VesselDetector.
 func (d *LoiterDetector) Name() string { return "loiter" }
 
 // Process implements VesselDetector.
-func (d *LoiterDetector) Process(s model.VesselState, ctx *Context) []Alert {
+func (d *LoiterDetector) Process(s model.VesselState, r *Record, ctx *Context) []Alert {
 	if d.RadiusM == 0 {
 		d.RadiusM = 2000
 	}
@@ -146,29 +135,24 @@ func (d *LoiterDetector) Process(s model.VesselState, ctx *Context) []Alert {
 	if d.MaxSpeedKn == 0 {
 		d.MaxSpeedKn = 3.5
 	}
-	if d.anchor == nil {
-		d.anchor = make(map[uint32]model.VesselState)
-		d.alerted = make(map[uint32]bool)
-	}
-	anchor, ok := d.anchor[s.MMSI]
-	moved := !ok || geo.Distance(anchor.Pos, s.Pos) > d.RadiusM || s.SpeedKn > d.MaxSpeedKn
-	inPort := ctx.InPort(s.Pos)
-	if moved || inPort {
-		d.anchor[s.MMSI] = s
-		d.alerted[s.MMSI] = false
+	// Cheapest test first: a fast vessel has moved whatever the haversine
+	// says, and a vessel that moved re-anchors whatever the port zones say.
+	moved := !r.anchored || s.SpeedKn > d.MaxSpeedKn || geo.Distance(r.anchor.Pos, s.Pos) > d.RadiusM
+	if moved || ctx.InPort(s.Pos) {
+		r.anchor, r.anchored, r.loitered = s, true, false
 		return nil
 	}
-	if d.alerted[s.MMSI] {
+	if r.loitered {
 		return nil
 	}
-	dwell := s.At.Sub(anchor.At)
+	dwell := s.At.Sub(r.anchor.At)
 	if dwell < d.MinDuration {
 		return nil
 	}
-	d.alerted[s.MMSI] = true
+	r.loitered = true
 	return []Alert{{
-		Kind: KindLoiter, MMSI: s.MMSI, At: s.At, Start: anchor.At,
-		Where: anchor.Pos, Severity: 2,
+		Kind: KindLoiter, MMSI: s.MMSI, At: s.At, Start: r.anchor.At,
+		Where: r.anchor.Pos, Severity: 2,
 		Note: fmt.Sprintf("holding within %.0f m for %s", d.RadiusM, dwell.Round(time.Minute)),
 	}}
 }
@@ -180,7 +164,6 @@ func (d *LoiterDetector) Process(s model.VesselState, ctx *Context) []Alert {
 // needs NumSamples consecutive drifting samples to fire.
 type DriftDetector struct {
 	NumSamples int
-	state      map[uint32]*driftState
 }
 
 type driftState struct {
@@ -195,18 +178,11 @@ type driftState struct {
 func (d *DriftDetector) Name() string { return "drift" }
 
 // Process implements VesselDetector.
-func (d *DriftDetector) Process(s model.VesselState, ctx *Context) []Alert {
+func (d *DriftDetector) Process(s model.VesselState, r *Record, ctx *Context) []Alert {
 	if d.NumSamples == 0 {
 		d.NumSamples = 20
 	}
-	if d.state == nil {
-		d.state = make(map[uint32]*driftState)
-	}
-	st, ok := d.state[s.MMSI]
-	if !ok {
-		st = &driftState{}
-		d.state[s.MMSI] = st
-	}
+	st := &r.drift
 	drifting := s.SpeedKn >= 0.3 && s.SpeedKn <= 2.5 && !ctx.InPort(s.Pos)
 	if s.Status == ais.StatusNotUnderCmd {
 		drifting = true
@@ -256,7 +232,7 @@ type SpeedAnomalyDetector struct {
 func (d *SpeedAnomalyDetector) Name() string { return "speed" }
 
 // Process implements VesselDetector.
-func (d *SpeedAnomalyDetector) Process(s model.VesselState, _ *Context) []Alert {
+func (d *SpeedAnomalyDetector) Process(s model.VesselState, _ *Record, _ *Context) []Alert {
 	max := d.MaxKn
 	if max == 0 {
 		max = 50
@@ -276,37 +252,29 @@ func (d *SpeedAnomalyDetector) Process(s model.VesselState, _ *Context) []Alert 
 // explicit fishing status) sustained inside protected areas.
 type ZoneViolationDetector struct {
 	MinSamples int
-	counts     map[uint32]int
-	alerted    map[uint32]bool
 }
 
 // Name implements VesselDetector.
 func (d *ZoneViolationDetector) Name() string { return "zone-violation" }
 
 // Process implements VesselDetector.
-func (d *ZoneViolationDetector) Process(s model.VesselState, ctx *Context) []Alert {
+func (d *ZoneViolationDetector) Process(s model.VesselState, r *Record, ctx *Context) []Alert {
 	if d.MinSamples == 0 {
 		d.MinSamples = 10
-	}
-	if d.counts == nil {
-		d.counts = make(map[uint32]int)
-		d.alerted = make(map[uint32]bool)
 	}
 	if ctx == nil || ctx.Zones == nil {
 		return nil
 	}
 	fishingLike := s.Status == ais.StatusFishing || (s.SpeedKn > 0.5 && s.SpeedKn < 6)
-	inside := ctx.Zones.InAny(s.Pos, zones.KindProtectedArea)
-	if !inside || !fishingLike {
-		d.counts[s.MMSI] = 0
-		d.alerted[s.MMSI] = false
+	if !fishingLike || !ctx.Zones.InAny(s.Pos, zones.KindProtectedArea) {
+		r.zoneCount, r.zoneAlerted = 0, false
 		return nil
 	}
-	d.counts[s.MMSI]++
-	if d.alerted[s.MMSI] || d.counts[s.MMSI] < d.MinSamples {
+	r.zoneCount++
+	if r.zoneAlerted || r.zoneCount < d.MinSamples {
 		return nil
 	}
-	d.alerted[s.MMSI] = true
+	r.zoneAlerted = true
 	return []Alert{{
 		Kind: KindZoneViolation, MMSI: s.MMSI, At: s.At, Start: s.At, Where: s.Pos,
 		Severity: 3, Note: "fishing-like behaviour inside protected area",

@@ -93,21 +93,38 @@ func (c *Context) InPort(p geo.Point) bool {
 	return c.Zones.InAny(p, zones.KindPort) || c.Zones.InAny(p, zones.KindAnchorage)
 }
 
-// VesselDetector is a per-vessel streaming detector. Implementations keep
-// per-vessel state internally, keyed by MMSI.
+// VesselDetector is a per-vessel streaming detector. This package's
+// detectors keep what they remember of a vessel in its Record; one from
+// outside the package keeps its own per-vessel state.
 type VesselDetector interface {
 	Name() string
-	// Process consumes the next state of any vessel (time-ordered per
-	// vessel) and returns zero or more alerts.
-	Process(s model.VesselState, ctx *Context) []Alert
+	// Process consumes the next state of a vessel (time-ordered per
+	// vessel) with that vessel's record and returns zero or more alerts.
+	Process(s model.VesselState, r *Record, ctx *Context) []Alert
 }
 
-// Engine fans states to detectors and maintains the proximity grid
-// pairwise detectors need.
+// Record is what the per-vessel battery remembers of one vessel, looked up
+// once per report; the report becomes its last after the battery.
+type Record struct {
+	last               model.VesselState // the previous report (Dark, Teleport), once seen
+	seen               bool
+	anchor             model.VesselState // Loiter's anchor, once anchored
+	anchored, loitered bool              // loitered: alerted on this anchor
+	drift              driftState
+	zoneCount          int // consecutive fishing-like reports in a protected area
+	zoneAlerted        bool
+}
+
+// advance makes s the vessel's last report.
+func (r *Record) advance(s model.VesselState) { r.last, r.seen = s, true }
+
+// Engine fans states to detectors, keeps the per-vessel records and
+// maintains the proximity grid pairwise detectors need.
 type Engine struct {
 	Ctx       *Context
 	detectors []VesselDetector
 	pairwise  []PairDetector
+	records   map[uint32]*Record
 
 	grid    geo.Grid
 	cells   map[geo.CellID]*cell
@@ -173,14 +190,26 @@ func NewEngine(ctx *Context, proximityDeg float64) *Engine {
 	}
 	return &Engine{
 		Ctx:     ctx,
+		records: make(map[uint32]*Record),
 		grid:    geo.NewGrid(proximityDeg),
 		cells:   make(map[geo.CellID]*cell),
 		lastPos: make(map[uint32]geo.CellID),
 	}
 }
 
-// Register adds a per-vessel detector.
-func (e *Engine) Register(d VesselDetector) { e.detectors = append(e.detectors, d) }
+// Register adds a per-vessel detector. It panics on a second one of a kind
+// with a Record slot of its own: the two would corrupt each other's state.
+func (e *Engine) Register(d VesselDetector) {
+	switch d.(type) {
+	case *LoiterDetector, *DriftDetector, *ZoneViolationDetector:
+		for _, o := range e.detectors {
+			if fmt.Sprintf("%T", o) == fmt.Sprintf("%T", d) {
+				panic("events: a second " + d.Name() + " detector would share the first one's per-vessel state")
+			}
+		}
+	}
+	e.detectors = append(e.detectors, d)
+}
 
 // RegisterPair adds a pairwise detector.
 func (e *Engine) RegisterPair(d PairDetector) { e.pairwise = append(e.pairwise, d) }
@@ -188,8 +217,16 @@ func (e *Engine) RegisterPair(d PairDetector) { e.pairwise = append(e.pairwise, 
 // Process consumes one state update and returns the alerts it raised.
 func (e *Engine) Process(s model.VesselState) []Alert {
 	var out []Alert
-	for _, d := range e.detectors {
-		out = append(out, d.Process(s, e.Ctx)...)
+	if len(e.detectors) > 0 {
+		r := e.records[s.MMSI]
+		if r == nil {
+			r = &Record{}
+			e.records[s.MMSI] = r
+		}
+		for _, d := range e.detectors {
+			out = append(out, d.Process(s, r, e.Ctx)...)
+		}
+		r.advance(s)
 	}
 	if len(e.pairwise) > 0 {
 		out = append(out, e.processPairs(s)...)

@@ -28,16 +28,24 @@ func st(mmsi uint32, sec int, pos geo.Point, speedKn, course float64) model.Vess
 	}
 }
 
+// step runs d over s with the vessel's record r, then advances r, as
+// Engine.Process does after the whole battery.
+func step(d VesselDetector, s model.VesselState, r *Record, ctx *Context) []Alert {
+	defer r.advance(s)
+	return d.Process(s, r, ctx)
+}
+
 func TestDarkDetector(t *testing.T) {
 	d := &DarkDetector{Threshold: 5 * time.Minute}
+	r := &Record{}
 	p := geo.Point{Lat: 41, Lon: 7}
-	if got := d.Process(st(1, 0, p, 10, 90), nil); len(got) != 0 {
+	if got := step(d, st(1, 0, p, 10, 90), r, nil); len(got) != 0 {
 		t.Fatal("first sample should not alert")
 	}
-	if got := d.Process(st(1, 60, p, 10, 90), nil); len(got) != 0 {
+	if got := step(d, st(1, 60, p, 10, 90), r, nil); len(got) != 0 {
 		t.Fatal("one-minute gap should not alert")
 	}
-	got := d.Process(st(1, 60+700, p, 10, 90), nil)
+	got := step(d, st(1, 60+700, p, 10, 90), r, nil)
 	if len(got) != 1 || got[0].Kind != KindDark {
 		t.Fatalf("11-minute gap should alert: %v", got)
 	}
@@ -48,26 +56,27 @@ func TestDarkDetector(t *testing.T) {
 
 func TestTeleportDetector(t *testing.T) {
 	d := &TeleportDetector{MaxSpeedKn: 60}
+	r := &Record{}
 	a := geo.Point{Lat: 41, Lon: 7}
 	b := geo.Destination(a, 90, 40000) // 40 km in 60 s: ≈1300 kn
-	d.Process(st(1, 0, a, 12, 90), nil)
-	got := d.Process(st(1, 60, b, 12, 90), nil)
+	step(d, st(1, 0, a, 12, 90), r, nil)
+	got := step(d, st(1, 60, b, 12, 90), r, nil)
 	if len(got) != 1 || got[0].Kind != KindTeleport {
 		t.Fatalf("teleport not flagged: %v", got)
 	}
 	// Plausible movement does not alert.
 	c := geo.Destination(b, 90, 400)
-	if got := d.Process(st(1, 120, c, 12, 90), nil); len(got) != 0 {
+	if got := step(d, st(1, 120, c, 12, 90), r, nil); len(got) != 0 {
 		t.Errorf("normal movement flagged: %v", got)
 	}
 }
 
 func TestIdentityDetector(t *testing.T) {
 	d := IdentityDetector{}
-	if got := d.Process(st(227000001, 0, geo.Point{Lat: 41, Lon: 7}, 10, 0), nil); len(got) != 0 {
+	if got := d.Process(st(227000001, 0, geo.Point{Lat: 41, Lon: 7}, 10, 0), nil, nil); len(got) != 0 {
 		t.Error("valid MMSI flagged")
 	}
-	if got := d.Process(st(912345678, 0, geo.Point{Lat: 41, Lon: 7}, 10, 0), nil); len(got) != 1 {
+	if got := d.Process(st(912345678, 0, geo.Point{Lat: 41, Lon: 7}, 10, 0), nil, nil); len(got) != 1 {
 		t.Error("9xx MMSI not flagged")
 	}
 }
@@ -75,22 +84,24 @@ func TestIdentityDetector(t *testing.T) {
 func TestLoiterDetector(t *testing.T) {
 	ctx := testCtx()
 	d := &LoiterDetector{RadiusM: 2000, MinDuration: 20 * time.Minute, MaxSpeedKn: 3.5}
+	r := &Record{}
 	base := geo.Point{Lat: 41.5, Lon: 8.0} // open sea
 	// 40 minutes of sub-1kn wandering within 500 m.
 	var alerts []Alert
 	for i := 0; i <= 80; i++ {
 		p := geo.Destination(base, float64(i*37%360), float64(i%5)*100)
-		alerts = append(alerts, d.Process(st(1, i*30, p, 0.8, float64(i%360)), ctx)...)
+		alerts = append(alerts, d.Process(st(1, i*30, p, 0.8, float64(i%360)), r, ctx)...)
 	}
 	if len(alerts) != 1 || alerts[0].Kind != KindLoiter {
 		t.Fatalf("expected exactly one loiter alert, got %d", len(alerts))
 	}
 	// The same pattern inside a port must not alert.
 	d2 := &LoiterDetector{RadiusM: 2000, MinDuration: 20 * time.Minute, MaxSpeedKn: 3.5}
+	r2 := &Record{}
 	port := geo.Point{Lat: 43.0, Lon: 5.0}
 	for i := 0; i <= 80; i++ {
 		p := geo.Destination(port, float64(i*37%360), float64(i%5)*100)
-		if got := d2.Process(st(2, i*30, p, 0.5, 0), ctx); len(got) != 0 {
+		if got := d2.Process(st(2, i*30, p, 0.5, 0), r2, ctx); len(got) != 0 {
 			t.Fatal("loiter alert inside port")
 		}
 	}
@@ -99,6 +110,7 @@ func TestLoiterDetector(t *testing.T) {
 func TestDriftDetector(t *testing.T) {
 	ctx := testCtx()
 	d := &DriftDetector{NumSamples: 10}
+	r := &Record{}
 	pos := geo.Point{Lat: 41.5, Lon: 8.0}
 	var alerts []Alert
 	course := 10.0
@@ -106,7 +118,7 @@ func TestDriftDetector(t *testing.T) {
 		course += float64((i%7 - 3) * 4) // wandering course
 		s := st(1, i*30, pos, 1.2, course)
 		s.Status = ais.StatusNotUnderCmd
-		alerts = append(alerts, d.Process(s, ctx)...)
+		alerts = append(alerts, d.Process(s, r, ctx)...)
 		pos = geo.Project(pos, geo.Velocity{SpeedMS: 1.2 * geo.Knot, CourseDg: course}, 30)
 	}
 	if len(alerts) != 1 || alerts[0].Kind != KindDrift {
@@ -114,9 +126,10 @@ func TestDriftDetector(t *testing.T) {
 	}
 	// A vessel transiting normally never alerts.
 	d2 := &DriftDetector{NumSamples: 10}
+	r2 := &Record{}
 	pos = geo.Point{Lat: 41.5, Lon: 8.0}
 	for i := 0; i < 30; i++ {
-		if got := d2.Process(st(2, i*30, pos, 14, 90), ctx); len(got) != 0 {
+		if got := d2.Process(st(2, i*30, pos, 14, 90), r2, ctx); len(got) != 0 {
 			t.Fatal("transit flagged as drift")
 		}
 		pos = geo.Project(pos, geo.Velocity{SpeedMS: 14 * geo.Knot, CourseDg: 90}, 30)
@@ -126,23 +139,41 @@ func TestDriftDetector(t *testing.T) {
 func TestZoneViolationDetector(t *testing.T) {
 	ctx := testCtx()
 	d := &ZoneViolationDetector{MinSamples: 5}
+	r := &Record{}
 	inside := geo.Point{Lat: 42.2, Lon: 6.4}
 	var alerts []Alert
 	for i := 0; i < 10; i++ {
 		s := st(1, i*30, inside, 3, float64(i*20))
 		s.Status = ais.StatusFishing
-		alerts = append(alerts, d.Process(s, ctx)...)
+		alerts = append(alerts, d.Process(s, r, ctx)...)
 	}
 	if len(alerts) != 1 || alerts[0].Kind != KindZoneViolation {
 		t.Fatalf("zone violation alerts: %v", alerts)
 	}
 	// Fast transit through the reserve does not alert.
 	d2 := &ZoneViolationDetector{MinSamples: 5}
+	r2 := &Record{}
 	for i := 0; i < 10; i++ {
-		if got := d2.Process(st(2, i*30, inside, 15, 90), ctx); len(got) != 0 {
+		if got := d2.Process(st(2, i*30, inside, 15, 90), r2, ctx); len(got) != 0 {
 			t.Fatal("transit through reserve flagged")
 		}
 	}
+}
+
+// Two detectors writing one Record slot would corrupt each other's state;
+// Register refuses the second, and only that.
+func TestRegisterRefusesSharedSlot(t *testing.T) {
+	e := NewEngine(nil, 0)
+	for _, d := range DefaultDetectors() {
+		e.Register(d)
+	}
+	e.Register(&DarkDetector{Threshold: time.Hour}) // reads the shared last report only
+	defer func() {
+		if recover() == nil {
+			t.Error("a second loiter detector registered")
+		}
+	}()
+	e.Register(&LoiterDetector{RadiusM: 500})
 }
 
 func TestRendezvousDetectorViaEngine(t *testing.T) {

@@ -3,21 +3,30 @@ package events
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/ais"
 	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/zones"
 )
 
-// The reference for the differential tests below: the pairwise half of the
-// engine as it stood before the ordered grid — a map of maps per cell, every
-// neighbour collected and sorted by MMSI for every report, a staleness check
-// on every visit, and the two pair detectors with no gate in front of the
-// exact math. The production engine must raise the same alerts, field for
-// field and in the same order.
+// The reference for the differential tests below: the engine as it stood
+// before the per-vessel record and the ordered grid. Per vessel, every
+// stateful detector keeps its own maps keyed by MMSI and takes the exact
+// math on every report; pairwise, a map of maps per cell, every neighbour
+// collected and sorted by MMSI for every report, a staleness check on every
+// visit, and the two pair detectors with no gate in front of the exact
+// math. The production engine must raise the same alerts, field for field
+// and in the same order.
+
+type refVesselDetector interface {
+	Process(s model.VesselState, ctx *Context) []Alert
+}
 
 type refPairDetector interface {
 	ProcessPair(a, b model.VesselState, ctx *Context) []Alert
@@ -25,7 +34,7 @@ type refPairDetector interface {
 
 type refEngine struct {
 	ctx       *Context
-	detectors []VesselDetector
+	detectors []refVesselDetector
 	pairwise  []refPairDetector
 	grid      geo.Grid
 	cells     map[geo.CellID]map[uint32]model.VesselState
@@ -94,6 +103,200 @@ func (e *refEngine) processPairs(s model.VesselState) []Alert {
 		}
 	}
 	return out
+}
+
+// stateless runs a detector that keeps nothing per vessel (Identity,
+// SpeedAnomaly) as it runs in the engine, without a record.
+type stateless struct{ VesselDetector }
+
+func (d stateless) Process(s model.VesselState, ctx *Context) []Alert {
+	return d.VesselDetector.Process(s, nil, ctx)
+}
+
+type refDark struct {
+	Threshold time.Duration
+	last      map[uint32]model.VesselState
+}
+
+func (d *refDark) Process(s model.VesselState, _ *Context) []Alert {
+	if d.last == nil {
+		d.last = make(map[uint32]model.VesselState)
+	}
+	prev, ok := d.last[s.MMSI]
+	d.last[s.MMSI] = s
+	if !ok {
+		return nil
+	}
+	gap := s.At.Sub(prev.At)
+	if gap <= d.Threshold {
+		return nil
+	}
+	return []Alert{{
+		Kind: KindDark, MMSI: s.MMSI, At: s.At, Start: prev.At,
+		Where: prev.Pos, Severity: 2,
+		Note: fmt.Sprintf("silent for %s", gap.Round(time.Second)),
+	}}
+}
+
+type refTeleport struct {
+	MaxSpeedKn float64
+	last       map[uint32]model.VesselState
+}
+
+func (d *refTeleport) Process(s model.VesselState, _ *Context) []Alert {
+	if d.last == nil {
+		d.last = make(map[uint32]model.VesselState)
+	}
+	prev, ok := d.last[s.MMSI]
+	d.last[s.MMSI] = s
+	if !ok {
+		return nil
+	}
+	dt := s.At.Sub(prev.At).Seconds()
+	if dt <= 0 {
+		return nil
+	}
+	impliedKn := geo.Distance(prev.Pos, s.Pos) / dt / geo.Knot
+	if impliedKn <= d.MaxSpeedKn {
+		return nil
+	}
+	return []Alert{{
+		Kind: KindTeleport, MMSI: s.MMSI, At: s.At, Start: prev.At,
+		Where: s.Pos, Severity: 3,
+		Note: fmt.Sprintf("implied speed %.0f kn", impliedKn),
+	}}
+}
+
+type refLoiter struct {
+	RadiusM     float64
+	MinDuration time.Duration
+	MaxSpeedKn  float64
+	anchor      map[uint32]model.VesselState
+	alerted     map[uint32]bool
+}
+
+func (d *refLoiter) Process(s model.VesselState, ctx *Context) []Alert {
+	if d.anchor == nil {
+		d.anchor = make(map[uint32]model.VesselState)
+		d.alerted = make(map[uint32]bool)
+	}
+	anchor, ok := d.anchor[s.MMSI]
+	moved := !ok || geo.Distance(anchor.Pos, s.Pos) > d.RadiusM || s.SpeedKn > d.MaxSpeedKn
+	inPort := ctx.InPort(s.Pos)
+	if moved || inPort {
+		d.anchor[s.MMSI] = s
+		d.alerted[s.MMSI] = false
+		return nil
+	}
+	if d.alerted[s.MMSI] {
+		return nil
+	}
+	dwell := s.At.Sub(anchor.At)
+	if dwell < d.MinDuration {
+		return nil
+	}
+	d.alerted[s.MMSI] = true
+	return []Alert{{
+		Kind: KindLoiter, MMSI: s.MMSI, At: s.At, Start: anchor.At,
+		Where: anchor.Pos, Severity: 2,
+		Note: fmt.Sprintf("holding within %.0f m for %s", d.RadiusM, dwell.Round(time.Minute)),
+	}}
+}
+
+type refDrift struct {
+	NumSamples int
+	state      map[uint32]*driftState
+}
+
+func (d *refDrift) Process(s model.VesselState, ctx *Context) []Alert {
+	if d.state == nil {
+		d.state = make(map[uint32]*driftState)
+	}
+	st, ok := d.state[s.MMSI]
+	if !ok {
+		st = &driftState{}
+		d.state[s.MMSI] = st
+	}
+	drifting := s.SpeedKn >= 0.3 && s.SpeedKn <= 2.5 && !ctx.InPort(s.Pos)
+	if s.Status == ais.StatusNotUnderCmd {
+		drifting = true
+	}
+	if !drifting {
+		st.count = 0
+		st.courseVar = 0
+		st.alerted = false
+		return nil
+	}
+	if st.count == 0 {
+		st.firstAt = s.At
+		st.lastCourse = s.CourseDeg
+	} else {
+		diff := math.Abs(geo.NormalizeBearing(s.CourseDeg - st.lastCourse))
+		if diff > 180 {
+			diff = 360 - diff
+		}
+		st.courseVar += diff
+		st.lastCourse = s.CourseDeg
+	}
+	st.count++
+	if st.alerted || st.count < d.NumSamples {
+		return nil
+	}
+	if s.Status != ais.StatusNotUnderCmd && st.courseVar/float64(st.count) < 1.5 {
+		return nil
+	}
+	st.alerted = true
+	return []Alert{{
+		Kind: KindDrift, MMSI: s.MMSI, At: s.At, Start: st.firstAt,
+		Where: s.Pos, Severity: 3,
+		Note: fmt.Sprintf("adrift since %s", st.firstAt.Format("15:04")),
+	}}
+}
+
+type refZone struct {
+	MinSamples int
+	counts     map[uint32]int
+	alerted    map[uint32]bool
+}
+
+func (d *refZone) Process(s model.VesselState, ctx *Context) []Alert {
+	if d.counts == nil {
+		d.counts = make(map[uint32]int)
+		d.alerted = make(map[uint32]bool)
+	}
+	if ctx == nil || ctx.Zones == nil {
+		return nil
+	}
+	fishingLike := s.Status == ais.StatusFishing || (s.SpeedKn > 0.5 && s.SpeedKn < 6)
+	inside := ctx.Zones.InAny(s.Pos, zones.KindProtectedArea)
+	if !inside || !fishingLike {
+		d.counts[s.MMSI] = 0
+		d.alerted[s.MMSI] = false
+		return nil
+	}
+	d.counts[s.MMSI]++
+	if d.alerted[s.MMSI] || d.counts[s.MMSI] < d.MinSamples {
+		return nil
+	}
+	d.alerted[s.MMSI] = true
+	return []Alert{{
+		Kind: KindZoneViolation, MMSI: s.MMSI, At: s.At, Start: s.At, Where: s.Pos,
+		Severity: 3, Note: "fishing-like behaviour inside protected area",
+	}}
+}
+
+// refBattery is DefaultDetectors' battery in the reference's form, with the
+// defaults the production detectors fill in spelled out.
+func refBattery() []refVesselDetector {
+	return []refVesselDetector{
+		&refDark{Threshold: 10 * time.Minute},
+		&refTeleport{MaxSpeedKn: 60},
+		stateless{IdentityDetector{}},
+		&refLoiter{RadiusM: 2000, MinDuration: 25 * time.Minute, MaxSpeedKn: 3.5},
+		&refDrift{NumSamples: 20},
+		stateless{&SpeedAnomalyDetector{}},
+		&refZone{MinSamples: 10},
+	}
 }
 
 type refRendezvous struct {
@@ -218,8 +421,9 @@ func refCPA(a, b model.VesselState) (cpaM, tcpaSec float64) {
 }
 
 // enginePair builds the production engine and the reference over the same
-// context with the full default battery: fresh per-vessel detectors on each
-// side, the default pair detectors against their ungated originals.
+// context with the full default battery: the record-keeping, gated
+// per-vessel detectors against their map-keyed originals, the default pair
+// detectors against their ungated originals.
 func enginePair(ctx *Context, proximityDeg float64) (*Engine, *refEngine) {
 	e := NewEngine(ctx, proximityDeg)
 	for _, d := range DefaultDetectors() {
@@ -229,7 +433,7 @@ func enginePair(ctx *Context, proximityDeg float64) (*Engine, *refEngine) {
 		e.RegisterPair(d)
 	}
 	ref := newRefEngine(ctx, proximityDeg)
-	ref.detectors = DefaultDetectors()
+	ref.detectors = refBattery()
 	ref.pairwise = []refPairDetector{&refRendezvous{}, &refCollision{}}
 	return e, ref
 }
@@ -259,8 +463,8 @@ func simFeed(tb testing.TB, seed int64, vessels int, dur time.Duration) ([]model
 }
 
 // diffFeed replays feed through both engines, fails on the first report
-// whose alerts differ in any field or in order, and returns the pair alerts.
-func diffFeed(t *testing.T, e *Engine, ref *refEngine, feed []model.VesselState) (pairs []Alert) {
+// whose alerts differ in any field or in order, and returns the alerts.
+func diffFeed(t *testing.T, e *Engine, ref *refEngine, feed []model.VesselState) (alerts []Alert) {
 	t.Helper()
 	for i, s := range feed {
 		got, want := e.Process(s), ref.Process(s)
@@ -272,19 +476,39 @@ func diffFeed(t *testing.T, e *Engine, ref *refEngine, feed []model.VesselState)
 			if got[j] != want[j] {
 				t.Fatalf("report %d alert %d:\n got %+v\nwant %+v", i, j, got[j], want[j])
 			}
-			if got[j].Other != 0 {
-				pairs = append(pairs, got[j])
-			}
 		}
+		alerts = append(alerts, got...)
 	}
-	return pairs
+	return alerts
+}
+
+// pairsOf keeps the pair alerts of as, vesselOf the per-vessel ones.
+func pairsOf(as []Alert) []Alert {
+	return slices.DeleteFunc(slices.Clone(as), func(a Alert) bool { return a.Other == 0 })
+}
+func vesselOf(as []Alert) []Alert {
+	return slices.DeleteFunc(slices.Clone(as), func(a Alert) bool { return a.Other != 0 })
 }
 
 func TestEngineMatchesReferenceOnSimFeeds(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		feed, ctx := simFeed(t, seed, 600, 30*time.Minute)
 		e, ref := enginePair(ctx, 0.1)
-		if len(diffFeed(t, e, ref, feed)) == 0 {
+		alerts := diffFeed(t, e, ref, feed)
+		kinds := map[Kind]int{}
+		for _, a := range alerts {
+			kinds[a.Kind]++
+		}
+		// What each seed's 30 minutes can show: the pair kinds, and of the
+		// per-vessel battery the dark, spoofing and identity anomalies the
+		// default profile injects. Loiter and drift need longer feeds; the
+		// edges below cover them.
+		for _, k := range []Kind{KindDark, KindTeleport, KindIdentity} {
+			if kinds[k] == 0 {
+				t.Errorf("seed %d: no %s alert in %d reports (%v); the feed stops exercising it", seed, k, len(feed), kinds)
+			}
+		}
+		if len(pairsOf(alerts)) == 0 {
 			t.Errorf("seed %d: no pair alert in %d reports; the feed exercises nothing", seed, len(feed))
 		}
 	}
@@ -391,7 +615,7 @@ func TestEngineMatchesReferenceOnEdges(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e, ref := enginePair(testCtx(), 0.1)
-			got := diffFeed(t, e, ref, tc.feed)
+			got := pairsOf(diffFeed(t, e, ref, tc.feed))
 			if tc.want == nil {
 				return // corners: whatever the reference says, as long as both say it
 			}
@@ -401,6 +625,109 @@ func TestEngineMatchesReferenceOnEdges(t *testing.T) {
 			for i, w := range tc.want {
 				if g := got[i]; g.Kind != w.Kind || g.MMSI != w.MMSI || g.Other != w.Other || !g.Start.Equal(w.Start) {
 					t.Errorf("pair alert %d: %v (start %s), want %s %d/%d from %s", i, g, g.Start.Format("15:04:05"), w.Kind, w.MMSI, w.Other, w.Start.Format("15:04:05"))
+				}
+			}
+		})
+	}
+}
+
+// Hand-built feeds for where the record and the per-vessel gates differ
+// most from the map-keyed, ungated battery. Like the pair edges, each is
+// diffed against the reference and states the alerts it expects.
+func TestBatteryMatchesReferenceOnEdges(t *testing.T) {
+	const (
+		min = time.Minute
+		v1  = 227000001 // valid MMSIs: no identity alert in the way
+		v2  = 227000002
+	)
+	sea := geo.Point{Lat: 41.0, Lon: 8.0} // open water in testCtx
+	north := func(p geo.Point, m float64) geo.Point { return geo.Destination(p, 0, m) }
+	kn60 := 60 * geo.Knot * 60 // metres a minute at Teleport's 60 kn
+
+	// Stationary for 40 min in port (the anchor resets every report) and at
+	// sea (one loiter alert once 25 min have passed); then the one at sea
+	// sails 5 km and holds again: a new anchor, a new alert.
+	port := geo.Point{Lat: 43.0, Lon: 5.0}
+	var hold []model.VesselState
+	for i := 0; i <= 40; i++ {
+		hold = append(hold, at(v1, time.Duration(i)*min, port, 0.1, 0), at(v2, time.Duration(i)*min, sea, 0.1, 0))
+	}
+	for i := 41; i <= 80; i++ {
+		p, kn := north(sea, 5000), 0.1
+		if i <= 45 {
+			p, kn = north(sea, float64(i-40)*1000), 12
+		}
+		hold = append(hold, at(v2, time.Duration(i)*min, p, kn, 0))
+	}
+	// Fishing in the reserve for twelve reports, then transiting through it.
+	reserve := geo.Point{Lat: 42.2, Lon: 6.4}
+	var fish []model.VesselState
+	for i := 0; i < 16; i++ {
+		s := at(v1, time.Duration(i)*min, reserve, 3, float64(i*20))
+		if i < 12 {
+			s.Status = ais.StatusFishing
+		} else {
+			s.SpeedKn = 15
+		}
+		fish = append(fish, s)
+	}
+
+	cases := []struct {
+		name string
+		feed []model.VesselState
+		want []Alert // compared on kind, vessel and time
+	}{
+		{"dark for hours, one reappearing where it could sail, one not", []model.VesselState{
+			at(v1, 0, sea, 12, 0), at(v2, 0, geo.Point{Lat: 40, Lon: 6}, 12, 90),
+			at(v1, 3*time.Hour, north(sea, 100e3), 12, 0),                                       // 18 kn
+			at(v2, 3*time.Hour, geo.Destination(geo.Point{Lat: 40, Lon: 6}, 90, 1.1e6), 12, 90), // ≈ 200 kn
+		}, []Alert{
+			{Kind: KindDark, MMSI: v1, At: t0().Add(3 * time.Hour)},
+			{Kind: KindDark, MMSI: v2, At: t0().Add(3 * time.Hour)},
+			{Kind: KindTeleport, MMSI: v2, At: t0().Add(3 * time.Hour)},
+		}},
+		{"antimeridian hops", []model.VesselState{
+			at(v1, 0, geo.Point{Lat: 0.5, Lon: 179.995}, 12, 270),
+			at(v1, min, geo.Point{Lat: 0.5, Lon: -179.995}, 12, 270),              // 1.1 km east: 36 kn
+			at(v1, min+10*time.Second, geo.Point{Lat: 0.5, Lon: 179.99}, 12, 270), // 1.7 km back: 324 kn
+		}, []Alert{{Kind: KindTeleport, MMSI: v1, At: t0().Add(min + 10*time.Second)}}},
+		{"implied speed at MaxSpeedKn", []model.VesselState{
+			at(v1, 0, sea, 12, 0), at(v1, min, north(sea, kn60), 12, 0), // either side, as the rounding falls
+		}, nil},
+		{"implied speed within 1% of MaxSpeedKn", []model.VesselState{
+			at(v1, 0, sea, 12, 0),
+			at(v1, min, north(sea, 1.005*kn60), 12, 0),                      // 60.3 kn: inside the margin, over the limit
+			at(v1, 2*min, north(north(sea, 1.005*kn60), 0.995*kn60), 12, 0), // 59.7 kn: inside the margin, under it
+			at(v2, 0, geo.Point{Lat: 60, Lon: 8}, 12, 90),
+			at(v2, min, geo.Destination(geo.Point{Lat: 60, Lon: 8}, 90, 1.005*kn60), 12, 90), // east at 60°: a loose bound
+		}, []Alert{
+			{Kind: KindTeleport, MMSI: v1, At: t0().Add(min)},
+			{Kind: KindTeleport, MMSI: v2, At: t0().Add(min)},
+		}},
+		{"|lat| > 90, as DisableQuality lets through", []model.VesselState{
+			at(v1, 0, geo.Point{Lat: 95, Lon: 8}, 12, 0),
+			at(v1, min, geo.Point{Lat: 95.01, Lon: 8}, 12, 0),
+			at(v1, 2*min, geo.Point{Lat: -95, Lon: 8}, 12, 0),
+		}, []Alert{{Kind: KindTeleport, MMSI: v1, At: t0().Add(2 * min)}}},
+		{"stationary in port and at sea", hold, []Alert{
+			{Kind: KindLoiter, MMSI: v2, At: t0().Add(25 * min)},
+			{Kind: KindLoiter, MMSI: v2, At: t0().Add(70 * min)},
+		}},
+		{"fishing in a reserve, then transiting it", fish, []Alert{{Kind: KindZoneViolation, MMSI: v1, At: t0().Add(9 * min)}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, ref := enginePair(testCtx(), 0.1)
+			got := vesselOf(diffFeed(t, e, ref, tc.feed))
+			if tc.want == nil {
+				return // at the limit: whatever the reference says, as long as both say it
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("alerts %v, want %d", got, len(tc.want))
+			}
+			for i, w := range tc.want {
+				if g := got[i]; g.Kind != w.Kind || g.MMSI != w.MMSI || !g.At.Equal(w.At) {
+					t.Errorf("alert %d: %v, want %s %d at %s", i, g, w.Kind, w.MMSI, w.At.Format("15:04:05"))
 				}
 			}
 		})

@@ -3,26 +3,26 @@
 // sharded dataflow that scales ingest across cores while keeping per-vessel
 // ordering intact.
 //
-// The wiring, built from the internal/stream primitives:
+// The wiring:
 //
-//	Ingest()/decode workers
-//	      │  (bounded channel — natural backpressure)
-//	stream.Partition by MMSI ── shard 0 ── core.Pipeline.IngestBatch ─┐
-//	      │                     shard 1 ── core.Pipeline.IngestBatch ─┤ stream.Merge
-//	      │                     …                                     │
-//	      └──────────────────── shard n ── core.Pipeline.IngestBatch ─┴─→ Alerts()
+//	Ingest() / StartLines' resequencer
+//	      │  batches of reports, routed by MMSI (stream.ShardOf)
+//	      ├── shard 0 queue ── core.Pipeline.IngestBatch ─┐
+//	      ├── shard 1 queue ── core.Pipeline.IngestBatch ─┤ stream.Merge
+//	      │   …                                           │
+//	      └── shard n queue ── core.Pipeline.IngestBatch ─┴─→ Alerts()
 //
-// Every channel is bounded, so a slow shard propagates backpressure to the
-// submitter instead of growing queues without limit; each shard worker
-// drains its queue into batches, amortising the pipeline lock across a
-// burst. Partitioning uses the same key hash as core.Sharded.ShardFor
-// (stream.ShardOf), so synchronous queries against the underlying shards
-// observe exactly the vessels the dataflow routed there, and per-vessel
-// processing order equals arrival order — the engine produces the same
-// alert multiset as a sequential Pipeline over the same input.
+// Each shard's input is bounded in reports (ShardBuf, in batches: see
+// shardInput), so a slow shard propagates backpressure to the submitter
+// instead of growing queues without limit. Partitioning uses the same key
+// hash as core.Sharded.ShardFor (stream.ShardOf), so synchronous queries
+// against the underlying shards observe exactly the vessels the dataflow
+// routed there, and per-vessel processing order equals arrival order — the
+// engine produces the same alert multiset as a sequential Pipeline over
+// the same input.
 //
 // An optional NMEA front-end (StartLines) adds parallel decode workers in
-// front of the partition stage; multi-fragment sentences are routed to a
+// front of the shard queues; multi-fragment sentences are routed to a
 // consistent worker so fragment reassembly still sees every part.
 //
 // An optional persistence back-end (Config.Backend, package
@@ -59,6 +59,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ais"
@@ -86,11 +87,11 @@ type Config struct {
 	// DecodeWorkers is the number of NMEA decode workers StartLines spawns
 	// (default Shards).
 	DecodeWorkers int
-	// ShardBuf bounds each shard's input queue; a full queue blocks the
-	// partitioner and, transitively, Ingest — backpressure (default 256).
+	// ShardBuf bounds each shard's input in reports, and each StartLines
+	// decode stage in lines; a full one blocks its submitter (default 256).
 	ShardBuf int
-	// BatchSize caps how many queued reports a shard worker drains into one
-	// IngestBatch call (default 64).
+	// BatchSize caps the reports of one handoff batch (one IngestBatch call)
+	// and the lines of one decode chunk (default 64, at most ShardBuf).
 	BatchSize int
 	// AlertBuf bounds the merged alert channel (default 256).
 	AlertBuf int
@@ -181,6 +182,7 @@ func (c *Config) normalize() {
 	if c.BatchSize < 1 {
 		c.BatchSize = 64
 	}
+	c.BatchSize = min(c.BatchSize, c.ShardBuf)
 	if c.AlertBuf < 1 {
 		c.AlertBuf = 256
 	}
@@ -192,9 +194,11 @@ type Engine struct {
 	cfg     Config
 	sharded *core.Sharded
 
-	in     chan stream.Event[core.TimedReport]
-	shards []<-chan stream.Event[core.TimedReport]
-	alerts <-chan stream.Event[events.Alert]
+	// inputs feed the shard workers; batches recycles their buffers (by
+	// pointer, so a Put does not allocate).
+	inputs  []shardInput
+	batches sync.Pool
+	alerts  <-chan stream.Event[events.Alert]
 
 	// Metrics counts position reports: In on submission, Out when a shard
 	// worker has fully processed one, Dropped for reports refused because
@@ -270,7 +274,7 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Start wires the dataflow: partitioner, one worker per shard, merged
+// Start wires the dataflow: one queue and worker per shard, merged
 // alert stream, the publish hook feeding the subscription hub, and —
 // when a Backend is configured — the persistence flush stage attached to
 // every shard's archive store. It must be called exactly once, before
@@ -336,19 +340,21 @@ func (e *Engine) Start(ctx context.Context) {
 		}
 		e.tier = m
 	}
-	e.in = make(chan stream.Event[core.TimedReport], e.cfg.ShardBuf)
-	e.shards = stream.Partition(ctx, e.in, e.cfg.Shards, e.cfg.ShardBuf)
+	e.inputs = make([]shardInput, e.cfg.Shards)
+	e.batches.New = func() any { return new([]core.TimedReport) }
 	// Instrument before the shard workers launch so the histogram fields
 	// are plainly visible to them without atomics.
 	if e.cfg.Obs != nil {
 		e.instrument(e.cfg.Obs)
 	}
 	outs := make([]<-chan stream.Event[events.Alert], e.cfg.Shards)
-	for i, part := range e.shards {
+	for i := range e.inputs {
+		// With the open batch, ShardBuf/BatchSize batches: ShardBuf reports.
+		e.inputs[i].q = make(chan *[]core.TimedReport, e.cfg.ShardBuf/e.cfg.BatchSize-1)
 		out := make(chan stream.Event[events.Alert], e.cfg.AlertBuf)
 		outs[i] = out
 		e.workers.Add(1)
-		go e.shardWorker(ctx, e.sharded.Shards[i], part, out)
+		go e.shardWorker(ctx, i, out)
 	}
 	e.alerts = stream.Merge(ctx, outs, e.cfg.AlertBuf)
 	// Quiesce the flush stage once every shard worker has exited: drain
@@ -387,17 +393,15 @@ func (e *Engine) instrument(reg *obs.Registry) {
 	reg.CounterFunc("ingest_decode_lines_total", func() float64 { return float64(e.DecodeMetrics.In.Load()) })
 	reg.CounterFunc("ingest_decoded_total", func() float64 { return float64(e.DecodeMetrics.Out.Load()) })
 	reg.CounterFunc("ingest_decode_failures_total", func() float64 { return float64(e.DecodeMetrics.Dropped.Load()) })
-	for i, ch := range e.shards {
-		ch := ch
+	for i := range e.inputs {
 		reg.GaugeFunc("ingest_shard_depth",
-			func() float64 { return float64(len(ch)) },
+			func() float64 { return float64(e.inputs[i].depth.Load()) },
 			"shard", strconv.Itoa(i))
 	}
-	in, shards := e.in, e.shards
 	reg.GaugeFunc("ingest_queue_depth", func() float64 {
-		d := len(in)
-		for _, ch := range shards {
-			d += len(ch)
+		var d int64
+		for i := range e.inputs {
+			d += e.inputs[i].depth.Load()
 		}
 		return float64(d)
 	})
@@ -448,29 +452,48 @@ func (e *Engine) Resume(st *tstore.Store) int {
 	return n
 }
 
-// shardWorker drains one partition into batches and runs them through its
-// pipeline, forwarding raised alerts.
-func (e *Engine) shardWorker(ctx context.Context, p *core.Pipeline,
-	in <-chan stream.Event[core.TimedReport], out chan<- stream.Event[events.Alert]) {
+// A shardInput is one shard's input, bounded in reports. A report joins
+// the open batch, which is queued on q once full (blocking while q is full:
+// backpressure) or at once when the worker is idle; a busy worker takes it
+// as soon as q runs dry. So a batch never waits to fill, and a burst costs
+// one channel send and one pipeline lock per batch.
+type shardInput struct {
+	q      chan *[]core.TimedReport
+	depth  atomic.Int64 // reports submitted and not yet taken by the worker
+	mu     sync.Mutex
+	open   *[]core.TimedReport // nil: no report waiting outside q
+	idle   bool                // the worker found q and open empty and waits on q
+	closed bool
+}
+
+// take blocks for the shard's next batch, oldest first: a queued one, else
+// the open batch, else the next one queued. nil once closed and drained.
+func (s *shardInput) take() *[]core.TimedReport {
+	for {
+		s.mu.Lock()
+		if len(s.q) == 0 && (s.open != nil || s.closed) {
+			b := s.open
+			s.open = nil
+			s.mu.Unlock()
+			return b
+		}
+		s.idle = len(s.q) == 0 // nothing to take: hand the next report over at once
+		s.mu.Unlock()
+		if b, ok := <-s.q; ok {
+			return b
+		}
+	}
+}
+
+// shardWorker runs one shard's batches through its pipeline, forwarding
+// raised alerts.
+func (e *Engine) shardWorker(ctx context.Context, shard int, out chan<- stream.Event[events.Alert]) {
 	defer e.workers.Done()
 	defer close(out)
-	batch := make([]core.TimedReport, 0, e.cfg.BatchSize)
-	for ev := range in {
-		batch = append(batch[:0], ev.Value)
-		// Opportunistically drain whatever queued behind it, up to the
-		// batch cap, without blocking: one lock for the whole burst.
-	drain:
-		for len(batch) < e.cfg.BatchSize {
-			select {
-			case more, ok := <-in:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, more.Value)
-			default:
-				break drain
-			}
-		}
+	p, in := e.sharded.Shards[shard], &e.inputs[shard]
+	for b := in.take(); b != nil; b = in.take() {
+		batch := *b
+		in.depth.Add(-int64(len(batch)))
 		if e.shardWaitNS != nil {
 			for _, tr := range batch {
 				if !tr.Arrived.IsZero() {
@@ -488,6 +511,9 @@ func (e *Engine) shardWorker(ctx context.Context, p *core.Pipeline,
 			e.batchSizeH.Observe(int64(len(batch)))
 		}
 		e.Metrics.Out.Add(int64(len(batch)))
+		clear(batch) // drop the report pointers
+		*b = batch[:0]
+		e.batches.Put(b)
 		for _, a := range alerts {
 			e.hub.PublishAlert(a) // no-op until something subscribes
 			select {
@@ -499,29 +525,45 @@ func (e *Engine) shardWorker(ctx context.Context, p *core.Pipeline,
 	}
 }
 
-// Ingest submits one decoded position report. It blocks when the dataflow
-// is saturated (backpressure) and reports false once the context is
-// cancelled. Calling Ingest after Close panics (send on closed channel),
-// as does calling it before Start.
+// Ingest submits one decoded position report (see shardInput). It blocks
+// when the dataflow is saturated (backpressure) and reports false once the
+// context is cancelled. Calling Ingest after Close panics, as does calling
+// it before Start.
 func (e *Engine) Ingest(ctx context.Context, at time.Time, rep *ais.PositionReport) bool {
 	if !e.started {
 		panic("ingest: Ingest before Start")
 	}
-	n := e.Metrics.In.Add(1)
 	tr := core.TimedReport{At: at, Rep: rep}
-	if e.shardWaitNS != nil && n&63 == 0 {
+	if n := e.Metrics.In.Add(1); e.shardWaitNS != nil && n&63 == 0 {
 		// Sample the shard-queue wait on every 64th submission: one clock
 		// read here, one in the shard worker — negligible against the
 		// full-rate path, yet enough observations to hold a percentile.
 		tr.Arrived = time.Now()
 	}
+	s := &e.inputs[e.sharded.ShardIndex(rep.MMSI)]
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		panic("ingest: Ingest after Close")
+	}
+	s.depth.Add(1)
+	if s.open == nil {
+		s.open = e.batches.Get().(*[]core.TimedReport)
+	}
+	b := s.open
+	*b = append(*b, tr)
+	if !s.idle && len(*b) < e.cfg.BatchSize {
+		s.mu.Unlock()
+		return true
+	}
+	s.open, s.idle = nil, false
+	s.mu.Unlock()
 	select {
-	case e.in <- stream.Event[core.TimedReport]{
-		Time: at, Key: uint64(rep.MMSI), Value: tr,
-	}:
+	case s.q <- b:
 		return true
 	case <-ctx.Done():
-		e.Metrics.Dropped.Add(1)
+		s.depth.Add(-int64(len(*b)))
+		e.Metrics.Dropped.Add(int64(len(*b)))
 		return false
 	}
 }
@@ -543,7 +585,15 @@ func (e *Engine) Alerts() <-chan stream.Event[events.Alert] { return e.alerts }
 // Close does not block on the shard workers — a caller that drains Alerts
 // only after Close would otherwise deadlock against a full alert buffer.
 func (e *Engine) Close() {
-	e.closeOnce.Do(func() { close(e.in) })
+	e.closeOnce.Do(func() {
+		for i := range e.inputs {
+			s := &e.inputs[i]
+			s.mu.Lock()
+			s.closed = true
+			close(s.q)
+			s.mu.Unlock()
+		}
+	})
 }
 
 // Wait blocks until every shard worker has exited — i.e. all submitted
@@ -723,11 +773,13 @@ type Line struct {
 // engine is Closed automatically, so the caller's lifecycle is: feed
 // lines → close(lines) → drain Alerts.
 //
-// Single-fragment sentences — the overwhelming bulk of AIS traffic — are
-// spread round-robin; multi-fragment sentences are routed by their
-// (message id, channel) linking key so reassembly sees every part in one
-// decoder. Every line carries a sequence number and every worker reports
-// a per-line outcome, so the resequencer emits messages in exactly the
+// Lines travel in chunks: the distributor takes whatever is already
+// queued, up to BatchSize lines, and cuts it into runs for one decoder
+// each — single-fragment sentences, the overwhelming bulk of AIS traffic,
+// to the chunk's round-robin decoder, multi-fragment sentences to the one
+// their (message id, channel) linking key picks, so reassembly sees every
+// part. Every run carries a sequence number and comes back with a
+// per-line outcome, so the resequencer emits messages in exactly the
 // order a single sequential decoder would have: per-vessel event-time
 // order — which the pipelines rely on — survives parallel decode, and a
 // replayed log produces the same alert multiset at any worker count.
@@ -736,25 +788,28 @@ func (e *Engine) StartLines(ctx context.Context, lines <-chan Line,
 	if !e.started {
 		panic("ingest: StartLines before Start")
 	}
-	n := e.cfg.DecodeWorkers
-	type seqLine struct {
-		seq  int64
-		line Line
+	n, size := e.cfg.DecodeWorkers, e.cfg.BatchSize
+	slots := e.cfg.ShardBuf / size // in chunks: ShardBuf lines per stage
+	// A chunk is a run of consecutive lines for one decoder and, once
+	// decoded, the message each line completed (nil: none, or undecodable).
+	type decoded struct {
+		Line
+		msg any
 	}
-	type outcome struct {
-		seq int64
-		at  time.Time
-		msg any // nil: line consumed without completing a message
+	type chunk struct {
+		seq   int64
+		lines []decoded
 	}
-	perWorker := make([]chan seqLine, n)
+	chunks := sync.Pool{New: func() any { return new(chunk) }}
+	perWorker := make([]chan *chunk, n)
 	for i := range perWorker {
-		perWorker[i] = make(chan seqLine, e.cfg.ShardBuf)
+		perWorker[i] = make(chan *chunk, slots)
 	}
-	results := make(chan outcome, n*e.cfg.ShardBuf)
+	results := make(chan *chunk, n*slots)
 	var decoders sync.WaitGroup
 	decoders.Add(n)
 	for i := range perWorker {
-		go func(in <-chan seqLine) {
+		go func(in <-chan *chunk) {
 			defer decoders.Done()
 			dec := ais.NewDecoder()
 			defer func() {
@@ -763,31 +818,34 @@ func (e *Engine) StartLines(ctx context.Context, lines <-chan Line,
 				e.statsMu.Unlock()
 			}()
 			var n int
-			for sl := range in {
-				n++
-				var t0 time.Time
-				timed := e.decodeNS != nil && n&63 == 0
-				if timed {
-					t0 = time.Now()
-				}
-				msg, err := dec.Decode(sl.line.Text)
-				if timed {
-					e.decodeNS.ObserveSince(t0)
-				}
-				if err != nil {
-					e.DecodeMetrics.Dropped.Add(1)
-					msg = nil
+			for c := range in {
+				for i := range c.lines {
+					n++
+					var t0 time.Time
+					timed := e.decodeNS != nil && n&63 == 0
+					if timed {
+						t0 = time.Now()
+					}
+					msg, err := dec.Decode(c.lines[i].Text)
+					if timed {
+						e.decodeNS.ObserveSince(t0)
+					}
+					if err != nil {
+						e.DecodeMetrics.Dropped.Add(1)
+						msg = nil
+					}
+					c.lines[i].msg = msg
 				}
 				select {
-				case results <- outcome{seq: sl.seq, at: sl.line.At, msg: msg}:
+				case results <- c:
 				case <-ctx.Done():
 					return
 				}
 			}
 		}(perWorker[i])
 	}
-	// Distributor: stamp a sequence number, route with a cheap scan (no
-	// full parse), keep fragment groups on one decoder.
+	// Distributor: take what is queued, cut it into per-decoder runs with a
+	// cheap scan (no full parse), stamp each run's sequence number.
 	go func() {
 		defer func() {
 			for _, ch := range perWorker {
@@ -795,21 +853,46 @@ func (e *Engine) StartLines(ctx context.Context, lines <-chan Line,
 			}
 		}()
 		var seq int64
-		rr := 0
-		for l := range lines {
-			e.DecodeMetrics.In.Add(1)
-			idx := rr % n
-			if key, multi := fragmentKey(l.Text); multi {
-				idx = stream.ShardOf(hashString(key), n)
-			} else {
-				rr++
-			}
+		send := func(c *chunk, to int) bool {
+			e.DecodeMetrics.In.Add(int64(len(c.lines)))
+			c.seq = seq
+			seq++
 			select {
-			case perWorker[idx] <- seqLine{seq: seq, line: l}:
+			case perWorker[to] <- c:
+				return true
 			case <-ctx.Done():
+				return false
+			}
+		}
+		for rr := 0; ; rr++ {
+			l, ok := <-lines
+			if !ok {
 				return
 			}
-			seq++
+			c, to := (*chunk)(nil), 0
+			for taken := 1; ok; taken++ {
+				idx := rr % n
+				if key, multi := fragmentKey(l.Text); multi {
+					idx = stream.ShardOf(hashString(key), n)
+				}
+				if c == nil || idx != to {
+					if c != nil && !send(c, to) {
+						return
+					}
+					c, to = chunks.Get().(*chunk), idx
+				}
+				c.lines = append(c.lines, decoded{Line: l})
+				ok = false
+				if taken < size {
+					select {
+					case l, ok = <-lines:
+					default: // nothing more queued: do not wait for it
+					}
+				}
+			}
+			if !send(c, to) {
+				return
+			}
 		}
 	}()
 	// Close the results channel once every worker is done.
@@ -817,44 +900,41 @@ func (e *Engine) StartLines(ctx context.Context, lines <-chan Line,
 		decoders.Wait()
 		close(results)
 	}()
-	// Resequencer: emit outcomes in line-arrival order, then quiesce the
-	// engine so Alerts closes.
+	// Resequencer: emit chunks in sequence order, then quiesce the engine
+	// so Alerts closes.
 	go func() {
 		defer e.Close()
-		var next int64
-		held := make(map[int64]outcome)
-		emit := func(o outcome) bool {
-			if o.msg == nil {
-				return true
-			}
-			e.DecodeMetrics.Out.Add(1)
-			switch m := o.msg.(type) {
-			case *ais.PositionReport:
-				return e.Ingest(ctx, o.at, m)
-			case *ais.StaticVoyage:
-				issues := e.IngestStatic(o.at, m)
-				if onStatic != nil {
-					onStatic(o.at, m, issues)
+		emit := func(c *chunk) bool {
+			var out int64
+			for _, l := range c.lines {
+				if l.msg != nil {
+					out++
+				}
+				switch m := l.msg.(type) {
+				case *ais.PositionReport:
+					if !e.Ingest(ctx, l.At, m) {
+						return false
+					}
+				case *ais.StaticVoyage:
+					issues := e.IngestStatic(l.At, m)
+					if onStatic != nil {
+						onStatic(l.At, m, issues)
+					}
 				}
 			}
+			e.DecodeMetrics.Out.Add(out)
+			clear(c.lines) // drop the line text and the messages
+			c.lines = c.lines[:0]
+			chunks.Put(c)
 			return true
 		}
-		for o := range results {
-			if o.seq != next {
-				held[o.seq] = o
-				continue
-			}
-			if !emit(o) {
-				return
-			}
-			next++
-			for {
-				h, ok := held[next]
-				if !ok {
-					break
-				}
+		var next int64
+		held := make(map[int64]*chunk)
+		for c := range results {
+			held[c.seq] = c
+			for c := held[next]; c != nil; c = held[next] {
 				delete(held, next)
-				if !emit(h) {
+				if !emit(c) {
 					return
 				}
 				next++

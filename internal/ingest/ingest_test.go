@@ -6,12 +6,14 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/ais"
 	"repro/internal/core"
 	"repro/internal/events"
+	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/quality"
 	"repro/internal/query"
@@ -137,6 +139,73 @@ func TestEngineMatchesSyncSharded(t *testing.T) {
 	}
 }
 
+// Concurrent submitters share each shard's open batch. Each goroutine owns
+// a quarter of the fleet and feeds it in order, so per-vessel order holds
+// and the per-vessel alerts (pair alerts depend on how vessels interleave)
+// must be the sequential pipeline's; tiny buffers make submitters block on
+// full queues and hand batches to idle workers.
+func TestConcurrentSubmitters(t *testing.T) {
+	run := simTraffic(t, 7, 80, 45*time.Minute)
+	pcfg := core.Config{Zones: run.Config.World.Zones, SynopsisToleranceM: 60}
+	perVessel := func(alerts []events.Alert) []string {
+		var own []events.Alert
+		for _, a := range alerts {
+			if a.Other == 0 {
+				own = append(own, a)
+			}
+		}
+		return sortedKeys(own)
+	}
+	seq := core.New(pcfg)
+	var want []events.Alert
+	for i := range run.Positions {
+		o := &run.Positions[i]
+		want = append(want, seq.Ingest(o.At, &o.Report)...)
+	}
+
+	e := New(Config{Pipeline: pcfg, Shards: 2, ShardBuf: 8, BatchSize: 4})
+	ctx := context.Background()
+	e.Start(ctx)
+	var got []events.Alert
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for ev := range e.Alerts() {
+			got = append(got, ev.Value)
+		}
+	}()
+	const submitters = 4
+	var wg sync.WaitGroup
+	for k := range submitters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range run.Positions {
+				o := &run.Positions[i]
+				if o.Report.MMSI%submitters == uint32(k) && !e.Ingest(ctx, o.At, &o.Report) {
+					t.Error("ingest refused mid-stream")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	e.Close()
+	<-done
+	if out := e.Metrics.Out.Load(); out != int64(len(run.Positions)) {
+		t.Errorf("processed %d, want %d", out, len(run.Positions))
+	}
+	gk, wk := perVessel(got), perVessel(want)
+	if len(wk) == 0 || len(gk) != len(wk) {
+		t.Fatalf("per-vessel alerts: concurrent %d, sequential %d", len(gk), len(wk))
+	}
+	for i := range gk {
+		if gk[i] != wk[i] {
+			t.Fatalf("per-vessel alerts diverge at %d: concurrent %q vs sequential %q", i, gk[i], wk[i])
+		}
+	}
+}
+
 // Batched ingest must be behaviour-preserving on its own, independent of
 // the dataflow.
 func TestIngestBatchMatchesIngest(t *testing.T) {
@@ -209,7 +278,7 @@ func TestStartLinesDecodesFullFeed(t *testing.T) {
 		t.Fatal("scenario produced no multi-fragment sentences; test loses its point")
 	}
 
-	e := New(Config{Pipeline: pcfg, Shards: 4, DecodeWorkers: 3})
+	e := New(Config{Pipeline: pcfg, Shards: 4, DecodeWorkers: 3, Obs: obs.NewRegistry()})
 	ctx := context.Background()
 	e.Start(ctx)
 	var statics sync.WaitGroup
@@ -263,6 +332,10 @@ func TestStartLinesDecodesFullFeed(t *testing.T) {
 	}
 	if alerts == 0 {
 		t.Error("no alerts out of an anomaly-laden feed")
+	}
+	// Batched or not, one report in 64 carries its shard-queue wait.
+	if got, want := e.shardWaitNS.Count(), int64(len(run.Positions)/64); got != want {
+		t.Errorf("shard-wait histogram holds %d observations, want one per 64 reports: %d", got, want)
 	}
 }
 
@@ -361,8 +434,9 @@ func TestFragmentKey(t *testing.T) {
 }
 
 // The per-shard depth gauges must exist for every shard and only ever
-// report legal values; with a tiny buffer the engine still completes
-// under backpressure.
+// report legal values — reports, not batches; with a tiny buffer the
+// engine still completes under backpressure; and behind a blocked shard the
+// reports in flight stay within ShardBuf.
 func TestBackpressureTinyBuffers(t *testing.T) {
 	run := simTraffic(t, 5, 30, 20*time.Minute)
 	pcfg := core.Config{Zones: run.Config.World.Zones}
@@ -399,6 +473,61 @@ func TestBackpressureTinyBuffers(t *testing.T) {
 	if out := e.Metrics.Out.Load(); out != int64(len(run.Positions)) {
 		t.Errorf("processed %d, want %d", out, len(run.Positions))
 	}
+
+	t.Run("blocked shard", func(t *testing.T) {
+		const shardBuf = 8
+		reg := obs.NewRegistry()
+		e := New(Config{Shards: 1, ShardBuf: shardBuf, BatchSize: 4, AlertBuf: 1, Obs: reg})
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		e.Start(ctx)
+		// Every report raises an identity alert and nobody reads Alerts, so
+		// the shard blocks on its first few alerts and the queue fills.
+		const total = 200
+		rep := make([]ais.PositionReport, total)
+		var acked atomic.Int64
+		fed := make(chan struct{})
+		go func() {
+			defer close(fed)
+			at := time.Date(2017, 3, 21, 0, 0, 0, 0, time.UTC)
+			for i := range rep {
+				rep[i] = ais.PositionReport{Type: ais.TypePositionA, MMSI: uint32(100 + i), Position: geo.Point{Lat: 41, Lon: 8}}
+				if !e.Ingest(ctx, at.Add(time.Duration(i)*time.Second), &rep[i]) {
+					return
+				}
+				acked.Add(1)
+			}
+		}()
+		// Wait until the queue is full and the submitter has stalled.
+		q := e.inputs[0].q
+		for deadline, last := time.Now().Add(10*time.Second), int64(-1); len(q) < cap(q) || acked.Load() != last; time.Sleep(20 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard queue never filled: %d of %d batches", len(q), cap(q))
+			}
+			last = acked.Load()
+		}
+		n, out := acked.Load(), e.Metrics.Out.Load()
+		if d := e.inputs[0].depth.Load(); d > shardBuf {
+			t.Errorf("%d reports wait for the blocked shard, bound %d", d, shardBuf)
+		}
+		if n == total {
+			t.Fatalf("all %d reports went through a blocked shard", n)
+		}
+		if n-out > shardBuf {
+			t.Errorf("%d reports accepted, %d processed: %d in flight behind a blocked shard, bound %d", n, out, n-out, shardBuf)
+		}
+		for _, name := range []string{"ingest_shard_depth", "ingest_queue_depth"} {
+			labels := []string{"shard", "0"}
+			if name == "ingest_queue_depth" {
+				labels = nil
+			}
+			if v, _ := reg.Value(name, labels...); v > shardBuf || v < 0 {
+				t.Errorf("%s = %g, want reports in [0, %d]", name, v, shardBuf)
+			}
+		}
+		cancel()
+		<-fed
+	})
 }
 
 // ShardOf consistency across layers is what makes engine-vs-sync
@@ -539,5 +668,53 @@ func TestQueryDuringIngest(t *testing.T) {
 	}
 	if res.Stats.Points != total {
 		t.Fatalf("post-quiesce stats %d points, shards hold %d", res.Stats.Points, total)
+	}
+}
+
+// BenchmarkStartLines replays a feed shaped like the repo benchmark's
+// (bench/feed.go: 2000 vessels of the Mediterranean world, default anomaly
+// profile, the daemon's synopsis tolerance) as NMEA lines through a fresh
+// engine per op, at one and two shards: decode, handoff and pipelines, the
+// in-process half of maritimed's replay.
+func BenchmarkStartLines(b *testing.B) {
+	cfg := sim.Config{Seed: 1, World: sim.MediterraneanWorld(1), NumVessels: 2000, Duration: 5 * time.Minute, TickSec: 2}
+	cfg.DefaultAnomalyRates()
+	run, err := sim.Simulate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var feed []Line
+	at := time.Date(2017, 3, 21, 0, 0, 0, 0, time.UTC)
+	for i := range run.Positions {
+		lines, err := ais.EncodeSentences(&run.Positions[i].Report, i, "A")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, l := range lines {
+			at = at.Add(100 * time.Millisecond)
+			feed = append(feed, Line{At: at, Text: l})
+		}
+	}
+	pcfg := core.Config{Zones: cfg.World.Zones, SynopsisToleranceM: 60}
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ctx := context.Background()
+				e := New(Config{Pipeline: pcfg, Shards: shards})
+				e.Start(ctx)
+				lines := make(chan Line, 1024) // cmd/maritimed's reader buffer
+				e.StartLines(ctx, lines, nil)
+				go func() {
+					for _, l := range feed {
+						lines <- l
+					}
+					close(lines)
+				}()
+				for range e.Alerts() {
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(feed)), "ns/line")
+		})
 	}
 }
