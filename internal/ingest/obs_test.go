@@ -106,9 +106,17 @@ func TestMetricsScrapeSmoke(t *testing.T) {
 	scrapes.Wait()
 
 	// Populate the query families, then check one HTTP query round-trips
-	// a trace.
-	if _, err := e.Query(query.Request{Kind: query.KindStats}); err != nil {
-		t.Fatal(err)
+	// a trace. The engine runs no lane, so the ranked anomalies read
+	// replays every vessel once; asked again, each is a memo hit.
+	for _, req := range []query.Request{{Kind: query.KindStats}, {Kind: query.KindAnomalies}, {Kind: query.KindAnomalies}} {
+		if _, err := e.Query(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	folds, _ := reg.Value("query_replay_folds_total", "kind", "anomalies")
+	hits, _ := reg.Value("query_replay_hits_total", "kind", "anomalies")
+	if folds == 0 || hits != folds {
+		t.Errorf("ranked anomalies twice: %v re-folds then %v memo hits, want the same non-zero count", folds, hits)
 	}
 	resp, err := http.Get(ts.URL + "/v1/stats?trace=1")
 	if err != nil {
@@ -142,6 +150,7 @@ func TestMetricsScrapeSmoke(t *testing.T) {
 		"tier_evictions_total", "tier_resident_points", "tier_pageback_ns",
 		// query
 		"query_requests_total", "query_latency_ns", "query_source_ns",
+		"query_replay_hits_total", "query_replay_folds_total",
 		// hub
 		"hub_published_total", "hub_subscribers",
 		// build identity

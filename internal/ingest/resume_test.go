@@ -144,6 +144,112 @@ func TestResumeSeedsLanes(t *testing.T) {
 	}
 }
 
+// TestReplayMemoAcrossResume carries the replay memo's oracle across a
+// restart. Engine B runs without lanes, so its live source answers the
+// derived kinds by memoised replay of its shard stores; it is asked
+// before Resume, after it, and after one further report per vessel —
+// every question twice, ranked form first — and each answer (track,
+// quality, anomalies per vessel and ranked) must be byte-identical to a
+// fresh query.Replay of B's archive.
+func TestReplayMemoAcrossResume(t *testing.T) {
+	run := simTraffic(t, 47, 30, 30*time.Minute)
+	_, a := runEngine(t, run, Config{Pipeline: pipelineCfg(run, 60), Shards: 3})
+	a.Wait()
+	b := New(Config{Pipeline: pipelineCfg(run, 60), Shards: 2})
+
+	var fleet []uint32
+	for _, p := range a.Sharded().Shards {
+		fleet = append(fleet, p.Store.MMSIs()...)
+	}
+	asJSON := func(v any) string {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	ask := func(req query.Request) *query.Result {
+		res, err := b.Query(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	check := func(step string) {
+		t.Helper()
+		var ranked []query.VesselAnomaly
+		for _, mmsi := range fleet {
+			pts := b.Sharded().ShardFor(mmsi).Store.Trajectory(mmsi).Points
+			if va := query.Replay(query.NewAnomalyAccumulator, mmsi, pts); va != nil {
+				ranked = append(ranked, *va)
+			}
+		}
+		query.SortRankedAnomalies(ranked)
+		for range 2 {
+			got := ask(query.Request{Kind: query.KindAnomalies, Limit: len(fleet)}).Anomalies.Ranked
+			if len(got)+len(ranked) > 0 && asJSON(got) != asJSON(ranked) {
+				t.Fatalf("%s: ranked anomalies != replay of the archive\nmemo:   %.300s\nreplay: %.300s", step, asJSON(got), asJSON(ranked))
+			}
+		}
+		for _, mmsi := range fleet {
+			pts := b.Sharded().ShardFor(mmsi).Store.Trajectory(mmsi).Points
+			for range 2 {
+				vessel := ask(query.Request{Kind: query.KindAnomalies, MMSI: mmsi}).Anomalies
+				if vessel == nil {
+					vessel = &query.AnomalyReport{}
+				}
+				for _, c := range []struct {
+					kind      string
+					got, want any
+				}{
+					{"track", ask(query.Request{Kind: query.KindTrack, MMSI: mmsi}).Track,
+						query.Replay(query.TrackFold(fusion.DefaultTrackerConfig()), mmsi, pts)},
+					{"quality", ask(query.Request{Kind: query.KindQuality, MMSI: mmsi}).Quality,
+						query.Replay(query.NewQualityAccumulator, mmsi, pts)},
+					{"anomalies", vessel.Vessel, query.Replay(query.NewAnomalyAccumulator, mmsi, pts)},
+				} {
+					if got, want := asJSON(c.got), asJSON(c.want); got != want {
+						t.Fatalf("%s: vessel %d %s != replay of the archive (%d points)\nmemo:   %s\nreplay: %s", step, mmsi, c.kind, len(pts), got, want)
+					}
+				}
+			}
+		}
+	}
+
+	check("before Resume")
+	for _, p := range a.Sharded().Shards {
+		b.Resume(p.Store)
+	}
+	check("after Resume")
+
+	ctx := context.Background()
+	b.Start(ctx)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for range b.Alerts() {
+		}
+	}()
+	reports := map[uint32]int{}
+	for i := range run.Positions {
+		reports[run.Positions[i].Report.MMSI] = i
+	}
+	for _, mmsi := range fleet {
+		last, _ := b.Sharded().ShardFor(mmsi).Store.Latest(mmsi)
+		rep := run.Positions[reports[mmsi]].Report
+		if !b.Ingest(ctx, last.At.Add(time.Minute), &rep) {
+			t.Fatal("resumed engine refused ingest")
+		}
+	}
+	b.Close()
+	<-drained
+	b.Wait()
+	if got := b.Snapshot().Archived; got != int64(len(fleet)) {
+		t.Fatalf("resumed engine archived %d post-restart records, want one per vessel (%d)", got, len(fleet))
+	}
+	check("after ingest")
+}
+
 // TestResumeWithoutLanesDoesNoExtraPass pins the cost contract of
 // seeding: an engine with no lane attached has nothing to seed, so
 // Resume's per-vessel lane loop is empty and the preload costs what it

@@ -6,9 +6,9 @@
 //
 // Like the track-intelligence kinds, a Source that maintains live
 // per-vessel profiles (the ingest engine's internal/anomaly stage, a
-// federation peer) answers through Source.Derived; every other source
-// is answered by replaying its stored trajectory through the same
-// AnomalyAccumulator fold (Replay). The fold is a pure
+// federation peer) answers through Source.Derived; an archive answers
+// by replaying its stored trajectory through the same
+// AnomalyAccumulator fold (Replay, memoised per vessel). The fold is a pure
 // function of the point sequence — fixed bin layouts, fixed thresholds
 // (the package constants below, not a config), no wall clock — so online
 // and replayed answers are byte-identical, and a tiered store that
@@ -396,30 +396,31 @@ func (a *AnomalyAccumulator) Report() *VesselAnomaly {
 	return va
 }
 
-// DeriveRankedAnomalies answers the fleet-ranked form from a plain
-// source: every known vessel's history replayed through the fold, sorted
-// by score (descending; MMSI breaks ties), truncated to limit when
-// limit > 0. The replay is the costliest read on the surface, so it
-// stops between vessels once ctx is done.
-func DeriveRankedAnomalies(ctx context.Context, s Source, limit int) []VesselAnomaly {
-	var out []VesselAnomaly
-	fleet := s.Stats(ctx).MMSIs
+// replayAnomalies is the anomalies kind over an archive: the vessel's
+// memoised report, or every fleet vessel's (Stats.MMSIs) ranked and capped
+// at Limit (0 = all), stopping between vessels once ctx is done.
+func replayAnomalies(ctx context.Context, a archived, r Request) *Result {
+	if r.MMSI != 0 {
+		return memoised(vesselAnomalyOf, NewAnomalyAccumulator)(ctx, a, r)
+	}
+	fleet := a.Stats(ctx).MMSIs
+	out := make([]VesselAnomaly, 0, len(fleet))
 	for _, mmsi := range fleet {
 		if ctx.Err() != nil {
-			return nil
+			return &Result{}
 		}
-		if va := Replay(NewAnomalyAccumulator, mmsi, fullHistory(ctx, s, mmsi)); va != nil {
+		if va := memoReplay(ctx, a.replaysOf(mmsi), KindAnomalies, mmsi, NewAnomalyAccumulator); va != nil {
 			out = append(out, *va)
 		}
 	}
 	SortRankedAnomalies(out)
-	out, _ = capped(out, limit)
-	return out
+	out, _ = capped(out, r.Limit)
+	return &Result{Anomalies: &AnomalyReport{Ranked: out}}
 }
 
 // SortRankedAnomalies orders a ranked answer: score descending, MMSI
 // ascending on ties — the one deterministic order every producer of the
-// ranked form (stage, derive, engine merge) must agree on.
+// ranked form (stage, replay, engine merge) must agree on.
 func SortRankedAnomalies(out []VesselAnomaly) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score > out[j].Score {

@@ -41,11 +41,9 @@ import (
 // source's live picture (nil on a degraded peer).
 //
 // Derived is the hook behind the kinds that fold a vessel's history
-// into an answer (track, predict, quality, anomalies): a source holding
-// its own answer — an online lane, one exchange with a peer — returns it
-// (non-nil) with ok=true and is taken as authoritative, empty included;
-// ok=false tells the engine to replay the source's Trajectory through
-// the kind's fold instead.
+// into an answer (track, predict, quality, anomalies): a source returns
+// its own — an online lane's, a peer's, an archive's memoised replay —
+// with ok=true (authoritative, empty included), or ok=false if it has none.
 type Source interface {
 	Name() string
 	Trajectory(ctx context.Context, mmsi uint32, from, to time.Time) []model.VesselState
@@ -73,7 +71,8 @@ func NewEngine(sources ...Source) *Engine {
 
 // Instrument points the engine at a metrics registry: every query then
 // records per-kind end-to-end latency (query_latency_ns), per-source
-// fan-out latency (query_source_ns) and request/error counts. Call
+// fan-out latency (query_source_ns), request/error counts and replay work
+// (query_replay_{hits,folds}_total: memo hits, vessels re-folded). Call
 // before serving; the field is read without synchronisation.
 func (e *Engine) Instrument(reg *obs.Registry) { e.reg = reg }
 
@@ -192,6 +191,9 @@ func (e *Engine) QueryContext(ctx context.Context, req Request) (*Result, error)
 		tr = obs.NewTrace()
 		ctx = obs.WithTrace(ctx, tr)
 	}
+	if e.reg != nil && def.replay != nil {
+		ctx = context.WithValue(ctx, tallyKey{}, &replayTally{})
+	}
 	c := &call{ctx: ctx, reg: e.reg, tr: tr, srcs: e.sourcesFor(req), req: req}
 	t0 := time.Now()
 	res := &Result{Kind: req.Kind, Sources: make([]string, len(c.srcs))}
@@ -207,6 +209,10 @@ func (e *Engine) QueryContext(ctx context.Context, req Request) (*Result, error)
 	if e.reg != nil {
 		e.reg.Counter("query_requests_total", "kind", string(req.Kind)).Inc()
 		e.reg.Histogram("query_latency_ns", "kind", string(req.Kind)).ObserveSince(t0)
+		if rt, ok := ctx.Value(tallyKey{}).(*replayTally); ok {
+			e.reg.Counter("query_replay_hits_total", "kind", string(req.Kind)).Add(rt.hits.Load())
+			e.reg.Counter("query_replay_folds_total", "kind", string(req.Kind)).Add(rt.folds.Load())
+		}
 	}
 	if req.Trace && tr != nil {
 		for _, sp := range tr.Spans() {
@@ -438,63 +444,17 @@ func mergedAlerts(c *call) []events.Alert {
 	return out
 }
 
-// fullHistory reads a source's entire stored trajectory for one vessel
-// (the derived kinds always fold the whole known history).
-func fullHistory(ctx context.Context, s Source, mmsi uint32) []model.VesselState {
-	return s.Trajectory(ctx, mmsi, time.Time{}, time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC))
-}
-
-// Fold is the one shape behind every per-vessel derived kind: an
-// accumulator whose Observe folds in the vessel's next sample (time
-// order, like the feed), returning whatever stream facts the sample
-// completed (NoFacts for a fold that surfaces none), and whose Report
-// renders the accumulated state — nil before any observation. The
-// online stages keep one per vessel behind the ingest tee
-// (internal/lane hosts them); Replay folds a stored trajectory through
-// a fresh one. Same code either way, so online and replayed answers are
-// byte-identical by construction.
-type Fold[T any, E comparable] interface {
-	Observe(model.VesselState) E
-	Report() *T
-}
-
-// NoFacts is the fact type of a fold that surfaces no stream facts.
-type NoFacts = struct{}
-
-// Replay folds a vessel's stored samples (time-ordered) through a fresh
-// accumulator from newFold and renders it — the offline half of every
-// fold. Nil when the history is empty.
-func Replay[T any, E comparable, F Fold[T, E]](newFold func(mmsi uint32) F, mmsi uint32, pts []model.VesselState) *T {
-	if len(pts) == 0 {
-		return nil
-	}
-	f := newFold(mmsi)
-	for _, p := range pts {
-		f.Observe(p)
-	}
-	return f.Report()
-}
-
-// replayOf adapts a fold constructor into derived's per-source fallback.
-func replayOf[T any, E comparable, F Fold[T, E]](newFold func(mmsi uint32) F) func(Request, []model.VesselState) *T {
-	return func(r Request, pts []model.VesselState) *T { return Replay(newFold, r.MMSI, pts) }
-}
-
 // derived builds the run of a per-vessel derived kind: every source
-// answers — its own answer when it holds one (Source.Derived;
-// authoritative, empty included), a deterministic read of its stored
-// trajectory through fold otherwise (replayOf a fold constructor, or
-// predict's read over the same history) — and the best non-nil answer
-// under better wins (ties keep the earlier source, so merged answers
-// are deterministic). field locates the kind's payload in a Result.
-func derived[T any](field func(*Result) **T, fold func(r Request, pts []model.VesselState) *T,
-	better func(a, b *T) bool) func(*call, *Result) {
+// answers through Source.Derived (authoritative, empty included) and the
+// best non-nil answer under better wins (ties keep the earlier source, so
+// merged answers are deterministic). field locates the kind's payload.
+func derived[T any](field func(*Result) **T, better func(a, b *T) bool) func(*call, *Result) {
 	return func(c *call, res *Result) {
 		answers := gather(c, func(ctx context.Context, s Source) *T {
 			if own, ok := s.Derived(ctx, c.req); ok {
 				return *field(own)
 			}
-			return fold(c.req, fullHistory(ctx, s, c.req.MMSI))
+			return nil
 		})
 		defer c.tr.StartSpan("merge")()
 		var best *T
@@ -529,27 +489,23 @@ func runAnomalies(c *call, res *Result) {
 	}
 }
 
-var runVesselAnomaly = derived(func(res *Result) **VesselAnomaly {
-	if res.Anomalies == nil {
-		res.Anomalies = &AnomalyReport{}
-	}
-	return &res.Anomalies.Vessel
-}, replayOf(NewAnomalyAccumulator), betterVesselAnomaly)
+var runVesselAnomaly = derived(vesselAnomalyOf, betterVesselAnomaly)
 
-// runRankedAnomalies merges per-source fleet rankings — the source's own
-// (an online stage's, a peer's) or a replay over its distinct vessels —
-// into one entry per vessel (the fresher answer wins, earlier source on
-// ties), re-sorted by score and truncated to Limit.
+// runRankedAnomalies merges the sources' rankings into one entry per
+// vessel (fresher answer wins, earlier source on ties), sorted and capped
+// at Limit. Several local sources rank uncapped: one source's cap could
+// cut a vessel's fresh answer and let another's stale one through. Peers
+// still cap on their side (the wire carries Limit).
 func runRankedAnomalies(c *call, res *Result) {
-	limit := c.req.Limit
 	lists := gather(c, func(ctx context.Context, s Source) []VesselAnomaly {
-		if own, ok := s.Derived(ctx, c.req); ok {
-			if own.Anomalies == nil {
-				return nil
-			}
+		req := c.req
+		if _, peer := s.(PeerSource); !peer && len(c.srcs) > 1 {
+			req.Limit = 0
+		}
+		if own, ok := s.Derived(ctx, req); ok && own.Anomalies != nil {
 			return own.Anomalies.Ranked
 		}
-		return DeriveRankedAnomalies(ctx, s, limit)
+		return nil
 	})
 	defer c.tr.StartSpan("merge")()
 	best := make(map[uint32]VesselAnomaly)
@@ -565,7 +521,7 @@ func runRankedAnomalies(c *call, res *Result) {
 		out = append(out, va)
 	}
 	SortRankedAnomalies(out)
-	out, res.Truncated = capped(out, limit)
+	out, res.Truncated = capped(out, c.req.Limit)
 	res.Anomalies = &AnomalyReport{Ranked: out}
 	res.Count = len(out)
 }
@@ -623,7 +579,8 @@ type Lane map[Kind]func(Request) (*Result, bool)
 type liveSource struct {
 	sharded *core.Sharded
 	snaps   []*snapshotCache
-	lanes   Lane // online answers by derived kind; empty without stages
+	replays []*replays // per shard
+	lanes   Lane       // online answers by derived kind; empty without stages
 }
 
 // NewLiveSource builds a Source over the sharded pipelines (the
@@ -634,7 +591,7 @@ type liveSource struct {
 // the vessel and by a deterministic store replay where it does not
 // (no stage, or a store loaded behind the stage's back — Engine.Resume
 // seeds the stages it preloads for; the store pages evicted history
-// back, so tiering keeps the replay exact).
+// back, so tiering keeps the replay exact; replays are memoised per shard).
 func NewLiveSource(s *core.Sharded, lanes ...Lane) Source {
 	src := &liveSource{sharded: s, lanes: Lane{}}
 	for _, lane := range lanes {
@@ -644,6 +601,7 @@ func NewLiveSource(s *core.Sharded, lanes ...Lane) Source {
 	}
 	for _, p := range s.Shards {
 		src.snaps = append(src.snaps, &snapshotCache{store: p.Store})
+		src.replays = append(src.replays, &replays{store: p.Store, memo: map[replayKey]replayed{}})
 	}
 	return src
 }
@@ -713,12 +671,17 @@ func (l *liveSource) Stats(context.Context) SourceStats {
 	return st
 }
 
-func (l *liveSource) Derived(_ context.Context, req Request) (*Result, bool) {
+// Derived: a lane's answer where it knows the vessel, else the replay.
+func (l *liveSource) Derived(ctx context.Context, req Request) (*Result, bool) {
 	if own := l.lanes[req.Kind]; own != nil {
-		return own(req)
+		if res, ok := own(req); ok {
+			return res, true
+		}
 	}
-	return nil, false
+	return replayDerived(ctx, l, req)
 }
+
+func (l *liveSource) replaysOf(mmsi uint32) *replays { return l.replays[l.sharded.ShardIndex(mmsi)] }
 
 // --- archive source (tstore.Store) ----------------------------------------------
 
@@ -726,9 +689,10 @@ func (l *liveSource) Derived(_ context.Context, req Request) (*Result, bool) {
 // recovered by store.OpenReadOnly or loaded from a snapshot file. The
 // "live picture" of an archive is each vessel's newest persisted state.
 type storeSource struct {
-	name  string
-	store *tstore.Store
-	snap  snapshotCache
+	name    string
+	store   *tstore.Store
+	snap    snapshotCache
+	replays *replays
 }
 
 // NewStoreSource builds a Source over a trajectory archive. The name
@@ -737,7 +701,7 @@ func NewStoreSource(name string, st *tstore.Store) Source {
 	if name == "" {
 		name = "archive"
 	}
-	return &storeSource{name: name, store: st, snap: snapshotCache{store: st}}
+	return &storeSource{name: name, store: st, snap: snapshotCache{store: st}, replays: &replays{store: st, memo: map[replayKey]replayed{}}}
 }
 
 func (a *storeSource) Name() string { return a.name }
@@ -780,7 +744,11 @@ func (a *storeSource) Stats(context.Context) SourceStats {
 }
 
 // Derived: an archive holds no online state; every derived kind replays.
-func (a *storeSource) Derived(context.Context, Request) (*Result, bool) { return nil, false }
+func (a *storeSource) Derived(ctx context.Context, req Request) (*Result, bool) {
+	return replayDerived(ctx, a, req)
+}
+
+func (a *storeSource) replaysOf(uint32) *replays { return a.replays }
 
 // snapshotCache lazily builds a store's spatial snapshot and reuses it
 // until the store grows — archives are static after recovery, so their

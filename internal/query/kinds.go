@@ -35,6 +35,9 @@ type kindDef struct {
 	// run answers one validated, defaulted request: fetch from every
 	// source of the call (gather), merge, fill res.
 	run func(c *call, res *Result)
+	// replay answers a derived kind from a tstore archive (the archive
+	// sources' Derived where no lane knows the vessel); nil otherwise.
+	replay func(ctx context.Context, a archived, r Request) *Result
 
 	// Standing mode. update is the Update kind a subscription delivers
 	// ("" = not streamable), produced by exactly one of: match, which
@@ -176,10 +179,9 @@ var kinds = []*kindDef{
 		kind:     KindTrack,
 		params:   []string{"mmsi"},
 		required: []string{"mmsi"},
-		run: derived(func(res *Result) **TrackState { return &res.Track },
-			replayOf(TrackFold(fusion.DefaultTrackerConfig())),
-			func(a, b *TrackState) bool { return a.At.After(b.At) }),
-		update: UpdateTrack,
+		run:      derived(trackOf, func(a, b *TrackState) bool { return a.At.After(b.At) }),
+		replay:   memoised(trackOf, TrackFold(fusion.DefaultTrackerConfig())),
+		update:   UpdateTrack,
 		tick: func(res *Result, u *Update) bool {
 			u.Track = res.Track
 			return u.Track != nil
@@ -199,8 +201,8 @@ var kinds = []*kindDef{
 			return nil
 		},
 		run: derived(func(res *Result) **Prediction { return &res.Prediction },
-			derivePredict,
 			func(a, b *Prediction) bool { return a.From.After(b.From) }),
+		replay: derivePredict,
 		update: UpdatePredict,
 		tick: func(res *Result, u *Update) bool {
 			u.Prediction = res.Prediction
@@ -211,10 +213,9 @@ var kinds = []*kindDef{
 		kind:     KindQuality,
 		params:   []string{"mmsi"},
 		required: []string{"mmsi"},
-		run: derived(func(res *Result) **QualityScore { return &res.Quality },
-			replayOf(NewQualityAccumulator),
-			func(a, b *QualityScore) bool { return a.Checked > b.Checked }),
-		update: UpdateQuality,
+		run:      derived(qualityOf, func(a, b *QualityScore) bool { return a.Checked > b.Checked }),
+		replay:   memoised(qualityOf, NewQualityAccumulator),
+		update:   UpdateQuality,
 		tick: func(res *Result, u *Update) bool {
 			u.Quality = res.Quality
 			return u.Quality != nil
@@ -232,12 +233,23 @@ var kinds = []*kindDef{
 			return nil
 		},
 		run:    runAnomalies,
+		replay: replayAnomalies,
 		update: UpdateAnomalies,
 		tick: func(res *Result, u *Update) bool {
 			u.Anomalies = res.Anomalies
 			return u.Anomalies != nil
 		},
 	},
+}
+
+// The payloads of the memoised fold kinds, for their run and replay.
+func trackOf(res *Result) **TrackState     { return &res.Track }
+func qualityOf(res *Result) **QualityScore { return &res.Quality }
+func vesselAnomalyOf(res *Result) **VesselAnomaly {
+	if res.Anomalies == nil {
+		res.Anomalies = &AnomalyReport{}
+	}
+	return &res.Anomalies.Vessel
 }
 
 // lookup finds a kind's definition, nil when the kind is unknown. The

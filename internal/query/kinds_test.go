@@ -285,6 +285,11 @@ func TestKindTableDefectsAreReported(t *testing.T) {
 	NewServer(NewEngine(NewStoreSource("archive", tstore.New())))
 }
 
+// fullHistory reads a source's entire stored trajectory for one vessel.
+func fullHistory(ctx context.Context, s Source, mmsi uint32) []model.VesselState {
+	return s.Trajectory(ctx, mmsi, time.Time{}, time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC))
+}
+
 // TestKindDefinedOnce is the mechanical form of "adding a kind touches
 // one file plus its test": a throwaway kind — lastfix, the newest stored
 // sample of one vessel, built only on existing Request/Result/Update

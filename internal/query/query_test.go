@@ -25,22 +25,26 @@ var t0 = time.Date(2017, 3, 21, 12, 0, 0, 0, time.UTC)
 func testStates(vessels, n int) []model.VesselState {
 	var out []model.VesselState
 	for v := 0; v < vessels; v++ {
-		mmsi := uint32(201000001 + v)
 		for i := 0; i < n; i++ {
-			out = append(out, model.VesselState{
-				MMSI: mmsi,
-				At:   t0.Add(time.Duration(i) * time.Minute),
-				Pos: geo.Point{
-					Lat: 42.0 + float64(v)*0.05 + float64(i)*0.002,
-					Lon: 5.0 + float64(v)*0.08 + float64(i)*0.003,
-				},
-				SpeedKn:   8 + float64(v%5),
-				CourseDeg: 45,
-				Status:    ais.StatusUnderWayEngine,
-			})
+			out = append(out, testState(v, i))
 		}
 	}
 	return out
+}
+
+// testState is sample i of vessel v in the testStates fleet.
+func testState(v, i int) model.VesselState {
+	return model.VesselState{
+		MMSI: uint32(201000001 + v),
+		At:   t0.Add(time.Duration(i) * time.Minute),
+		Pos: geo.Point{
+			Lat: 42.0 + float64(v)*0.05 + float64(i)*0.002,
+			Lon: 5.0 + float64(v)*0.08 + float64(i)*0.003,
+		},
+		SpeedKn:   8 + float64(v%5),
+		CourseDeg: 45,
+		Status:    ais.StatusUnderWayEngine,
+	}
 }
 
 func fill(st *tstore.Store, states []model.VesselState) *tstore.Store {

@@ -5,9 +5,9 @@
 //
 // A Source that maintains live fused state (the ingest engine's
 // internal/track stage, a federation peer) answers through
-// Source.Derived; every other source is answered by replaying its
-// stored trajectory through the very folds the online stage keeps per
-// vessel (Replay over TrackAccumulator / QualityAccumulator; predict is
+// Source.Derived; an archive answers by replaying its stored trajectory
+// through the very folds the online stage keeps per vessel (Replay over
+// TrackAccumulator / QualityAccumulator, memoised per vessel; predict is
 // a read over the same history, derivePredict). The replay is a pure
 // function of the point sequence — no wall clock, no randomness — so a
 // tiered store that evicted and paged a vessel back answers
@@ -16,6 +16,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"time"
 
@@ -274,17 +275,19 @@ func coastedUncertaintyM(pts []model.VesselState, horizon time.Duration) float64
 	return f.PositionUncertaintyM()
 }
 
-// derivePredict forecasts from a vessel's stored samples alone: a route
-// model trained on that single trajectory (the vessel's own habit),
-// dead reckoning where it abstains. The online stage is richer — its
-// shard-shared route model has seen every vessel's lanes.
-func derivePredict(r Request, pts []model.VesselState) *Prediction {
+// derivePredict is predict's replay: a route model trained on the
+// vessel's stored samples alone (its own habit), dead reckoning where it
+// abstains. It depends on Horizon, so it is not memoised. The online stage
+// is richer — its shard-shared route model has seen every vessel's lanes.
+func derivePredict(ctx context.Context, a archived, r Request) *Result {
+	tally(ctx, false)
+	pts := a.replaysOf(r.MMSI).store.Trajectory(r.MMSI).Points
 	if len(pts) == 0 {
-		return nil
+		return &Result{}
 	}
 	rm := forecast.NewRouteModel(RouteCellDeg)
 	rm.Train(&model.Trajectory{MMSI: r.MMSI, Points: pts})
-	return PredictFrom(r.MMSI, pts, time.Duration(r.Horizon), rm)
+	return &Result{Prediction: PredictFrom(r.MMSI, pts, time.Duration(r.Horizon), rm)}
 }
 
 // QualityAccumulator folds one vessel's sample stream into an integrity

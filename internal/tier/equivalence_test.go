@@ -20,7 +20,9 @@ import (
 // and over a fully resident control. The first phase churns — concurrent
 // appends, eviction passes and queries, which is what -race is pointed
 // at; the second phase quiesces, forces a final eviction pass and
-// compares the wire bytes kind by kind. Stats is compared with the
+// compares the wire bytes kind by kind — the derived kinds twice more,
+// once answered from the replay memo and once after an append per
+// vessel moved every count. Stats is compared with the
 // eviction-observability fields (resident_points, evicted_vessels)
 // blanked: reporting the tier IS the difference, everything else must
 // match.
@@ -148,33 +150,60 @@ func TestQueryEquivalenceUnderEviction(t *testing.T) {
 		"anomalies-vessel": {Kind: query.KindAnomalies, MMSI: 201000009},
 		"anomalies-ranked": {Kind: query.KindAnomalies, Limit: 5},
 	}
-	for name, req := range reqs {
-		wantRes, err := ctrlEng.Query(req)
-		if err != nil {
-			t.Fatalf("%s (control): %v", name, err)
-		}
-		gotRes, err := tierEng.Query(req)
-		if err != nil {
-			t.Fatalf("%s (tiered): %v", name, err)
-		}
-		if req.Kind == query.KindStats {
-			// The tier-observability fields are supposed to differ —
-			// they report the eviction itself. Everything else must not.
-			blankTierFields(wantRes)
-			blankTierFields(gotRes)
-		}
-		want, err := json.Marshal(wantRes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := json.Marshal(gotRes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: wire bytes differ under eviction\n got: %.400s\nwant: %.400s", name, got, want)
+	compare := func(phase string, reqs map[string]query.Request) {
+		t.Helper()
+		for name, req := range reqs {
+			wantRes, err := ctrlEng.Query(req)
+			if err != nil {
+				t.Fatalf("%s %s (control): %v", phase, name, err)
+			}
+			gotRes, err := tierEng.Query(req)
+			if err != nil {
+				t.Fatalf("%s %s (tiered): %v", phase, name, err)
+			}
+			if req.Kind == query.KindStats {
+				// The tier-observability fields are supposed to differ —
+				// they report the eviction itself. Everything else must not.
+				blankTierFields(wantRes)
+				blankTierFields(gotRes)
+			}
+			want, err := json.Marshal(wantRes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(gotRes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s %s: wire bytes differ under eviction\n got: %.400s\nwant: %.400s", phase, name, got, want)
+			}
 		}
 	}
+	compare("evicted", reqs)
+	// The derived kinds again: asked a second time they answer from the
+	// replay memo (the hit path), and after one append per vessel and
+	// another eviction pass every vessel re-folds (the invalidation path).
+	derived := map[string]query.Request{}
+	for name, req := range reqs {
+		switch req.Kind {
+		case query.KindTrack, query.KindPredict, query.KindQuality, query.KindAnomalies:
+			derived[name] = req
+		}
+	}
+	compare("memo hit", derived)
+	at := t0.Add(time.Hour)
+	for v := 0; v < vessels; v++ {
+		s := model.VesselState{
+			MMSI: uint32(201000000 + v), At: at.Add(time.Duration(v) * time.Second),
+			Pos:     geo.Point{Lat: 37 + float64(v)*0.01, Lon: 9 + float64(v)*0.02},
+			SpeedKn: 14.5, CourseDeg: float64(v * 9),
+		}
+		tiered.Append(s)
+		control.Append(s)
+	}
+	m.Check()
+	compare("after append", derived)
 	if err := tiered.PageErr(); err != nil {
 		t.Fatalf("page error during comparison: %v", err)
 	}

@@ -523,6 +523,19 @@ func (st *Store) VesselCount() int {
 	return len(st.vessels)
 }
 
+// VesselLen returns the vessel's point count, resident and evicted (0 if
+// unknown), without paging or heating it. Query replay memos key on it, as
+// the store is append-only (Append and Load add, eviction moves): a
+// retention or delete path must change the count or clear those memos.
+func (st *Store) VesselLen(mmsi uint32) int {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if ser, ok := st.vessels[mmsi]; ok {
+		return ser.n
+	}
+	return 0
+}
+
 // MMSIs returns the sorted vessel identifiers present.
 func (st *Store) MMSIs() []uint32 {
 	st.mu.RLock()
