@@ -624,17 +624,25 @@ func (l *liveSource) SpaceTime(_ context.Context, r geo.Rect, from, to time.Time
 }
 
 func (l *liveSource) Nearest(_ context.Context, p geo.Point, at time.Time, tol time.Duration, k int) []model.VesselState {
-	var cands []model.VesselState
-	for _, sc := range l.snaps {
-		cands = append(cands, sc.get().NearestVessels(p, at, tol, k)...)
+	type cand struct {
+		dist float64
+		s    model.VesselState
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		return geo.Distance(p, cands[i].Pos) < geo.Distance(p, cands[j].Pos)
-	})
+	var cands []cand
+	for _, sc := range l.snaps {
+		for _, s := range sc.get().NearestVessels(p, at, tol, k) {
+			cands = append(cands, cand{geo.Distance(p, s.Pos), s})
+		}
+	}
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].dist < cands[j].dist })
 	if len(cands) > k {
 		cands = cands[:k]
 	}
-	return cands
+	var out []model.VesselState
+	for _, c := range cands {
+		out = append(out, c.s)
+	}
+	return out
 }
 
 func (l *liveSource) Live(_ context.Context, r geo.Rect) []model.VesselState {

@@ -12,9 +12,11 @@ import (
 // FuzzLoad is the snapshot reader's oracle: Load takes post-crash or
 // foreign bytes and must never panic; a load that succeeds is a fixed
 // point (the store it built writes bytes that load into a store writing
-// the same bytes); and every loaded vessel's VesselLen equals the length
-// of its trajectory — the count the query layer's replay memo keys on is
-// the history the bytes hold.
+// the same bytes); every loaded vessel's VesselLen equals the length of
+// its trajectory — the count the query layer's replay memo keys on is the
+// history the bytes hold; and every series' run summaries and bound equal
+// those recomputed from its points — the summaries reads prune by describe
+// the points the bytes hold.
 //
 // Bounded run: go test -run='^$' -fuzz=FuzzLoad -fuzztime=15s ./internal/tstore
 func FuzzLoad(f *testing.F) {
@@ -26,6 +28,7 @@ func FuzzLoad(f *testing.F) {
 		if _, err := st.Load(bytes.NewReader(data)); err != nil {
 			return
 		}
+		checkSummaries(t, st)
 		for _, mmsi := range st.MMSIs() {
 			if n, pts := st.VesselLen(mmsi), len(st.Trajectory(mmsi).Points); n != pts {
 				t.Fatalf("vessel %d: VesselLen %d, trajectory %d points", mmsi, n, pts)
@@ -50,11 +53,12 @@ func FuzzLoad(f *testing.F) {
 }
 
 // loadSeeds is the corpus the fuzzer starts from: the snapshot of a small
-// simulated fleet, its truncations (mid-header, mid-vessel, mid-record)
+// simulated fleet (long enough that vessels fill several run summaries),
+// its truncations (mid-header, mid-vessel, mid-record)
 // and copies with one bit flipped in the magic, the vessel count, the
 // first point count and the first record.
 func loadSeeds(tb testing.TB) [][]byte {
-	cfg := sim.Config{Seed: 9, NumVessels: 3, Duration: 2 * time.Minute, TickSec: 2}
+	cfg := sim.Config{Seed: 9, NumVessels: 3, Duration: 40 * time.Minute, TickSec: 2}
 	cfg.DefaultAnomalyRates()
 	run, err := sim.Simulate(cfg)
 	if err != nil {

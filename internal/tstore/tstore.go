@@ -15,7 +15,6 @@ package tstore
 
 import (
 	"bufio"
-	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -129,8 +128,12 @@ type Store struct {
 // stub" of the tiered archive: its chunk directory, its newest sample
 // (last) and its counts — everything the live picture, stats and query
 // pruning need without paging anything in.
+// Reads prune by exact summaries of the resident points, kept at append
+// time: runs and bound.
 type series struct {
 	points    []model.VesselState
+	runs      []geo.Rect // run r = points[r*nearestChunkLen:(r+1)*nearestChunkLen], full runs only
+	bound     geo.Rect   // over every resident point
 	chunks    []evChunk
 	last      model.VesselState // newest sample, resident or not
 	n         int               // total points, resident + evicted
@@ -148,9 +151,17 @@ type evChunk struct {
 
 func (s *series) insert(st model.VesselState) {
 	s.points = append(s.points, st)
-	for i := len(s.points) - 1; i > 0 && s.points[i].At.Before(s.points[i-1].At); i-- {
+	i := len(s.points) - 1
+	for ; i > 0 && s.points[i].At.Before(s.points[i-1].At); i-- {
 		s.points[i], s.points[i-1] = s.points[i-1], s.points[i]
 	}
+	// A straggler moved to index i reshuffles every run from i's onwards:
+	// drop those summaries and re-summarise each run that is full again.
+	s.runs = s.runs[:min(len(s.runs), i/nearestChunkLen)]
+	for r := len(s.runs); (r+1)*nearestChunkLen <= len(s.points); r++ {
+		s.runs = append(s.runs, rectOf(s.points[r*nearestChunkLen:(r+1)*nearestChunkLen]))
+	}
+	s.bound = s.bound.Extend(st.Pos)
 	if s.n == 0 || !st.At.Before(s.last.At) {
 		s.last = st
 	}
@@ -162,6 +173,42 @@ func (s *series) rangeIdx(from, to time.Time) (lo, hi int) {
 	lo = sort.Search(len(s.points), func(i int) bool { return !s.points[i].At.Before(from) })
 	hi = sort.Search(len(s.points), func(i int) bool { return s.points[i].At.After(to) })
 	return lo, hi
+}
+
+// inBox copies the resident points inside r during [from, to], skipping
+// the whole vessel by its bound and each full run by its rectangle.
+func (s *series) inBox(r geo.Rect, from, to time.Time) []model.VesselState {
+	if !r.Intersects(s.bound) {
+		return nil
+	}
+	var out []model.VesselState
+	lo, hi := s.rangeIdx(from, to)
+	for lo < hi {
+		run := lo / nearestChunkLen
+		end := min((run+1)*nearestChunkLen, hi)
+		if run >= len(s.runs) || r.Intersects(s.runs[run]) {
+			out = appendInBox(out, s.points[lo:end], r)
+		}
+		lo = end
+	}
+	return out
+}
+
+func appendInBox(dst, pts []model.VesselState, r geo.Rect) []model.VesselState {
+	for _, p := range pts {
+		if r.Contains(p.Pos) {
+			dst = append(dst, p)
+		}
+	}
+	return dst
+}
+
+func rectOf(pts []model.VesselState) geo.Rect {
+	rect := geo.EmptyRect()
+	for _, p := range pts {
+		rect = rect.Extend(p.Pos)
+	}
+	return rect
 }
 
 // chunksInWindow returns copies of the spilled-chunk descriptors whose
@@ -225,7 +272,7 @@ func (st *Store) Append(s model.VesselState) {
 func (st *Store) insertLocked(s model.VesselState) {
 	ser, ok := st.vessels[s.MMSI]
 	if !ok {
-		ser = &series{}
+		ser = &series{bound: geo.EmptyRect()}
 		st.vessels[s.MMSI] = ser
 	}
 	ser.insert(s)
@@ -289,12 +336,8 @@ func (st *Store) EvictVessel(mmsi uint32) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("tstore: spilling vessel %d: %w", mmsi, err)
 		}
-		rect := geo.EmptyRect()
-		for _, p := range run {
-			rect = rect.Extend(p.Pos)
-		}
 		spilled = append(spilled, evChunk{
-			key: key, n: len(run), rect: rect,
+			key: key, n: len(run), rect: rectOf(run),
 			from: run[0].At, to: run[len(run)-1].At,
 		})
 	}
@@ -306,7 +349,7 @@ func (st *Store) EvictVessel(mmsi uint32) (int, error) {
 		return 0, ErrVesselHot
 	}
 	cur.chunks = append(cur.chunks, spilled...)
-	cur.points = nil
+	cur.points, cur.runs, cur.bound = nil, nil, geo.EmptyRect()
 	st.resident -= len(snap)
 	return len(snap), nil
 }
@@ -632,60 +675,53 @@ func (st *Store) TimeRange(mmsi uint32, from, to time.Time) []model.VesselState 
 }
 
 // SpaceTime returns all samples inside the box during [from, to], ordered
-// by (MMSI, time). It scans per-vessel time ranges, which is the right
-// plan when the time window is selective; use SpatialSnapshot for
-// space-selective archival queries. Evicted chunks are paged in only
-// when their time span overlaps the window AND their bounding rectangle
-// intersects the box — the chunk directory prunes the rest unread.
+// by (MMSI, time). Under the read lock it skips every vessel whose bound
+// misses the box and every full run whose rectangle does, and copies only
+// the points both in the window and in the box. Evicted chunks are paged
+// in only when their time span overlaps the window AND their bounding
+// rectangle intersects the box — the chunk directory prunes the rest
+// unread. Only the vessels the read returns points for or pages chunks of
+// are heated: a box read does not re-stamp the fleet it passes over.
 func (st *Store) SpaceTime(r geo.Rect, from, to time.Time) []model.VesselState {
 	type vesselRead struct {
 		mmsi     uint32
-		resident []model.VesselState // in-window copy, rect not yet applied
+		resident []model.VesselState // in the window and in the box
 		need     []evChunk
 	}
 	st.mu.RLock()
-	reads := make([]vesselRead, 0, len(st.vessels))
+	var reads []vesselRead
 	for m, ser := range st.vessels {
-		lo, hi := ser.rangeIdx(from, to)
+		resident := ser.inBox(r, from, to)
 		need := ser.chunksInWindow(from, to, &r)
-		if hi == lo && len(need) == 0 {
+		if len(resident) == 0 && len(need) == 0 {
 			continue
 		}
-		vr := vesselRead{mmsi: m, need: need}
-		vr.resident = make([]model.VesselState, hi-lo)
-		copy(vr.resident, ser.points[lo:hi])
 		st.touchLocked(ser)
-		reads = append(reads, vr)
+		reads = append(reads, vesselRead{mmsi: m, resident: resident, need: need})
 	}
 	st.mu.RUnlock()
 	sort.Slice(reads, func(i, j int) bool { return reads[i].mmsi < reads[j].mmsi })
 	var out []model.VesselState
 	for _, vr := range reads {
-		merged := vr.resident
-		if len(vr.need) > 0 {
-			parts := st.fetchChunks(vr.mmsi, vr.need)
-			for i, p := range parts {
-				parts[i] = trimWindow(p, from, to)
-			}
-			parts = append(parts, vr.resident)
-			merged = mergeByTime(parts)
+		if len(vr.need) == 0 {
+			out = append(out, vr.resident...)
+			continue
 		}
-		for _, p := range merged {
-			if r.Contains(p.Pos) {
-				out = append(out, p)
-			}
+		parts := st.fetchChunks(vr.mmsi, vr.need)
+		for i, p := range parts {
+			parts[i] = appendInBox(nil, trimWindow(p, from, to), r)
 		}
+		out = append(out, mergeByTime(append(parts, vr.resident))...)
 	}
 	return out
 }
 
-// Snapshot is an immutable spatial view over the archive at build time:
-// an R-tree whose item IDs encode (vessel, point) so results map back to
-// full states, plus a per-vessel time-chunked directory (bounding
-// rectangle and time span per run of consecutive samples) that
-// NearestVessels searches — candidates are pre-partitioned by time, so a
-// selective window prunes whole chunks instead of filtering fetched
-// points one by one.
+// Snapshot is an immutable spatial view over the archive at build time: a
+// copy of the resident points plus a time-chunked directory (bounding
+// rectangle and time span per run of up to nearestChunkLen consecutive
+// samples), grouped per vessel under one union rectangle and span. Both
+// Search and NearestVessels walk the directory, pruning whole vessels and
+// chunks instead of filtering points one by one.
 //
 // Evicted spans join the same directory as unresolved entries carrying
 // their chunk-store key: their rectangle and span still prune and bound
@@ -696,11 +732,19 @@ func (st *Store) SpaceTime(r geo.Rect, from, to time.Time) []model.VesselState {
 // inside the snapshot (sync.Once), so a shared snapshot pages each
 // chunk at most once however many queries run over it.
 type Snapshot struct {
-	rt     *index.RTree
 	states []model.VesselState // resident points, (MMSI, time)-ordered
 	chunks []snapChunk         // per-vessel runs, grouped by vessel
+	groups []snapGroup         // one per vessel, MMSI-ordered
 	total  int                 // resident + evicted points
 	fetch  func(mmsi uint32, key string, n int) []model.VesselState
+}
+
+// snapGroup is one vessel's share of the directory, chunks[lo:hi], under
+// the union of their rectangles and spans.
+type snapGroup struct {
+	rect     geo.Rect
+	from, to time.Time
+	lo, hi   int
 }
 
 // snapChunk summarises up to nearestChunkLen consecutive samples of one
@@ -728,11 +772,7 @@ func (sn *Snapshot) resolve(c *snapChunk) []model.VesselState {
 	if c.lazy == nil {
 		return sn.states[c.lo:c.hi]
 	}
-	c.lazy.once.Do(func() {
-		if sn.fetch != nil {
-			c.lazy.pts = sn.fetch(c.mmsi, c.lazy.key, c.lazy.n)
-		}
-	})
+	c.lazy.once.Do(func() { c.lazy.pts = sn.fetch(c.mmsi, c.lazy.key, c.lazy.n) })
 	return c.lazy.pts
 }
 
@@ -748,58 +788,60 @@ const nearestChunkLen = 64
 var PointBytes = int(unsafe.Sizeof(model.VesselState{}))
 
 // SpatialSnapshot builds a snapshot over all points currently stored.
-// Evicted spans are not paged in at build time — they enter the chunk
-// directory as lazy entries resolved only if a query reaches them.
+// The read lock covers only copying the resident points, the run
+// summaries and the chunk directory; tail-run rectangles and per-vessel
+// unions are computed from the copy after it. Evicted spans are not paged
+// in at build time — they enter the directory as lazy entries resolved
+// only if a query reaches them.
 func (st *Store) SpatialSnapshot() *Snapshot {
 	st.mu.RLock()
-	defer st.mu.RUnlock()
-	states := make([]model.VesselState, 0, st.resident)
 	mmsis := make([]uint32, 0, len(st.vessels))
 	for m := range st.vessels {
 		mmsis = append(mmsis, m)
 	}
 	sort.Slice(mmsis, func(i, j int) bool { return mmsis[i] < mmsis[j] })
-	sn := &Snapshot{total: st.total}
-	anyLazy := false
+	sn := &Snapshot{total: st.total, states: make([]model.VesselState, 0, st.resident)}
 	for _, m := range mmsis {
-		ser := st.vessels[m]
+		ser, first := st.vessels[m], len(sn.chunks)
 		for _, c := range ser.chunks {
 			sn.chunks = append(sn.chunks, snapChunk{
 				mmsi: m, rect: c.rect, from: c.from, to: c.to,
 				lazy: &lazyChunk{key: c.key, n: c.n},
 			})
-			anyLazy = true
 		}
-		pts := ser.points
-		base := len(states)
-		states = append(states, pts...)
-		for lo := 0; lo < len(pts); lo += nearestChunkLen {
-			hi := lo + nearestChunkLen
-			if hi > len(pts) {
-				hi = len(pts)
-			}
-			c := snapChunk{
-				mmsi: m, rect: geo.EmptyRect(),
-				from: pts[lo].At, to: pts[hi-1].At,
-				lo: base + lo, hi: base + hi,
-			}
-			for _, p := range pts[lo:hi] {
-				c.rect = c.rect.Extend(p.Pos)
+		base := len(sn.states)
+		sn.states = append(sn.states, ser.points...)
+		for lo := 0; lo < len(ser.points); lo += nearestChunkLen {
+			hi := min(lo+nearestChunkLen, len(ser.points))
+			c := snapChunk{mmsi: m, from: ser.points[lo].At, to: ser.points[hi-1].At, lo: base + lo, hi: base + hi}
+			if r := lo / nearestChunkLen; r < len(ser.runs) {
+				c.rect = ser.runs[r]
 			}
 			sn.chunks = append(sn.chunks, c)
 		}
+		sn.groups = append(sn.groups, snapGroup{lo: first, hi: len(sn.chunks)})
 	}
-	items := make([]index.Item, len(states))
-	for i, s := range states {
-		items[i] = index.Item{Pos: s.Pos, ID: uint64(i)}
-	}
-	sn.rt = index.BuildRTree(items)
-	sn.states = states
-	if anyLazy {
-		sn.fetch = func(mmsi uint32, key string, n int) []model.VesselState {
-			pts, _ := st.fetchChunk(mmsi, evChunk{key: key, n: n})
-			return pts
+	st.mu.RUnlock()
+	for i := range sn.groups {
+		g := &sn.groups[i]
+		g.rect, g.from, g.to = geo.EmptyRect(), sn.chunks[g.lo].from, sn.chunks[g.lo].to
+		for j := g.lo; j < g.hi; j++ {
+			c := &sn.chunks[j]
+			if c.lazy == nil && c.hi-c.lo < nearestChunkLen { // the open tail run
+				c.rect = rectOf(sn.states[c.lo:c.hi])
+			}
+			g.rect = g.rect.Union(c.rect)
+			if c.from.Before(g.from) {
+				g.from = c.from
+			}
+			if c.to.After(g.to) {
+				g.to = c.to
+			}
 		}
+	}
+	sn.fetch = func(mmsi uint32, key string, n int) []model.VesselState {
+		pts, _ := st.fetchChunk(mmsi, evChunk{key: key, n: n})
+		return pts
 	}
 	return sn
 }
@@ -808,50 +850,38 @@ func (st *Store) SpatialSnapshot() *Snapshot {
 // evicted alike.
 func (sn *Snapshot) Len() int { return sn.total }
 
-// Search returns the states inside the box during [from, to]. Resident
-// points come from the R-tree; evicted chunks are paged in only when
-// both their rectangle and their span overlap the query.
+// Search returns the states inside the box during [from, to], ordered as
+// Store.SpaceTime orders them, from the chunk directory: evicted chunks
+// are paged in only when both their rectangle and span overlap the query.
 func (sn *Snapshot) Search(r geo.Rect, from, to time.Time) []model.VesselState {
 	var out []model.VesselState
-	for _, it := range sn.rt.Search(r, nil) {
-		s := sn.states[it.ID]
-		if !s.At.Before(from) && !s.At.After(to) {
-			out = append(out, s)
-		}
-	}
-	for i := range sn.chunks {
-		c := &sn.chunks[i]
-		if c.lazy == nil || c.to.Before(from) || c.from.After(to) || !r.Intersects(c.rect) {
+	for _, g := range sn.groups {
+		if g.to.Before(from) || g.from.After(to) || !r.Intersects(g.rect) {
 			continue
 		}
-		for _, s := range sn.resolve(c) {
-			if !s.At.Before(from) && !s.At.After(to) && r.Contains(s.Pos) {
-				out = append(out, s)
+		var parts [][]model.VesselState
+		for i := g.lo; i < g.hi; i++ {
+			c := &sn.chunks[i]
+			if c.to.Before(from) || c.from.After(to) || !r.Intersects(c.rect) {
+				continue
 			}
+			parts = append(parts, appendInBox(nil, trimWindow(sn.resolve(c), from, to), r))
 		}
+		out = append(out, mergeByTime(parts)...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].MMSI != out[j].MMSI {
-			return out[i].MMSI < out[j].MMSI
-		}
-		return out[i].At.Before(out[j].At)
-	})
 	return out
 }
 
 // NearestVessels returns up to k distinct vessels with a sample within tol
 // of the instant `at`, ordered by the distance of that sample to p.
 //
-// The search runs over the snapshot's per-vessel time-chunk directory,
-// not the raw point R-tree: chunks whose time span misses the window are
-// pruned outright (candidates pre-partitioned by time), the rest enter a
-// best-first queue keyed by their rectangle's admissible lower-bound
-// distance, and popping a chunk resolves it to the vessel's nearest
-// in-window sample, re-queued at its true distance. A chunk of an
-// already-emitted vessel is skipped without scanning. This replaces the
-// old fetch-then-filter loop over the point R-tree, which re-fetched 4×
-// more candidates each round and waded through hundreds of co-located
-// same-vessel samples — ms-range where this is µs-range (E16/E17).
+// The search is best-first over the directory in two levels: vessels
+// whose span reaches the window enter the queue at the latitude-only part
+// of their union rectangle's bound, refined to Rect.DistanceTo at the
+// front; a refined vessel at the front queues its admissible chunks at
+// their rectangles' bounds, and a chunk at the front resolves to its
+// nearest admissible sample at its true distance. Ties break by MMSI,
+// then by the earlier sample, so answers do not depend on chunking.
 func (sn *Snapshot) NearestVessels(p geo.Point, at time.Time, tol time.Duration, k int) []model.VesselState {
 	if k <= 0 || len(sn.chunks) == 0 {
 		return nil
@@ -865,77 +895,124 @@ func (sn *Snapshot) NearestVessels(p geo.Point, at time.Time, tol time.Duration,
 		}
 		return dt <= tol
 	}
-	q := make(nvQueue, 0, 64)
-	for i := range sn.chunks {
-		c := &sn.chunks[i]
-		// Chunk-level time pruning: the nearest instant of [from, to]
-		// to `at` must be admissible.
-		switch {
-		case at.Before(c.from):
-			if c.from.Sub(at) > tol {
-				continue
-			}
-		case at.After(c.to):
-			if at.Sub(c.to) > tol {
-				continue
-			}
-		}
-		q = append(q, nvEntry{dist: c.rect.DistanceTo(p), chunk: i, mmsi: c.mmsi})
+	// reaches: the instant of [from, to] nearest `at` is admissible.
+	reaches := func(from, to time.Time) bool {
+		return !(at.Before(from) && from.Sub(at) > tol || at.After(to) && at.Sub(to) > tol)
 	}
-	heap.Init(&q)
+	q := make(nvQueue, 0, len(sn.groups)+4*k)
+	for i, g := range sn.groups {
+		if reaches(g.from, g.to) {
+			latGap := max(g.rect.MinLat-p.Lat, p.Lat-g.rect.MaxLat, 0)
+			q = append(q, nvEntry{dist: geo.Radians(latGap) * geo.EarthRadius, mmsi: sn.chunks[g.lo].mmsi, idx: i})
+		}
+	}
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
 	seen := make(map[uint32]bool, k)
 	out := make([]model.VesselState, 0, k)
-	for q.Len() > 0 && len(out) < k {
-		e := heap.Pop(&q).(nvEntry)
+	for len(q) > 0 && len(out) < k {
+		e := q.pop()
 		if seen[e.mmsi] {
 			continue
 		}
-		if e.chunk < 0 { // resolved: this is the vessel's nearest admissible sample
+		switch e.kind {
+		case nvVessel:
+			e.kind, e.dist = nvVesselRect, sn.groups[e.idx].rect.DistanceTo(p)
+			q.push(e)
+		case nvVesselRect:
+			for i := sn.groups[e.idx].lo; i < sn.groups[e.idx].hi; i++ {
+				if c := &sn.chunks[i]; reaches(c.from, c.to) {
+					q.push(nvEntry{dist: c.rect.DistanceTo(p), mmsi: e.mmsi, kind: nvChunk, idx: i})
+				}
+			}
+		case nvChunk:
+			// Resolving an evicted chunk pages it in here — and only
+			// here: chunks whose rectangle lower bound never reaches the
+			// front of the queue are never read back.
+			pts := sn.resolve(&sn.chunks[e.idx])
+			best, bd := -1, math.Inf(1)
+			for j := range pts {
+				if !admit(pts[j].At) {
+					continue
+				}
+				if d := geo.Distance(p, pts[j].Pos); d < bd {
+					best, bd = j, d
+				}
+			}
+			if best >= 0 {
+				q.push(nvEntry{dist: bd, mmsi: e.mmsi, kind: nvSample, idx: e.idx, s: &pts[best]})
+			}
+		case nvSample: // the vessel's nearest admissible sample
 			seen[e.mmsi] = true
-			out = append(out, e.state)
-			continue
-		}
-		// Resolving an evicted chunk pages it in here — and only here:
-		// chunks whose rectangle lower bound never reaches the front of
-		// the queue are never read back.
-		c := &sn.chunks[e.chunk]
-		var best model.VesselState
-		found, bd := false, math.Inf(1)
-		for _, s := range sn.resolve(c) {
-			if !admit(s.At) {
-				continue
-			}
-			if d := geo.Distance(p, s.Pos); d < bd {
-				best, bd, found = s, d, true
-			}
-		}
-		if found {
-			heap.Push(&q, nvEntry{dist: bd, chunk: -1, state: best, mmsi: c.mmsi})
+			out = append(out, *e.s)
 		}
 	}
 	return out
 }
 
-// nvEntry is a best-first queue entry of NearestVessels: an unresolved
-// chunk (rect lower bound) or a resolved sample (true distance).
+// nvEntry is a best-first queue entry of NearestVessels: a vessel
+// (groups[idx]) at its latitude or rectangle bound, a chunk (chunks[idx])
+// at its rectangle bound, or a resolved sample s at its true distance.
 type nvEntry struct {
-	dist  float64
-	chunk int // chunk index, or -1 once resolved
-	state model.VesselState
-	mmsi  uint32
+	dist float64
+	mmsi uint32
+	kind uint8
+	idx  int
+	s    *model.VesselState
 }
 
+const (
+	nvVessel uint8 = iota
+	nvVesselRect
+	nvChunk
+	nvSample
+)
+
+// nvQueue is a min-heap by less, without container/heap's interface boxing.
 type nvQueue []nvEntry
 
-func (q nvQueue) Len() int           { return len(q) }
-func (q nvQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q nvQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *nvQueue) Push(x any)        { *q = append(*q, x.(nvEntry)) }
-func (q *nvQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
+func (q nvQueue) less(i, j int) bool {
+	a, b := &q[i], &q[j]
+	switch {
+	case a.dist < b.dist || b.dist < a.dist:
+		return a.dist < b.dist
+	case a.mmsi != b.mmsi:
+		return a.mmsi < b.mmsi
+	case a.kind != b.kind:
+		return a.kind < b.kind
+	case a.s != nil && !a.s.At.Equal(b.s.At):
+		return a.s.At.Before(b.s.At)
+	}
+	return a.idx < b.idx
+}
+
+func (q nvQueue) down(i int) {
+	for c := 2*i + 1; c < len(q); i, c = c, 2*c+1 {
+		if c+1 < len(q) && q.less(c+1, c) {
+			c++
+		}
+		if !q.less(c, i) {
+			return
+		}
+		q[i], q[c] = q[c], q[i]
+	}
+}
+
+func (q *nvQueue) push(e nvEntry) {
+	h := append(*q, e)
+	for i := len(h) - 1; i > 0 && h.less(i, (i-1)/2); i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+	}
+	*q = h
+}
+
+func (q *nvQueue) pop() nvEntry {
+	h := *q
+	e := h[0]
+	h[0] = h[len(h)-1]
+	*q = h[:len(h)-1]
+	q.down(0)
 	return e
 }
 

@@ -288,6 +288,70 @@ func BenchmarkSnapshotSearch(b *testing.B) {
 	}
 }
 
+// benchStores fills two shard stores the way the bench archive is shaped:
+// 2000 vessels × 115 reports a minute apart across the Mediterranean,
+// split between the stores by MMSI parity. It also returns the reports
+// the reads centre on, one per 20 vessels, mid-track.
+func benchStores() ([]*Store, []model.VesselState) {
+	rng := rand.New(rand.NewSource(1))
+	stores := []*Store{New(), New()}
+	var centres []model.VesselState
+	for v := range 2000 {
+		lat, lon := 31+rng.Float64()*13, -5+rng.Float64()*40
+		dLat, dLon := (rng.Float64()-0.5)*0.006, (rng.Float64()-0.5)*0.006
+		for i := range 115 {
+			s := sample(uint32(201000000+v), i*60, lat+float64(i)*dLat, lon+float64(i)*dLon)
+			stores[v%2].Append(s)
+			if i == 57 && v%20 == 0 {
+				centres = append(centres, s)
+			}
+		}
+	}
+	return stores, centres
+}
+
+// BenchmarkSpaceTime is one archive-mix spacetime read over both stores:
+// a 0.5° box over ±1 h around a vessel's report.
+func BenchmarkSpaceTime(b *testing.B) {
+	stores, centres := benchStores()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		c := centres[i%len(centres)]
+		r := geo.Rect{MinLat: c.Pos.Lat - 0.25, MinLon: c.Pos.Lon - 0.25, MaxLat: c.Pos.Lat + 0.25, MaxLon: c.Pos.Lon + 0.25}
+		for _, st := range stores {
+			st.SpaceTime(r, c.At.Add(-time.Hour), c.At.Add(time.Hour))
+		}
+	}
+}
+
+// BenchmarkSnapshotBuild builds both stores' spatial snapshots.
+func BenchmarkSnapshotBuild(b *testing.B) {
+	stores, _ := benchStores()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, st := range stores {
+			st.SpatialSnapshot()
+		}
+	}
+}
+
+// BenchmarkNearestVessels is one archive-mix nearest read over both
+// stores' snapshots: k 5 within 30 min of a vessel's report.
+func BenchmarkNearestVessels(b *testing.B) {
+	stores, centres := benchStores()
+	snaps := []*Snapshot{stores[0].SpatialSnapshot(), stores[1].SpatialSnapshot()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		c := centres[i%len(centres)]
+		for _, sn := range snaps {
+			sn.NearestVessels(c.Pos, c.At, 30*time.Minute, 5)
+		}
+	}
+}
+
 func BenchmarkLiveUpdate(b *testing.B) {
 	l := NewLive(0.25)
 	b.ReportAllocs()
