@@ -77,7 +77,11 @@ func main() {
 		fmt.Printf("%-16s", p.Name())
 		for _, h := range horizons {
 			for _, r := range results {
-				if r.Predictor == p.Name() && r.Horizon == h {
+				switch {
+				case r.Predictor != p.Name() || r.Horizon != h:
+				case r.N == 0: // abstained everywhere: no error to report
+					fmt.Printf("%10s", "—")
+				default:
 					fmt.Printf("%10.0f", r.MeanM)
 				}
 			}

@@ -298,8 +298,7 @@ func (p *Pipeline) Alerts() []events.Alert {
 }
 
 // Enrich annotates a vessel state with its zone and weather context — the
-// §2.5 multi-granularity join, exposed for per-alert enrichment and used
-// by the enrichment benchmark (E7).
+// §2.5 multi-granularity join, exposed for per-alert enrichment.
 type Enrichment struct {
 	ZoneIDs []string
 	Values  map[weather.Variable]float64

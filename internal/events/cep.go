@@ -141,21 +141,6 @@ func SmugglingRunPattern(window time.Duration) *Pattern {
 	}
 }
 
-// FishingStartPattern recognises transit → sustained slow manoeuvring:
-// the start-of-fishing signature used for patterns-of-life.
-func FishingStartPattern() *Pattern {
-	return &Pattern{
-		Name:     "fishing-start",
-		Severity: 1,
-		Steps: []Step{
-			{Name: "transit", Match: func(s model.VesselState, _ *Context) bool { return s.SpeedKn > 6 }},
-			{Name: "trawl", Match: func(s model.VesselState, _ *Context) bool {
-				return s.SpeedKn > 1 && s.SpeedKn < 5.5
-			}, MinDuration: 15 * time.Minute},
-		},
-	}
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

@@ -92,7 +92,9 @@ func (k Kalman) Predict(tr *model.Trajectory, horizon time.Duration) (geo.Point,
 // Evaluation harness -----------------------------------------------------------
 
 // HorizonError aggregates prediction error at one horizon for one
-// predictor.
+// predictor. N counts the predictions scored; when the predictor abstained
+// at every eval point N is 0 and MeanM/P90M are 0 with no meaning, so a
+// reader must check N before reporting them.
 type HorizonError struct {
 	Predictor string
 	Horizon   time.Duration

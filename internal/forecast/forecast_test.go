@@ -151,6 +151,14 @@ func TestHybridFallsBack(t *testing.T) {
 	}
 }
 
+// abstainer has no basis for any prediction.
+type abstainer struct{}
+
+func (abstainer) Name() string { return "abstain" }
+func (abstainer) Predict(*model.Trajectory, time.Duration) (geo.Point, bool) {
+	return geo.Point{}, false
+}
+
 func TestEvaluateHorizonSweep(t *testing.T) {
 	// On dogleg traffic: route model error at long horizon must undercut
 	// dead reckoning; at short horizon both are decent.
@@ -163,7 +171,7 @@ func TestEvaluateHorizonSweep(t *testing.T) {
 	test := []*model.Trajectory{dogleg(999, start, 12, 80, 30, t0())}
 	horizons := []time.Duration{10 * time.Minute, 40 * time.Minute}
 	results := Evaluate(
-		[]Predictor{DeadReckoning{}, rm, Hybrid{Route: rm, Fallback: DeadReckoning{}}},
+		[]Predictor{DeadReckoning{}, rm, Hybrid{Route: rm, Fallback: DeadReckoning{}}, abstainer{}},
 		test, horizons, 5*time.Minute)
 
 	get := func(name string, h time.Duration) HorizonError {
@@ -175,7 +183,17 @@ func TestEvaluateHorizonSweep(t *testing.T) {
 		t.Fatalf("missing result %s/%v", name, h)
 		return HorizonError{}
 	}
+	// A predictor that never predicts is reported as scored nowhere, not
+	// as a zero-error one.
+	for _, h := range horizons {
+		if r := get("abstain", h); r.N != 0 {
+			t.Fatalf("abstaining predictor scored N=%d at %v", r.N, h)
+		}
+	}
 	for _, r := range results {
+		if r.Predictor == "abstain" {
+			continue
+		}
 		if r.N == 0 {
 			t.Fatalf("no evaluations for %s at %v", r.Predictor, r.Horizon)
 		}

@@ -305,26 +305,6 @@ func TestTrackerDropsStaleTracks(t *testing.T) {
 	}
 }
 
-func TestSourceReliability(t *testing.T) {
-	r := NewSourceReliability()
-	if r.Score("unknown") != 0.5 {
-		t.Error("unknown source should score 0.5")
-	}
-	for i := 0; i < 100; i++ {
-		r.Observe("honest", 2.0) // consistent with claimed noise
-		r.Observe("liar", 40.0)  // wildly optimistic noise model
-	}
-	if r.Score("honest") != 1 {
-		t.Errorf("honest score %.2f", r.Score("honest"))
-	}
-	if s := r.Score("liar"); s > 0.2 {
-		t.Errorf("liar score %.2f should be low", s)
-	}
-	if got := r.Sources(); len(got) != 2 || got[0] != "honest" {
-		t.Errorf("sources: %v", got)
-	}
-}
-
 func BenchmarkKalmanPredictUpdate(b *testing.B) {
 	k := NewKalmanCV(geo.Point{Lat: 43, Lon: 5}, 0.05)
 	k.Init(t0(), geo.Point{Lat: 43, Lon: 5}, 10)

@@ -209,58 +209,3 @@ func (t *Tracker) ConfirmedTracks() []*Track {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
-
-// SourceReliability estimates per-source quality from innovation behaviour:
-// the mean squared Mahalanobis distance of accepted associations should be
-// ≈2 (χ², 2 dof) for an honest sensor; values far above flag optimistic
-// noise models or corrupted sources. It is the plug-in the resolver and
-// the uncertainty layer use to discount sources (§4).
-type SourceReliability struct {
-	stats map[string]*reliabilityStat
-}
-
-type reliabilityStat struct {
-	n     int
-	sumD2 float64
-}
-
-// NewSourceReliability returns an empty estimator.
-func NewSourceReliability() *SourceReliability {
-	return &SourceReliability{stats: make(map[string]*reliabilityStat)}
-}
-
-// Observe records one accepted association's squared Mahalanobis distance.
-func (r *SourceReliability) Observe(source string, d2 float64) {
-	s, ok := r.stats[source]
-	if !ok {
-		s = &reliabilityStat{}
-		r.stats[source] = s
-	}
-	s.n++
-	s.sumD2 += d2
-}
-
-// Score returns a reliability in (0, 1]: 1 when the source's innovations
-// are consistent with its claimed noise (mean χ² ≤ 2), decaying as they
-// grow. Unknown sources score 0.5.
-func (r *SourceReliability) Score(source string) float64 {
-	s, ok := r.stats[source]
-	if !ok || s.n == 0 {
-		return 0.5
-	}
-	mean := s.sumD2 / float64(s.n)
-	if mean <= 2 {
-		return 1
-	}
-	return math.Max(0.05, 2/mean)
-}
-
-// Sources lists the observed sources sorted by name.
-func (r *SourceReliability) Sources() []string {
-	out := make([]string, 0, len(r.stats))
-	for s := range r.stats {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}

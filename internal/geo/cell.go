@@ -137,31 +137,6 @@ func (c CellID) String() string {
 		uint64(c)>>44, uint64(c)>>22&0x3FFFFF, uint64(c)&0x3FFFFF)
 }
 
-// Mercator projects p to Web-Mercator-like planar coordinates in metres.
-// Useful for local planar computations (Kalman filtering, CPA) where a
-// conformal projection keeps angles honest. Latitudes are clamped to ±85°.
-func Mercator(p Point) (x, y float64) {
-	lat := clamp(p.Lat, -85, 85)
-	x = EarthRadius * Radians(p.Lon)
-	y = EarthRadius * mercatorY(Radians(lat))
-	return x, y
-}
-
-// InverseMercator converts planar Mercator coordinates back to a Point.
-func InverseMercator(x, y float64) Point {
-	lon := Degrees(x / EarthRadius)
-	lat := Degrees(invMercatorY(y / EarthRadius))
-	return Point{Lat: lat, Lon: NormalizeLon(lon)}
-}
-
-func mercatorY(latRad float64) float64 {
-	return math.Log(math.Tan(latRad/2 + math.Pi/4))
-}
-
-func invMercatorY(y float64) float64 {
-	return 2*math.Atan(math.Exp(y)) - math.Pi/2
-}
-
 // LocalPlane is a tangent-plane approximation centred at Origin: positions
 // are expressed as east/north offsets in metres. It is accurate to well
 // under 1% within a few hundred kilometres of the origin, which covers a

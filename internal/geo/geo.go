@@ -192,15 +192,3 @@ type Velocity struct {
 func Project(p Point, v Velocity, dt float64) Point {
 	return Destination(p, v.CourseDg, v.SpeedMS*dt)
 }
-
-// VelocityBetween estimates the velocity implied by moving from a to b in
-// dt seconds. dt must be positive; a zero dt yields a zero velocity.
-func VelocityBetween(a, b Point, dt float64) Velocity {
-	if dt <= 0 {
-		return Velocity{}
-	}
-	return Velocity{
-		SpeedMS:  Distance(a, b) / dt,
-		CourseDg: Bearing(a, b),
-	}
-}

@@ -166,16 +166,8 @@ func TestProjectConsistency(t *testing.T) {
 	if d := Distance(p, q); math.Abs(d-36000) > 50 {
 		t.Errorf("projected distance %.1f, want ~36000", d)
 	}
-	got := VelocityBetween(p, q, 3600)
-	if math.Abs(got.SpeedMS-10) > 0.05 {
-		t.Errorf("recovered speed %.3f, want 10", got.SpeedMS)
-	}
-}
-
-func TestVelocityBetweenZeroDt(t *testing.T) {
-	v := VelocityBetween(Point{1, 1}, Point{2, 2}, 0)
-	if v.SpeedMS != 0 || v.CourseDg != 0 {
-		t.Errorf("zero dt should give zero velocity, got %+v", v)
+	if b := Bearing(p, q); math.Abs(b-90) > 0.5 {
+		t.Errorf("initial bearing %.3f, want ~90", b)
 	}
 }
 
@@ -389,18 +381,6 @@ func TestGridResolutionsDistinct(t *testing.T) {
 	p := Point{10.25, 10.25}
 	if g1.Cell(p) == g2.Cell(p) {
 		t.Error("cells of different resolutions must have different IDs")
-	}
-}
-
-func TestMercatorRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	for i := 0; i < 200; i++ {
-		p := Point{Lat: r.Float64()*160 - 80, Lon: r.Float64()*340 - 170}
-		x, y := Mercator(p)
-		q := InverseMercator(x, y)
-		if d := Distance(p, q); d > 0.5 {
-			t.Fatalf("Mercator round trip error %.3f m for %v", d, p)
-		}
 	}
 }
 

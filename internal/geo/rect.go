@@ -198,13 +198,3 @@ func wrappedLonDiff(a, b float64) float64 {
 func minCosLat(minLat, maxLat float64) float64 {
 	return math.Min(math.Cos(Radians(minLat)), math.Cos(Radians(maxLat)))
 }
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

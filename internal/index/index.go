@@ -1,8 +1,8 @@
 // Package index provides the spatial access methods the moving-object
 // store and query layer use: a uniform grid index for streaming inserts
 // and an STR-bulk-loaded R-tree for archival range and kNN queries, both
-// behind one SpatialIndex interface so experiment E11 can compare them
-// against a linear scan on equal terms.
+// behind one SpatialIndex interface so tests can check both against a
+// linear scan on equal terms.
 package index
 
 import (

@@ -235,16 +235,6 @@ func typeExprString(e ast.Expr) string {
 	return "?"
 }
 
-// recvTypeName returns the receiver's named type ("Disk" for *Disk),
-// or "" for plain functions.
-func recvTypeName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	name := typeExprString(fd.Recv.List[0].Type)
-	return strings.TrimPrefix(name, "*")
-}
-
 // exprString renders a (small) expression for use in lock-region keys
 // and diagnostics: identifiers and selector chains only.
 func exprString(e ast.Expr) string {

@@ -264,26 +264,3 @@ func (p *Profile) Subjects() []string {
 	sort.Strings(out)
 	return out
 }
-
-// --- aggregate scoring ----------------------------------------------------------------
-
-// Score aggregates detector output over a static-message batch.
-type Score struct {
-	Messages      int
-	Flagged       int
-	EstimatedRate float64
-}
-
-// ScoreStatics runs CheckStatic over a batch and estimates the error rate.
-func ScoreStatics(msgs []*ais.StaticVoyage) Score {
-	s := Score{Messages: len(msgs)}
-	for _, m := range msgs {
-		if len(CheckStatic(m)) > 0 {
-			s.Flagged++
-		}
-	}
-	if s.Messages > 0 {
-		s.EstimatedRate = float64(s.Flagged) / float64(s.Messages)
-	}
-	return s
-}

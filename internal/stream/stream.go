@@ -1,15 +1,13 @@
-// Package stream is a typed, single-process streaming dataflow engine with
-// the spatio-temporal primitives the paper (§2.2–2.3) finds missing from
-// general platforms: event-time windows keyed by vessel, watermarks with
-// bounded out-of-order tolerance, cross-stream temporal joins, and
-// partitioned parallelism. It is deliberately small — operators are
-// functions, channels carry the data, and backpressure is the natural
-// blocking of full channels.
+// Package stream holds the small typed plumbing the ingest engine is built
+// from: a timestamped, keyed Event, per-stage Metrics counters, key-hash
+// partitioning (Partition, and ShardOf for callers that route a batch
+// themselves) and Merge, which fans several channels back into one.
+// Channels carry the data, and backpressure is the natural blocking of
+// full channels.
 package stream
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,28 +20,11 @@ type Event[T any] struct {
 	Value T
 }
 
-// Source produces events into a channel until the context is cancelled or
-// the input is exhausted.
-type Source[T any] func(ctx context.Context, out chan<- Event[T])
-
-// FromSlice returns a Source replaying the given events in order.
-func FromSlice[T any](events []Event[T]) Source[T] {
-	return func(ctx context.Context, out chan<- Event[T]) {
-		for _, e := range events {
-			select {
-			case out <- e:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}
-}
-
 // Metrics counts events through a pipeline stage.
 type Metrics struct {
 	In      atomic.Int64
 	Out     atomic.Int64
-	Dropped atomic.Int64 // late events beyond the watermark
+	Dropped atomic.Int64 // events the stage discarded
 }
 
 // Snapshot returns a plain-struct copy of the counters.
@@ -54,58 +35,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 // MetricsSnapshot is a point-in-time copy of Metrics.
 type MetricsSnapshot struct {
 	In, Out, Dropped int64
-}
-
-// Map transforms each event's value, preserving time and key.
-func Map[T, U any](ctx context.Context, in <-chan Event[T], f func(T) U, buf int) <-chan Event[U] {
-	out := make(chan Event[U], buf)
-	go func() {
-		defer close(out)
-		for e := range in {
-			select {
-			case out <- Event[U]{Time: e.Time, Key: e.Key, Value: f(e.Value)}:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out
-}
-
-// Filter forwards events whose value satisfies pred.
-func Filter[T any](ctx context.Context, in <-chan Event[T], pred func(T) bool, buf int) <-chan Event[T] {
-	out := make(chan Event[T], buf)
-	go func() {
-		defer close(out)
-		for e := range in {
-			if !pred(e.Value) {
-				continue
-			}
-			select {
-			case out <- e:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out
-}
-
-// KeyBy re-keys events with the given key extractor.
-func KeyBy[T any](ctx context.Context, in <-chan Event[T], key func(T) uint64, buf int) <-chan Event[T] {
-	out := make(chan Event[T], buf)
-	go func() {
-		defer close(out)
-		for e := range in {
-			e.Key = key(e.Value)
-			select {
-			case out <- e:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return out
 }
 
 // Partition splits a stream into n substreams by key hash; events with the
@@ -165,44 +94,10 @@ func Merge[T any](ctx context.Context, ins []<-chan Event[T], buf int) <-chan Ev
 	return out
 }
 
-// Parallel applies f to each event in n workers and merges the results.
-// Per-key ordering is NOT preserved; use Partition+Map when it must be.
-// n <= 0 is clamped to one worker.
-func Parallel[T, U any](ctx context.Context, in <-chan Event[T], f func(T) U, n, buf int) <-chan Event[U] {
-	if n < 1 {
-		n = 1
-	}
-	parts := Partition(ctx, in, n, buf)
-	outs := make([]<-chan Event[U], n)
-	for i, p := range parts {
-		outs[i] = Map(ctx, p, f, buf)
-	}
-	return Merge(ctx, outs, buf)
-}
-
-// Collect drains a stream into a slice (a test and batch-analysis helper).
-func Collect[T any](in <-chan Event[T]) []Event[T] {
-	var out []Event[T]
-	for e := range in {
-		out = append(out, e)
-	}
-	return out
-}
-
-// Run connects a source to a fresh channel and returns it.
-func Run[T any](ctx context.Context, src Source[T], buf int) <-chan Event[T] {
-	out := make(chan Event[T], buf)
-	go func() {
-		defer close(out)
-		src(ctx, out)
-	}()
-	return out
-}
-
 // ShardOf returns the partition index Partition assigns to key among n
 // shards (n <= 0 treated as 1). Exported so out-of-band routing — e.g. a
 // caller pre-grouping a batch per shard — lands on the same partition the
-// dataflow would pick.
+// Partition would pick.
 func ShardOf(key uint64, n int) int {
 	if n < 1 {
 		n = 1
@@ -219,108 +114,4 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// Reorder buffers events and releases them in event-time order, tolerating
-// out-of-order arrival up to maxDelay: the watermark trails the maximum
-// seen event time by maxDelay, and events older than the watermark at
-// arrival are dropped (counted in Metrics.Dropped). This is the standard
-// bounded-disorder watermark model.
-func Reorder[T any](ctx context.Context, in <-chan Event[T], maxDelay time.Duration, m *Metrics, buf int) <-chan Event[T] {
-	out := make(chan Event[T], buf)
-	go func() {
-		defer close(out)
-		var heap eventHeap[T]
-		var maxSeen time.Time
-		emit := func(e Event[T]) bool {
-			select {
-			case out <- e:
-				if m != nil {
-					m.Out.Add(1)
-				}
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		for e := range in {
-			if m != nil {
-				m.In.Add(1)
-			}
-			if e.Time.After(maxSeen) {
-				maxSeen = e.Time
-			}
-			watermark := maxSeen.Add(-maxDelay)
-			if e.Time.Before(watermark) {
-				if m != nil {
-					m.Dropped.Add(1)
-				}
-				continue
-			}
-			heap.push(e)
-			for heap.len() > 0 && heap.min().Time.Before(watermark) {
-				if !emit(heap.pop()) {
-					return
-				}
-			}
-		}
-		// Input exhausted: flush everything in order.
-		for heap.len() > 0 {
-			if !emit(heap.pop()) {
-				return
-			}
-		}
-	}()
-	return out
-}
-
-// eventHeap is a binary min-heap on event time.
-type eventHeap[T any] struct {
-	items []Event[T]
-}
-
-func (h *eventHeap[T]) len() int      { return len(h.items) }
-func (h *eventHeap[T]) min() Event[T] { return h.items[0] }
-func (h *eventHeap[T]) push(e Event[T]) {
-	h.items = append(h.items, e)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.items[i].Time.Before(h.items[parent].Time) {
-			break
-		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap[T]) pop() Event[T] {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.items) && h.items[l].Time.Before(h.items[smallest].Time) {
-			smallest = l
-		}
-		if r < len(h.items) && h.items[r].Time.Before(h.items[smallest].Time) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
-	}
-	return top
-}
-
-// SortEventsByTime sorts a slice of events in place by event time (stable).
-func SortEventsByTime[T any](events []Event[T]) {
-	sort.SliceStable(events, func(i, j int) bool {
-		return events[i].Time.Before(events[j].Time)
-	})
 }

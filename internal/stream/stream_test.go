@@ -2,7 +2,6 @@ package stream
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -20,31 +19,32 @@ func intEvents(times ...int) []Event[int] {
 	return out
 }
 
-func TestMapFilter(t *testing.T) {
-	ctx := context.Background()
-	in := Run(ctx, FromSlice(intEvents(1, 2, 3, 4, 5, 6)), 4)
-	doubled := Map(ctx, in, func(v int) int { return v * 2 }, 4)
-	evens := Filter(ctx, doubled, func(v int) bool { return v%4 == 0 }, 4)
-	got := Collect(evens)
-	if len(got) != 3 {
-		t.Fatalf("expected 3 events, got %d", len(got))
+// chanOf returns a closed, buffered channel holding events in order.
+func chanOf[T any](events []Event[T]) <-chan Event[T] {
+	ch := make(chan Event[T], len(events))
+	for _, e := range events {
+		ch <- e
 	}
-	for _, e := range got {
-		if e.Value%4 != 0 {
-			t.Errorf("filter leaked %d", e.Value)
-		}
-	}
+	close(ch)
+	return ch
 }
 
-func TestKeyByAndPartitionConsistency(t *testing.T) {
+// drain reads a channel to its close.
+func drain[T any](in <-chan Event[T]) []Event[T] {
+	var out []Event[T]
+	for e := range in {
+		out = append(out, e)
+	}
+	return out
+}
+
+func TestPartitionKeyConsistency(t *testing.T) {
 	ctx := context.Background()
 	events := make([]Event[int], 200)
 	for i := range events {
-		events[i] = Event[int]{Time: ts(i), Value: i}
+		events[i] = Event[int]{Time: ts(i), Key: uint64(i % 7), Value: i}
 	}
-	in := Run(ctx, FromSlice(events), 16)
-	keyed := KeyBy(ctx, in, func(v int) uint64 { return uint64(v % 7) }, 16)
-	parts := Partition(ctx, keyed, 4, 16)
+	parts := Partition(ctx, chanOf(events), 4, 16)
 
 	var mu sync.Mutex
 	keyToPart := map[uint64]int{}
@@ -57,6 +57,9 @@ func TestKeyByAndPartitionConsistency(t *testing.T) {
 				mu.Lock()
 				if prev, ok := keyToPart[e.Key]; ok && prev != pi {
 					t.Errorf("key %d seen in partitions %d and %d", e.Key, prev, pi)
+				}
+				if want := ShardOf(e.Key, 4); pi != want {
+					t.Errorf("key %d in partition %d, ShardOf says %d", e.Key, pi, want)
 				}
 				keyToPart[e.Key] = pi
 				mu.Unlock()
@@ -75,8 +78,7 @@ func TestPartitionPreservesPerKeyOrder(t *testing.T) {
 	for i := range events {
 		events[i] = Event[int]{Time: ts(i), Key: uint64(i % 5), Value: i}
 	}
-	in := Run(ctx, FromSlice(events), 8)
-	parts := Partition(ctx, in, 3, 8)
+	parts := Partition(ctx, chanOf(events), 3, 8)
 	var wg sync.WaitGroup
 	for _, p := range parts {
 		wg.Add(1)
@@ -94,244 +96,46 @@ func TestPartitionPreservesPerKeyOrder(t *testing.T) {
 	wg.Wait()
 }
 
+// Regression: Partition with n <= 0 used to panic with a divide-by-zero on
+// the key-hash modulo; it must clamp to a single partition instead.
+func TestPartitionClampsNonPositive(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		ctx := context.Background()
+		parts := Partition(ctx, chanOf(intEvents(1, 2, 3)), n, 4)
+		if len(parts) != 1 {
+			t.Fatalf("Partition(n=%d): got %d partitions, want 1", n, len(parts))
+		}
+		if got := drain(parts[0]); len(got) != 3 {
+			t.Errorf("Partition(n=%d): lost events, got %d want 3", n, len(got))
+		}
+	}
+}
+
 func TestMergeDeliversAll(t *testing.T) {
 	ctx := context.Background()
-	a := Run(ctx, FromSlice(intEvents(1, 2, 3)), 2)
-	b := Run(ctx, FromSlice(intEvents(4, 5)), 2)
-	got := Collect(Merge(ctx, []<-chan Event[int]{a, b}, 4))
+	a := chanOf(intEvents(1, 2, 3))
+	b := chanOf(intEvents(4, 5))
+	got := drain(Merge(ctx, []<-chan Event[int]{a, b}, 4))
 	if len(got) != 5 {
 		t.Fatalf("merge lost events: %d", len(got))
 	}
 }
 
-func TestParallelProcessesAll(t *testing.T) {
-	ctx := context.Background()
-	events := make([]Event[int], 1000)
-	for i := range events {
-		events[i] = Event[int]{Time: ts(i), Key: uint64(i), Value: i}
-	}
-	in := Run(ctx, FromSlice(events), 64)
-	out := Collect(Parallel(ctx, in, func(v int) int { return v + 1 }, 8, 64))
-	if len(out) != 1000 {
-		t.Fatalf("parallel lost events: %d", len(out))
-	}
-	sum := 0
-	for _, e := range out {
-		sum += e.Value
-	}
-	want := 1000 * 999 / 2 // sum of 0..999
-	want += 1000           // +1 each
-	if sum != want {
-		t.Errorf("sum %d, want %d", sum, want)
-	}
-}
-
-func TestReorderSortsWithinDelay(t *testing.T) {
-	ctx := context.Background()
-	// Events shuffled within a 5 s disorder bound.
-	events := []Event[int]{
-		{Time: ts(3), Value: 3},
-		{Time: ts(1), Value: 1},
-		{Time: ts(2), Value: 2},
-		{Time: ts(6), Value: 6},
-		{Time: ts(4), Value: 4},
-		{Time: ts(5), Value: 5},
-		{Time: ts(9), Value: 9},
-		{Time: ts(8), Value: 8},
-	}
-	var m Metrics
-	in := Run(ctx, FromSlice(events), 4)
-	got := Collect(Reorder(ctx, in, 5*time.Second, &m, 4))
-	if len(got) != len(events) {
-		t.Fatalf("reorder lost events: %d", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Time.Before(got[i-1].Time) {
-			t.Fatalf("output not time ordered at %d", i)
-		}
-	}
-	s := m.Snapshot()
-	if s.In != int64(len(events)) || s.Dropped != 0 {
-		t.Errorf("metrics: %+v", s)
-	}
-}
-
-func TestReorderDropsTooLate(t *testing.T) {
-	ctx := context.Background()
-	events := []Event[int]{
-		{Time: ts(10), Value: 10},
-		{Time: ts(20), Value: 20},
-		{Time: ts(5), Value: 5}, // 15 s late against max seen 20, delay 8 s: drop
-	}
-	var m Metrics
-	in := Run(ctx, FromSlice(events), 4)
-	got := Collect(Reorder(ctx, in, 8*time.Second, &m, 4))
-	for _, e := range got {
-		if e.Value == 5 {
-			t.Error("too-late event should have been dropped")
-		}
-	}
-	if m.Snapshot().Dropped != 1 {
-		t.Errorf("dropped = %d, want 1", m.Snapshot().Dropped)
-	}
-}
-
-func TestReorderPropertyRandomised(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		n := 200
-		events := make([]Event[int], n)
-		for i := range events {
-			// Base time i seconds, jitter ±3 s: disorder bounded by 6 s.
-			jitter := rng.Intn(7) - 3
-			events[i] = Event[int]{Time: ts(i + jitter), Value: i}
-		}
-		in := Run(ctx, FromSlice(events), 16)
-		got := Collect(Reorder(ctx, in, 10*time.Second, nil, 16))
-		if len(got) != n {
-			t.Fatalf("trial %d: lost events (%d/%d)", trial, len(got), n)
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i].Time.Before(got[i-1].Time) {
-				t.Fatalf("trial %d: disorder in output", trial)
-			}
-		}
-	}
-}
-
-func TestTumblingWindowCounts(t *testing.T) {
-	ctx := context.Background()
-	// Key 1: events at 1,2,3 (window 0) and 65 (window 1).
-	events := []Event[int]{
-		{Time: ts(1), Key: 1, Value: 1},
-		{Time: ts(2), Key: 1, Value: 2},
-		{Time: ts(3), Key: 1, Value: 3},
-		{Time: ts(65), Key: 1, Value: 65},
-		{Time: ts(30), Key: 2, Value: 30},
-	}
-	SortEventsByTime(events)
-	in := Run(ctx, FromSlice(events), 4)
-	wins := Collect(TumblingWindow(ctx, in, time.Minute, 0, nil,
-		func() int { return 0 },
-		func(acc int, e Event[int]) int { return acc + e.Value },
-		4))
-	byKeyStart := map[[2]int64]Window[int]{}
-	for _, w := range wins {
-		byKeyStart[[2]int64{int64(w.Value.Key), w.Value.Start.Unix()}] = w.Value
-	}
-	if len(wins) != 3 {
-		t.Fatalf("expected 3 windows, got %d", len(wins))
-	}
-	w0 := byKeyStart[[2]int64{1, ts(0).Unix()}]
-	if w0.Count != 3 || w0.Agg != 6 {
-		t.Errorf("window 0 for key 1: %+v", w0)
-	}
-	w1 := byKeyStart[[2]int64{1, ts(60).Unix()}]
-	if w1.Count != 1 || w1.Agg != 65 {
-		t.Errorf("window 1 for key 1: %+v", w1)
-	}
-	w2 := byKeyStart[[2]int64{2, ts(0).Unix()}]
-	if w2.Count != 1 || w2.Agg != 30 {
-		t.Errorf("window 0 for key 2: %+v", w2)
-	}
-}
-
-func TestTumblingWindowEmitsOnWatermark(t *testing.T) {
-	ctx := context.Background()
-	in := make(chan Event[int])
-	out := TumblingWindow(ctx, in, time.Minute, 0, nil,
-		func() int { return 0 },
-		func(acc int, e Event[int]) int { return acc + 1 },
-		4)
-	in <- Event[int]{Time: ts(10), Key: 1, Value: 1}
-	in <- Event[int]{Time: ts(50), Key: 1, Value: 1}
-	// Nothing should be emitted yet (window not past watermark).
-	select {
-	case w := <-out:
-		t.Fatalf("premature window emission: %+v", w)
-	case <-time.After(20 * time.Millisecond):
-	}
-	// An event in the next window closes the first.
-	in <- Event[int]{Time: ts(125), Key: 1, Value: 1}
-	select {
-	case w := <-out:
-		if w.Value.Count != 2 {
-			t.Errorf("window count = %d, want 2", w.Value.Count)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("window not emitted after watermark passed")
-	}
-	close(in)
-	rest := Collect(out)
-	if len(rest) != 1 {
-		t.Errorf("expected 1 final window, got %d", len(rest))
-	}
-}
-
-func TestTemporalJoinNearest(t *testing.T) {
-	ctx := context.Background()
-	left := []Event[string]{
-		{Time: ts(10), Key: 1, Value: "L10"},
-		{Time: ts(20), Key: 1, Value: "L20"},
-		{Time: ts(30), Key: 2, Value: "L30"},
-	}
-	right := []Event[string]{
-		{Time: ts(9), Key: 1, Value: "R9"},
-		{Time: ts(19), Key: 1, Value: "R19"},
-		{Time: ts(21), Key: 1, Value: "R21"},
-		{Time: ts(500), Key: 2, Value: "Rfar"},
-	}
-	l := Run(ctx, FromSlice(left), 4)
-	r := Run(ctx, FromSlice(right), 4)
-	got := Collect(TemporalJoin(ctx, l, r, 5*time.Second, 4))
-	if len(got) != 2 {
-		t.Fatalf("expected 2 joined pairs, got %d: %+v", len(got), got)
-	}
-	byLeft := map[string]JoinPair[string, string]{}
-	for _, e := range got {
-		byLeft[e.Value.Left] = e.Value
-	}
-	if byLeft["L10"].Right != "R9" {
-		t.Errorf("L10 joined to %s, want R9", byLeft["L10"].Right)
-	}
-	// L20 is 1 s from both R19 and R21; either is acceptable but skew must be 1 s.
-	if byLeft["L20"].Skew != time.Second {
-		t.Errorf("L20 skew = %v", byLeft["L20"].Skew)
-	}
-}
-
-func TestTemporalJoinOuterKeepsUnmatched(t *testing.T) {
-	ctx := context.Background()
-	left := []Event[string]{{Time: ts(10), Key: 1, Value: "lonely"}}
-	right := []Event[string]{{Time: ts(400), Key: 1, Value: "far"}}
-	l := Run(ctx, FromSlice(left), 2)
-	r := Run(ctx, FromSlice(right), 2)
-	got := Collect(TemporalJoinOuter(ctx, l, r, 5*time.Second, 2))
-	if len(got) != 1 {
-		t.Fatalf("outer join should keep unmatched left: %d", len(got))
-	}
-	if got[0].Value.Skew != -1 || got[0].Value.Right != "" {
-		t.Errorf("unmatched marker wrong: %+v", got[0].Value)
-	}
-}
-
 func TestContextCancellationStopsPipeline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	// An infinite source.
-	src := func(ctx context.Context, out chan<- Event[int]) {
-		i := 0
-		for {
+	// An infinite producer feeding Partition → Merge.
+	in := make(chan Event[int])
+	go func() {
+		defer close(in)
+		for i := 0; ; i++ {
 			select {
-			case out <- Event[int]{Time: ts(i), Value: i}:
-				i++
+			case in <- Event[int]{Time: ts(i), Key: uint64(i), Value: i}:
 			case <-ctx.Done():
 				return
 			}
 		}
-	}
-	in := Run(ctx, src, 1)
-	out := Map(ctx, in, func(v int) int { return v }, 1)
+	}()
+	out := Merge(ctx, Partition(ctx, in, 4, 1), 1)
 	<-out // ensure flowing
 	cancel()
 	// The pipeline must terminate: drain with a timeout.
@@ -345,51 +149,5 @@ func TestContextCancellationStopsPipeline(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("pipeline did not stop after cancellation")
-	}
-}
-
-func BenchmarkMapThroughput(b *testing.B) {
-	ctx := context.Background()
-	events := make([]Event[int], b.N)
-	for i := range events {
-		events[i] = Event[int]{Time: ts(i), Value: i}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	in := Run(ctx, FromSlice(events), 1024)
-	out := Map(ctx, in, func(v int) int { return v * 2 }, 1024)
-	for range out {
-	}
-}
-
-func BenchmarkReorder(b *testing.B) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(1))
-	events := make([]Event[int], b.N)
-	for i := range events {
-		events[i] = Event[int]{Time: ts(i + rng.Intn(5)), Value: i}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	in := Run(ctx, FromSlice(events), 1024)
-	out := Reorder(ctx, in, 10*time.Second, nil, 1024)
-	for range out {
-	}
-}
-
-func BenchmarkTumblingWindow(b *testing.B) {
-	ctx := context.Background()
-	events := make([]Event[int], b.N)
-	for i := range events {
-		events[i] = Event[int]{Time: ts(i / 10), Key: uint64(i % 100), Value: i}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	in := Run(ctx, FromSlice(events), 1024)
-	out := TumblingWindow(ctx, in, time.Minute, 0, nil,
-		func() int { return 0 },
-		func(acc int, e Event[int]) int { return acc + 1 },
-		1024)
-	for range out {
 	}
 }
