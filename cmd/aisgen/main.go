@@ -17,8 +17,8 @@
 //
 // With -truth FILE the injected-anomaly ground truth (go-dark windows,
 // course deviations, loiters, rendezvous…) is written to FILE as one
-// JSON object per line — the scoring key experiments E8 and E21 compare
-// detector output against.
+// JSON object per line — the scoring key to compare a detector's output
+// against.
 package main
 
 import (

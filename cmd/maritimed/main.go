@@ -62,15 +62,15 @@
 // exactly where a replay of the archive stands (alerts are not
 // replayed).
 //
-// -track is the track-intelligence lane: fused per-vessel Kalman state,
-// incrementally learned route forecasts and integrity scores behind the
-// track/predict/quality kinds. With -detections it additionally parses
-// $PRADAR radar-contact lines interleaved in the feed (aisgen
-// -radar-range emits them) and fuses those identity-less contacts into
-// the vessel tracks. With -data-dir, anonymous radar-only tracks (which
-// exist nowhere in the archive) are snapshotted to orphans.json at
-// shutdown and resumed at startup, so the whole track picture survives
-// a restart.
+// -track is the track-intelligence lane: fused per-vessel Kalman state
+// and integrity scores behind the track/quality kinds (predict is
+// dead-reckoned from the archive with or without it). With -detections
+// it additionally parses $PRADAR radar-contact lines interleaved in the
+// feed (aisgen -radar-range emits them) and fuses those identity-less
+// contacts into the vessel tracks. With -data-dir, anonymous radar-only
+// tracks (which exist nowhere in the archive) are snapshotted to
+// orphans.json at shutdown and resumed at startup, so the whole track
+// picture survives a restart.
 //
 // -anomaly is the streaming anomaly lane: a behavior profile per vessel
 // (sliding-window distribution shift against the vessel's own history),
@@ -195,7 +195,7 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "with -http, mount net/http/pprof under /debug/pprof/")
 	statsEvery := flag.Duration("stats-every", 0, "print a periodic health line read from the metrics registry (0 = off)")
 	slowQuery := flag.Duration("slow-query", time.Second, "record any query exceeding this duration in the flight ring with its full stage trace (0 = off)")
-	trackOn := flag.Bool("track", false, "run the online track-intelligence stage (fused Kalman state, route forecasts, integrity scores behind the track/predict/quality query kinds)")
+	trackOn := flag.Bool("track", false, "run the online track-intelligence stage (fused Kalman state and integrity scores behind the track/quality query kinds)")
 	detections := flag.Bool("detections", false, "parse $PRADAR radar-contact lines from the feed into the track stage (implies -track); aisgen -radar-range emits them")
 	anomalyOn := flag.Bool("anomaly", false, "run the streaming anomaly lane (behavior profiles behind the anomalies query kind, continuous episode extraction, possible-rendezvous CEP alerts)")
 	var peers []string

@@ -42,12 +42,11 @@
 //
 // -watch KIND turns the one-shot request the other flags spell into a
 // standing one (the daemon rejects kinds that do not stream). -watch
-// predict is the forecast ticker: a fresh dead-reckoned (or route-model)
-// fix every tick, showing the vessel's expected motion between AIS
-// reports. -watch anomalies is the deviation ticker: the fleet ranked by
-// behavior-shift score (or one vessel's report, with -anomalies MMSI)
-// pushed every tick — a client watching "vessels deviating from their
-// own history".
+// predict is the forecast ticker: a fresh dead-reckoned fix every tick,
+// showing the vessel's expected motion between AIS reports. -watch
+// anomalies is the deviation ticker: the fleet ranked by behavior-shift
+// score (or one vessel's report, with -anomalies MMSI) pushed every
+// tick — a client watching "vessels deviating from their own history".
 package main
 
 import (

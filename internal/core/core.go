@@ -1,15 +1,15 @@
 // Package core assembles the integrated maritime information
 // infrastructure of the paper's Figure 2: in-situ stream processing of
 // position reports through quality assessment, trajectory reconstruction
-// and synopsis computation, archival and live storage, contextual
-// enrichment, complex event recognition, trajectory forecasting and
-// situation assembly — one configurable pipeline with per-stage metrics.
+// and synopsis computation, archival and live storage, zone-aware complex
+// event recognition and situation assembly — one configurable pipeline
+// with per-stage metrics.
 //
 // A Pipeline is fed decoded AIS messages (or NMEA lines via the codec) in
-// event-time order per vessel and exposes the live picture, the archive,
-// the alert stream and forecasts. For multi-core scaling, a Sharded
-// pipeline partitions the fleet by MMSI across independent pipelines
-// (pairwise detection then happens per shard; experiment E14 quantifies the
+// event-time order per vessel and exposes the live picture, the archive
+// and the alert stream. For multi-core scaling, a Sharded pipeline
+// partitions the fleet by MMSI across independent pipelines (pairwise
+// detection then happens per shard; experiment E14 quantifies the
 // throughput gain and README.md, "Sharded async ingest", records the
 // cross-shard trade-off).
 package core
@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/ais"
 	"repro/internal/events"
-	"repro/internal/forecast"
 	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/quality"
@@ -31,7 +30,6 @@ import (
 	"repro/internal/synopsis"
 	"repro/internal/tstore"
 	"repro/internal/va"
-	"repro/internal/weather"
 	"repro/internal/zones"
 )
 
@@ -39,8 +37,6 @@ import (
 type Config struct {
 	// Zones provides geographic context (nil disables zone-aware stages).
 	Zones *zones.ZoneSet
-	// Weather provides environmental enrichment (nil disables it).
-	Weather *weather.Provider
 	// SynopsisToleranceM controls the dead-reckoning synopsis filter that
 	// decides which positions reach the archive; 0 archives everything.
 	SynopsisToleranceM float64
@@ -71,7 +67,6 @@ type Metrics struct {
 	NsSynopsis atomic.Int64
 	NsStore    atomic.Int64
 	NsEvents   atomic.Int64
-	NsEnrich   atomic.Int64
 }
 
 // Snapshot is a plain copy of the metrics.
@@ -79,7 +74,6 @@ type Snapshot struct {
 	Ingested, Rejected, Archived, Alerts     int64
 	StaticChecked, StaticFlagged             int64
 	NsQuality, NsSynopsis, NsStore, NsEvents int64
-	NsEnrich                                 int64
 }
 
 // Snapshot copies the counters.
@@ -90,7 +84,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		StaticChecked: m.StaticChecked.Load(), StaticFlagged: m.StaticFlagged.Load(),
 		NsQuality: m.NsQuality.Load(), NsSynopsis: m.NsSynopsis.Load(),
 		NsStore: m.NsStore.Load(), NsEvents: m.NsEvents.Load(),
-		NsEnrich: m.NsEnrich.Load(),
 	}
 }
 
@@ -108,8 +101,6 @@ type Pipeline struct {
 	Quality  *quality.Profile
 	vessels  map[uint32]*vessel
 	alerts   []events.Alert
-
-	forecaster *forecast.Hybrid
 
 	Metrics Metrics
 }
@@ -297,59 +288,6 @@ func (p *Pipeline) Alerts() []events.Alert {
 	return append([]events.Alert(nil), p.alerts...)
 }
 
-// Enrich annotates a vessel state with its zone and weather context — the
-// §2.5 multi-granularity join, exposed for per-alert enrichment.
-type Enrichment struct {
-	ZoneIDs []string
-	Values  map[weather.Variable]float64
-}
-
-// Enrich computes the contextual annotation of (pos, at).
-func (p *Pipeline) Enrich(pos geo.Point, at time.Time) Enrichment {
-	t0 := time.Now()
-	defer func() { p.Metrics.NsEnrich.Add(time.Since(t0).Nanoseconds()) }()
-	e := Enrichment{Values: make(map[weather.Variable]float64)}
-	if p.cfg.Zones != nil {
-		for _, z := range p.cfg.Zones.At(pos) {
-			e.ZoneIDs = append(e.ZoneIDs, z.ID)
-		}
-	}
-	if p.cfg.Weather != nil {
-		for _, v := range p.cfg.Weather.Variables() {
-			if val, err := p.cfg.Weather.Sample(v, pos, at); err == nil {
-				e.Values[v] = val
-			}
-		}
-	}
-	return e
-}
-
-// TrainForecaster fits the patterns-of-life route model on the archive
-// accumulated so far and installs a hybrid forecaster.
-func (p *Pipeline) TrainForecaster(cellDeg float64) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	rm := forecast.NewRouteModel(cellDeg)
-	for _, mmsi := range p.Store.MMSIs() {
-		rm.Train(p.Store.Trajectory(mmsi))
-	}
-	p.forecaster = &forecast.Hybrid{Route: rm, Fallback: forecast.Kalman{}}
-	return rm.Trained()
-}
-
-// Forecast predicts the vessel's position at now+horizon using the
-// trained hybrid (dead reckoning before TrainForecaster is called).
-func (p *Pipeline) Forecast(mmsi uint32, horizon time.Duration) (geo.Point, bool) {
-	p.mu.Lock()
-	f := p.forecaster
-	p.mu.Unlock()
-	tr := p.Store.Trajectory(mmsi)
-	if f == nil {
-		return forecast.DeadReckoning{}.Predict(tr, horizon)
-	}
-	return f.Predict(tr, horizon)
-}
-
 // Situation assembles the current operational picture over the given
 // bounds (§3.2): live vessel states, density surface and the alert board.
 func (p *Pipeline) Situation(at time.Time, bounds geo.Rect, rows, cols int) *va.Situation {
@@ -509,7 +447,6 @@ func (s *Sharded) Snapshot() Snapshot {
 		total.NsSynopsis += sn.NsSynopsis
 		total.NsStore += sn.NsStore
 		total.NsEvents += sn.NsEvents
-		total.NsEnrich += sn.NsEnrich
 	}
 	return total
 }

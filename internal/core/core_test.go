@@ -12,7 +12,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/va"
-	"repro/internal/weather"
 )
 
 func runScenario(t *testing.T, cfg sim.Config) *sim.Run {
@@ -96,7 +95,7 @@ func TestPipelineDetectsInjectedDarkness(t *testing.T) {
 	t.Logf("dark: truth=%d alerts=%d precision=%.2f recall=%.2f", r.Truth, r.Alerts, r.Precision, r.Recall)
 }
 
-func TestPipelineSituationAndForecast(t *testing.T) {
+func TestPipelineSituation(t *testing.T) {
 	simCfg := sim.Config{Seed: 11, NumVessels: 60, Duration: 2 * time.Hour, TickSec: 2}
 	run := runScenario(t, simCfg)
 	p := New(Config{Zones: run.Config.World.Zones})
@@ -109,53 +108,6 @@ func TestPipelineSituationAndForecast(t *testing.T) {
 	}
 	if s.Density.Total != len(s.Vessels) {
 		t.Errorf("density total %d vs vessels %d", s.Density.Total, len(s.Vessels))
-	}
-
-	if n := p.TrainForecaster(0.05); n == 0 {
-		t.Fatal("forecaster trained on nothing")
-	}
-	// Forecast every vessel 30 minutes out: predictions must be finite
-	// and within plausible reach.
-	horizon := 30 * time.Minute
-	ok := 0
-	for _, mmsi := range p.Store.MMSIs() {
-		pred, good := p.Forecast(mmsi, horizon)
-		if !good {
-			continue
-		}
-		ok++
-		last, _ := p.Live.Get(mmsi)
-		maxReach := 40 * geo.Knot * horizon.Seconds()
-		if d := geo.Distance(last.Pos, pred); d > maxReach {
-			t.Fatalf("vessel %d forecast %.0f m away (max reach %.0f)", mmsi, d, maxReach)
-		}
-	}
-	if ok == 0 {
-		t.Error("no forecasts produced")
-	}
-}
-
-func TestPipelineEnrichment(t *testing.T) {
-	world := sim.MediterraneanWorld(1)
-	pv := weather.NewProvider()
-	f := weather.AnalyticField{Base: 8, Amplitude: 3, WaveLatDeg: 6, WaveLonDeg: 9, Period: 6 * time.Hour}
-	t0 := time.Date(2017, 3, 21, 0, 0, 0, 0, time.UTC)
-	pv.Add(f.BuildSeries(weather.WindSpeedMS, world.Bounds, 0.5, t0, time.Hour, 6))
-
-	p := New(Config{Zones: world.Zones, Weather: pv})
-	// A point inside the Marseille port zone.
-	e := p.Enrich(geo.Point{Lat: 43.30, Lon: 5.37}, t0.Add(90*time.Minute))
-	foundPort := false
-	for _, id := range e.ZoneIDs {
-		if id == "port-MRS" {
-			foundPort = true
-		}
-	}
-	if !foundPort {
-		t.Errorf("port zone not found in enrichment: %v", e.ZoneIDs)
-	}
-	if _, ok := e.Values[weather.WindSpeedMS]; !ok {
-		t.Error("weather variable missing from enrichment")
 	}
 }
 

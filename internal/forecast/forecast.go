@@ -3,7 +3,10 @@
 // a patterns-of-life route model learned from historical traffic (the
 // context-based normalcy of §4 [40]), and a hybrid that follows the route
 // model where history exists and falls back to kinematics elsewhere.
-// Experiment E9 sweeps prediction horizon and compares the four.
+// Experiment E9 sweeps prediction horizon and compares the four. The
+// query engine serves DeadReckoning for predict: on ordinary traffic none
+// of the others beats it (TestPredictClaim); the route model wins where
+// lanes bend (TestRouteModelLearnsTheTurn).
 package forecast
 
 import (

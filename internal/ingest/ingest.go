@@ -134,12 +134,13 @@ type Config struct {
 	Peers []query.Source
 	// Track, when non-nil, runs the online track-intelligence lane:
 	// per-vessel folds attached to the post-synopsis tee (alongside the
-	// hub and the flusher) maintaining fused Kalman state, an incremental
-	// route model and an integrity profile per vessel, answering the
-	// track/predict/quality query kinds live (and accepting non-AIS
-	// detections through IngestDetections); Resume seeds it from the
-	// recovered archive. Nil means no lane in the tee and zero cost — the
-	// query engine then derives those kinds from the archive on demand.
+	// hub and the flusher) maintaining fused Kalman state and an
+	// integrity profile per vessel, answering the track/quality query
+	// kinds live (and accepting non-AIS detections through
+	// IngestDetections); Resume seeds it from the recovered archive. Nil
+	// means no lane in the tee and zero cost — the query engine then
+	// derives those kinds from the archive on demand. predict has no
+	// lane: it is dead-reckoned from the archive either way.
 	Track *track.Config
 	// Anomaly, when non-nil, runs the streaming anomaly lane: per-vessel
 	// folds attached to the post-synopsis tee maintaining a behavior

@@ -50,11 +50,12 @@ const (
 
 	// Histogram layout of the behavior profile: 16 speed bins of 2 kn
 	// (30+ kn clamps into the last), 16 heading sectors of 22.5°, and
-	// position cells of RouteCellDeg (≈5.5 km) — coarse on purpose; the
-	// score watches distribution shift, not exact kinematics.
+	// position cells of anomalyCellDeg (0.05°, ≈5.5 km) — coarse on
+	// purpose; the score watches distribution shift, not exact kinematics.
 	anomalySpeedBins  = 16
 	anomalySpeedBinKn = 2.0
 	anomalyHeadBins   = 16
+	anomalyCellDeg    = 0.05
 )
 
 // EpisodeInfo is the wire form of one stop/move episode: the semstore
@@ -123,13 +124,13 @@ func episodeInfoOf(e semstore.Episode) EpisodeInfo {
 	}
 }
 
-// posCell is a coarse position-histogram cell (RouteCellDeg grid).
+// posCell is a coarse position-histogram cell (anomalyCellDeg grid).
 type posCell struct{ lat, lon int32 }
 
 func cellOf(lat, lon float64) posCell {
 	return posCell{
-		lat: int32(floorDiv(lat, RouteCellDeg)),
-		lon: int32(floorDiv(lon, RouteCellDeg)),
+		lat: int32(floorDiv(lat, anomalyCellDeg)),
+		lon: int32(floorDiv(lon, anomalyCellDeg)),
 	}
 }
 

@@ -7,8 +7,9 @@
 // internal/track stage, a federation peer) answers through
 // Source.Derived; an archive answers by replaying its stored trajectory
 // through the very folds the online stage keeps per vessel (Replay over
-// TrackAccumulator / QualityAccumulator, memoised per vessel; predict is
-// a read over the same history, derivePredict). The replay is a pure
+// TrackAccumulator / QualityAccumulator, memoised per vessel). predict
+// has no online state: every source answers it by dead reckoning from the
+// vessel's last archived sample (derivePredict). The replay is a pure
 // function of the point sequence — no wall clock, no randomness — so a
 // tiered store that evicted and paged a vessel back answers
 // byte-identically to one that never evicted it (pinned by
@@ -32,14 +33,12 @@ import (
 // replay: both must feed the libraries identically or the equivalence
 // tests (online==replay, evicted==resident) break.
 const (
-	// MaxPredictHorizon bounds Request.Horizon: beyond a day, neither the
-	// route prior nor dead reckoning says anything defensible.
+	// MaxPredictHorizon bounds Request.Horizon: beyond a day, dead
+	// reckoning says nothing defensible.
 	MaxPredictHorizon = 24 * time.Hour
 	// AISPositionSigmaM is the 1-sigma position noise assumed for AIS
 	// fixes (GPS-grade; forecast.Kalman's replay uses the same figure).
 	AISPositionSigmaM = 15.0
-	// RouteCellDeg is the route-model grid cell size (≈5.5 km).
-	RouteCellDeg = 0.05
 	// predictConfWindow bounds the filter replay behind a prediction's
 	// confidence envelope to the recent past, mirroring forecast.Kalman.
 	predictConfWindow = 30 * time.Minute
@@ -71,9 +70,10 @@ type TrackState struct {
 }
 
 // Prediction is the wire form of a position forecast: where the vessel
-// is expected At (= From + Horizon), by which predictor ("route-model"
-// when the learned lane prior answered, "dead-reckoning" otherwise),
-// with a 1-sigma confidence envelope radius in metres.
+// is expected At (= From + Horizon), by which predictor (always
+// "dead-reckoning": on ordinary traffic no learned predictor beats it,
+// forecast.TestPredictClaim), with a 1-sigma confidence envelope radius
+// in metres.
 type Prediction struct {
 	MMSI    uint32    `json:"mmsi"`
 	From    time.Time `json:"from"`
@@ -225,39 +225,6 @@ func (a *TrackAccumulator) Report() *TrackState {
 	return TrackStateOf(&tr)
 }
 
-// PredictFrom forecasts from a vessel's samples (time-ordered) using a
-// route prior with dead-reckoning fallback (forecast.Hybrid's policy,
-// inlined so the answering predictor is named in the result). route may
-// be nil — pure dead reckoning. Nil when the history is empty.
-func PredictFrom(mmsi uint32, pts []model.VesselState, horizon time.Duration, route *forecast.RouteModel) *Prediction {
-	if len(pts) == 0 {
-		return nil
-	}
-	tr := &model.Trajectory{MMSI: mmsi, Points: pts}
-	last := pts[len(pts)-1]
-	var (
-		pos    geo.Point
-		ok     bool
-		method string
-	)
-	if route != nil {
-		if p, hit := route.Predict(tr, horizon); hit {
-			pos, ok, method = p, true, route.Name()
-		}
-	}
-	if !ok {
-		if pos, ok = (forecast.DeadReckoning{}).Predict(tr, horizon); !ok {
-			return nil
-		}
-		method = forecast.DeadReckoning{}.Name()
-	}
-	return &Prediction{
-		MMSI: mmsi, From: last.At, At: last.At.Add(horizon),
-		Horizon: Duration(horizon), Lat: pos.Lat, Lon: pos.Lon,
-		Method: method, ConfidenceM: coastedUncertaintyM(pts, horizon),
-	}
-}
-
 // coastedUncertaintyM folds the recent window through a fresh track
 // accumulator and coasts its filter over the horizon: the 1-sigma
 // envelope a measurement-starved tracker would report at the target
@@ -275,19 +242,25 @@ func coastedUncertaintyM(pts []model.VesselState, horizon time.Duration) float64
 	return f.PositionUncertaintyM()
 }
 
-// derivePredict is predict's replay: a route model trained on the
-// vessel's stored samples alone (its own habit), dead reckoning where it
-// abstains. It depends on Horizon, so it is not memoised. The online stage
-// is richer — its shard-shared route model has seen every vessel's lanes.
+// derivePredict is predict's one answer, online or replayed: dead
+// reckoning from the vessel's last archived sample, with the envelope a
+// filter over the recent window reports when coasted over the horizon.
+// It depends on Horizon, so it is not memoised.
 func derivePredict(ctx context.Context, a archived, r Request) *Result {
 	tally(ctx, false)
 	pts := a.replaysOf(r.MMSI).store.Trajectory(r.MMSI).Points
 	if len(pts) == 0 {
 		return &Result{}
 	}
-	rm := forecast.NewRouteModel(RouteCellDeg)
-	rm.Train(&model.Trajectory{MMSI: r.MMSI, Points: pts})
-	return &Result{Prediction: PredictFrom(r.MMSI, pts, time.Duration(r.Horizon), rm)}
+	horizon := time.Duration(r.Horizon)
+	dr := forecast.DeadReckoning{}
+	pos, _ := dr.Predict(&model.Trajectory{MMSI: r.MMSI, Points: pts}, horizon)
+	last := pts[len(pts)-1]
+	return &Result{Prediction: &Prediction{
+		MMSI: r.MMSI, From: last.At, At: last.At.Add(horizon),
+		Horizon: r.Horizon, Lat: pos.Lat, Lon: pos.Lon,
+		Method: dr.Name(), ConfidenceM: coastedUncertaintyM(pts, horizon),
+	}}
 }
 
 // QualityAccumulator folds one vessel's sample stream into an integrity

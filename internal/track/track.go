@@ -8,9 +8,6 @@
 //     pinned by TestStageMatchesOfflineReplay), optionally fused with
 //     anonymous radar detections (Mahalanobis-gated, Hungarian-assigned,
 //     identity bound to the owning MMSI by the assignment);
-//   - a shard-shared forecast.RouteModel trained incrementally per
-//     vessel (forecast.Trainer), backing route-model predictions with
-//     dead-reckoning fallback;
 //   - a quality.Profile integrity score folded per vessel
 //     (query.QualityAccumulator).
 //
@@ -18,10 +15,12 @@
 // Hungarian assignment across a scan, and the orphan tracker for
 // contacts no vessel gates (persist.go parks those across restarts).
 //
-// The lane answers the engine's three track-intelligence kinds as a
-// query.Lane behind the live source (Stages.Lane routes each vessel to
-// its owning shard), so one-shot HTTP, standing /v1/stream queries,
-// federation and tiering all read the same state. Everything is
+// The lane answers the engine's track and quality kinds as a query.Lane
+// behind the live source (Stages.Lane routes each vessel to its owning
+// shard), so one-shot HTTP, standing /v1/stream queries, federation and
+// tiering all read the same state. predict is not a lane kind: it is
+// dead reckoning from the vessel's last archived sample, which the live
+// source's replay answers at any shard count. Everything is
 // off-switchable: a nil ingest Config.Track means no lane in the tee
 // and zero cost.
 package track
@@ -33,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/forecast"
 	"repro/internal/fusion"
 	"repro/internal/geo"
 	"repro/internal/lane"
@@ -53,7 +51,7 @@ type Detection struct {
 }
 
 // Config tunes the stage. The zero value is usable: default tracker
-// lifecycle, 120 m radar noise, 64 recent points per vessel.
+// lifecycle, 120 m radar noise.
 type Config struct {
 	// Tracker is the fusion lifecycle (gate, process noise, confirmation,
 	// drop); zero value = fusion.DefaultTrackerConfig(). The AIS
@@ -62,9 +60,6 @@ type Config struct {
 	Tracker fusion.TrackerConfig
 	// RadarSigmaM is the default detection noise (1-sigma, metres).
 	RadarSigmaM float64
-	// RecentPoints bounds the per-vessel history ring predictions read
-	// their recent kinematics from.
-	RecentPoints int
 }
 
 func (c Config) normalize() Config {
@@ -74,57 +69,30 @@ func (c Config) normalize() Config {
 	if c.RadarSigmaM <= 0 {
 		c.RadarSigmaM = 120
 	}
-	if c.RecentPoints <= 0 {
-		c.RecentPoints = 64
-	}
 	return c
 }
 
-// vesselTrack is one vessel's lane state: the three folds the feed
-// advances together, plus the recent ring predictions read.
+// vesselTrack is one vessel's lane state: the two folds the feed
+// advances together.
 type vesselTrack struct {
-	kf      *query.TrackAccumulator
-	qa      *query.QualityAccumulator
-	trainer *forecast.Trainer
-
-	// recent is a ring of the vessel's latest samples (time order is
-	// reconstructed from head on read).
-	recent []model.VesselState
-	head   int
+	kf *query.TrackAccumulator
+	qa *query.QualityAccumulator
 }
 
-// Observe folds one AIS record into the vessel (shard lock held — the
-// trainer writes the shard-shared route model).
+// Observe folds one AIS record into the vessel (shard lock held).
 func (v *vesselTrack) Observe(rec model.VesselState) query.NoFacts {
 	v.kf.Observe(rec)
 	v.qa.Observe(rec)
-	v.trainer.Observe(rec)
-	if len(v.recent) < cap(v.recent) {
-		v.recent = append(v.recent, rec)
-	} else {
-		v.recent[v.head] = rec
-		v.head = (v.head + 1) % len(v.recent)
-	}
 	return query.NoFacts{}
-}
-
-// recentPoints materialises the ring in time order (shard lock held).
-func (v *vesselTrack) recentPoints() []model.VesselState {
-	out := make([]model.VesselState, 0, len(v.recent))
-	out = append(out, v.recent[v.head:]...)
-	out = append(out, v.recent[:v.head]...)
-	return out
 }
 
 // Stage is one shard of the lane: the host shard holding its vessels'
 // folds (a tstore.Sink — the ingest engine tees archived records into
-// it) plus what the folds of one shard share and what is not a fold at
-// all: the route model they train, and the anonymous tracker for radar
+// it) plus what is not a fold at all: the anonymous tracker for radar
 // contacts that gate to no vessel.
 type Stage struct {
 	*lane.Shard[*vesselTrack, query.NoFacts]
-	cfg   Config
-	route *forecast.RouteModel // written and read under the shard lock
+	cfg Config
 
 	omu     sync.Mutex
 	orphans *fusion.Tracker // anonymous contacts gating to no vessel
@@ -132,8 +100,6 @@ type Stage struct {
 	contacts  atomic.Int64
 	assocHits atomic.Int64
 	orphaned  atomic.Int64
-	predicts  atomic.Int64
-	predMiss  atomic.Int64
 
 	assocNS *obs.Histogram // per radar scan; nil when uninstrumented
 }
@@ -146,22 +112,6 @@ func NewStage(cfg Config) *Stage { return NewStages(1, cfg).stages[0] }
 func (s *Stage) Track(mmsi uint32) (ts *query.TrackState, ok bool) {
 	s.Vessel(mmsi, func(v *vesselTrack) { ts = v.kf.Report() })
 	return ts, ts != nil
-}
-
-// Predict forecasts from the stage's state: the shard-shared route
-// model (every vessel's lanes) with dead-reckoning fallback, over the
-// vessel's recent points.
-func (s *Stage) Predict(mmsi uint32, horizon time.Duration) (p *query.Prediction, ok bool) {
-	if !s.Vessel(mmsi, func(v *vesselTrack) {
-		p = query.PredictFrom(mmsi, v.recentPoints(), horizon, s.route)
-	}) {
-		return nil, false
-	}
-	s.predicts.Add(1)
-	if p == nil {
-		s.predMiss.Add(1)
-	}
-	return p, p != nil
 }
 
 // Quality returns the vessel's folded integrity score.
@@ -271,21 +221,14 @@ type Stages struct {
 // NewStages builds the lane over n shards (one per ingest shard).
 func NewStages(n int, cfg Config) *Stages {
 	cfg = cfg.normalize()
-	ss := &Stages{}
 	newKF := query.TrackFold(cfg.Tracker)
-	ss.Host = lane.New("track", n, func(mmsi uint32) *vesselTrack {
-		return &vesselTrack{
-			kf:      newKF(mmsi),
-			qa:      query.NewQualityAccumulator(mmsi),
-			trainer: ss.of(mmsi).route.NewTrainer(),
-			recent:  make([]model.VesselState, 0, cfg.RecentPoints),
-		}
-	}, nil)
+	ss := &Stages{Host: lane.New("track", n, func(mmsi uint32) *vesselTrack {
+		return &vesselTrack{kf: newKF(mmsi), qa: query.NewQualityAccumulator(mmsi)}
+	}, nil)}
 	for i := range ss.Len() {
 		ss.stages = append(ss.stages, &Stage{
 			Shard:   ss.Stage(i),
 			cfg:     cfg,
-			route:   forecast.NewRouteModel(query.RouteCellDeg),
 			orphans: fusion.NewTracker(cfg.Tracker),
 		})
 	}
@@ -298,18 +241,14 @@ func (ss Stages) of(mmsi uint32) *Stage { return ss.stages[ss.Index(mmsi)] }
 // Track returns a vessel's fused state from its owning stage.
 func (ss Stages) Track(mmsi uint32) (*query.TrackState, bool) { return ss.of(mmsi).Track(mmsi) }
 
-// Lane is the stages' read side as the live source consumes it: the
-// three track-intelligence kinds answered from the owning shard's fused
-// state, ok=false where the stage does not know the vessel.
+// Lane is the stages' read side as the live source consumes it: track
+// and quality answered from the owning shard's fused state, ok=false
+// where the stage does not know the vessel.
 func (ss Stages) Lane() query.Lane {
 	return query.Lane{
 		query.KindTrack: func(r query.Request) (*query.Result, bool) {
 			ts, ok := ss.Track(r.MMSI)
 			return &query.Result{Track: ts}, ok
-		},
-		query.KindPredict: func(r query.Request) (*query.Result, bool) {
-			p, ok := ss.of(r.MMSI).Predict(r.MMSI, time.Duration(r.Horizon))
-			return &query.Result{Prediction: p}, ok
 		},
 		query.KindQuality: func(r query.Request) (*query.Result, bool) {
 			qs, ok := ss.of(r.MMSI).Quality(r.MMSI)
@@ -380,9 +319,7 @@ func (ss Stages) OrphanCount() int {
 
 // Instrument registers the lane's series with reg: the host's vessel
 // gauge and sampled append cost, the orphan-track gauge, contact
-// counters (seen / fused / orphaned), predict counters (total / missed
-// — the predict-error signal: a miss is a predict with no kinematic
-// basis) and per-scan association latency.
+// counters (seen / fused / orphaned) and per-scan association latency.
 func (ss Stages) Instrument(reg *obs.Registry) {
 	sum := func(f func(*Stage) int64) func() float64 {
 		return func() float64 {
@@ -398,8 +335,6 @@ func (ss Stages) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("track_contacts_total", sum(func(st *Stage) int64 { return st.contacts.Load() }))
 	reg.CounterFunc("track_contacts_fused_total", sum(func(st *Stage) int64 { return st.assocHits.Load() }))
 	reg.CounterFunc("track_contacts_orphaned_total", sum(func(st *Stage) int64 { return st.orphaned.Load() }))
-	reg.CounterFunc("track_predicts_total", sum(func(st *Stage) int64 { return st.predicts.Load() }))
-	reg.CounterFunc("track_predict_misses_total", sum(func(st *Stage) int64 { return st.predMiss.Load() }))
 	assocNS := reg.Histogram("track_associate_ns")
 	for _, st := range ss.stages {
 		st.assocNS = assocNS

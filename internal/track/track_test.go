@@ -2,17 +2,14 @@ package track
 
 import (
 	"encoding/json"
-	"math"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/forecast"
 	"repro/internal/fusion"
 	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/query"
-	"repro/internal/sim"
 )
 
 var t0 = time.Date(2017, 3, 21, 12, 0, 0, 0, time.UTC)
@@ -92,29 +89,11 @@ func TestStageMatchesOfflineReplay(t *testing.T) {
 		if string(oj) != string(fj) {
 			t.Errorf("vessel %d quality: online != replay\nonline: %s\nreplay: %s", mmsi, oj, fj)
 		}
-
-		// Predictions read the shard-shared route model (trained on every
-		// vessel's lanes), so they are richer than the single-trajectory
-		// replay — pin the timeline and shape instead of exact equality.
-		p, ok := s.Predict(mmsi, 15*time.Minute)
-		if !ok || p == nil {
-			t.Fatalf("vessel %d: no online prediction", mmsi)
-		}
-		last := pts[len(pts)-1]
-		if !p.From.Equal(last.At) || !p.At.Equal(last.At.Add(15*time.Minute)) {
-			t.Errorf("vessel %d prediction timeline off: %+v", mmsi, p)
-		}
-		if p.Method == "" || p.ConfidenceM <= 0 {
-			t.Errorf("vessel %d prediction shape off: %+v", mmsi, p)
-		}
 	}
 
-	// Unknown vessels answer ok=false on all three kinds.
+	// Unknown vessels answer ok=false on both kinds.
 	if _, ok := s.Track(999); ok {
 		t.Error("unknown vessel answered a track")
-	}
-	if _, ok := s.Predict(999, time.Minute); ok {
-		t.Error("unknown vessel answered a prediction")
 	}
 	if _, ok := s.Quality(999); ok {
 		t.Error("unknown vessel answered a quality score")
@@ -181,99 +160,9 @@ func TestRadarAssociation(t *testing.T) {
 	}
 }
 
-// truthAt linearly interpolates a vessel's ground-truth position.
-func truthAt(pts []sim.TruthPoint, at time.Time) (geo.Point, bool) {
-	for i := 1; i < len(pts); i++ {
-		if pts[i].At.Before(at) {
-			continue
-		}
-		a, b := pts[i-1], pts[i]
-		span := b.At.Sub(a.At).Seconds()
-		if span <= 0 {
-			return b.Pos, true
-		}
-		f := at.Sub(a.At).Seconds() / span
-		return geo.Point{
-			Lat: a.Pos.Lat + (b.Pos.Lat-a.Pos.Lat)*f,
-			Lon: a.Pos.Lon + (b.Pos.Lon-a.Pos.Lon)*f,
-		}, true
-	}
-	return geo.Point{}, false
-}
-
-// TestPredictAccuracy checks the stage's forecasts against simulator
-// ground truth at 5- and 15-minute horizons: the hybrid predictor
-// (route prior + dead-reckoning fallback) must not be meaningfully
-// worse than the pure dead-reckoning baseline it falls back to.
-func TestPredictAccuracy(t *testing.T) {
-	run, err := sim.Simulate(sim.Config{Seed: 11, NumVessels: 25, Duration: 90 * time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := run.Config.Start.Add(60 * time.Minute)
-
-	s := NewStage(Config{})
-	histories := map[uint32][]model.VesselState{}
-	for i := range run.Positions {
-		o := &run.Positions[i]
-		if o.At.After(cut) {
-			break
-		}
-		st := model.FromReport(o.At, &o.Report)
-		if err := s.Append(st); err != nil {
-			t.Fatal(err)
-		}
-		histories[st.MMSI] = append(histories[st.MMSI], st)
-	}
-
-	for _, horizon := range []time.Duration{5 * time.Minute, 15 * time.Minute} {
-		var stageSum, drSum float64
-		var n int
-		for mmsi, pts := range histories {
-			last := pts[len(pts)-1]
-			// Need a real history and a recent fix, and the run must still
-			// have truth at the target instant.
-			if len(pts) < 10 || cut.Sub(last.At) > 10*time.Minute {
-				continue
-			}
-			truth, ok := truthAt(run.Truth[mmsi], last.At.Add(horizon))
-			if !ok {
-				continue
-			}
-			p, ok := s.Predict(mmsi, horizon)
-			if !ok {
-				continue
-			}
-			drPos, ok := (forecast.DeadReckoning{}).Predict(
-				&model.Trajectory{MMSI: mmsi, Points: pts}, horizon)
-			if !ok {
-				continue
-			}
-			stageSum += geo.Distance(geo.Point{Lat: p.Lat, Lon: p.Lon}, truth)
-			drSum += geo.Distance(drPos, truth)
-			n++
-		}
-		if n < 5 {
-			t.Fatalf("horizon %v: only %d vessels usable", horizon, n)
-		}
-		stageMean, drMean := stageSum/float64(n), drSum/float64(n)
-		t.Logf("horizon %v: %d vessels, stage mean error %.0f m, dead-reckoning %.0f m",
-			horizon, n, stageMean, drMean)
-		// The stage may beat DR (lane prior) or match it (fallback); it must
-		// never be meaningfully worse.
-		if stageMean > drMean*1.3+100 {
-			t.Errorf("horizon %v: stage error %.0f m exceeds dead-reckoning bound (%.0f m)",
-				horizon, stageMean, drMean*1.3+100)
-		}
-		if math.IsNaN(stageMean) || stageMean > 20000 {
-			t.Errorf("horizon %v: stage error %.0f m implausible", horizon, stageMean)
-		}
-	}
-}
-
 // BenchmarkTrackerStage measures the tee-side cost of the stage: one
 // archived record folded into its vessel's fused state (filter update,
-// quality check, route training, ring write).
+// quality check).
 func BenchmarkTrackerStage(b *testing.B) {
 	const vessels = 64
 	states := make([]model.VesselState, 0, vessels*32)

@@ -7,8 +7,8 @@
 // The facade re-exports the pieces an application composes:
 //
 //   - Pipeline — the Figure 2 infrastructure: ingest AIS, get quality
-//     assessment, synopses, storage, event recognition, forecasting and
-//     situation pictures (package internal/core).
+//     assessment, synopses, storage, event recognition and situation
+//     pictures (package internal/core).
 //   - IngestEngine — the asynchronous, backpressure-aware sharded front
 //     door over Pipeline for real AIS volumes (package internal/ingest).
 //   - Simulator — the synthetic world standing in for live feeds
@@ -199,14 +199,16 @@
 //
 // Three more query kinds answer per-vessel inference: track (the fused
 // Kalman state with its covariance error ellipse), predict (position at
-// t+Δ with a confidence envelope; learned route prior with
-// dead-reckoning fallback) and quality (a Beta-Bernoulli data-integrity
+// t+Δ with a confidence envelope, dead-reckoned from the last archived
+// report) and quality (a Beta-Bernoulli data-integrity
 // score with per-rule issue counts). With IngestConfig.Track set, an
 // online stage in each shard's dataflow maintains that state
 // incrementally — and fuses identity-less radar contacts into it via
 // IngestEngine.IngestDetections; without it, the engine derives the
 // same answers by replaying the archived trajectory, so the kinds work
-// against any source (and byte-identically across tiering eviction):
+// against any source (and byte-identically across tiering eviction).
+// predict keeps no online state: every source dead-reckons it from the
+// archive, so its answer is the same at any shard count:
 //
 //	e := maritime.NewIngestEngine(maritime.IngestConfig{
 //	    Pipeline: maritime.PipelineConfig{Zones: run.Config.World.Zones},
@@ -220,10 +222,9 @@
 //	fmt.Println(res.Prediction.Lat, res.Prediction.Lon, res.Prediction.Method)
 //
 // Subscribed instead of executed, the same kinds become tickers: a
-// predict subscription pushes a fresh dead-reckoned (or route-model)
-// fix every tick, showing expected motion between AIS reports. msaquery
-// -track / -predict / -quality are the CLI forms (-watch predict for
-// the ticker).
+// predict subscription pushes a fresh dead-reckoned fix every tick,
+// showing expected motion between AIS reports. msaquery -track /
+// -predict / -quality are the CLI forms (-watch predict for the ticker).
 //
 // # Anomaly detection (behavior profiles, episodes, open-world CEP)
 //
@@ -263,7 +264,6 @@ import (
 	"repro/internal/anomaly"
 	"repro/internal/core"
 	"repro/internal/events"
-	"repro/internal/forecast"
 	"repro/internal/geo"
 	"repro/internal/ingest"
 	"repro/internal/model"
@@ -587,8 +587,8 @@ func NewQueryHub(cfg QueryHubConfig) *QueryHub { return query.NewHub(cfg) }
 // ParseQueryBox parses and validates "minLat,minLon,maxLat,maxLon".
 func ParseQueryBox(s string) (QueryBox, error) { return query.ParseBox(s) }
 
-// Track intelligence: online per-vessel fusion, forecasting and
-// integrity scoring behind the track/predict/quality query kinds
+// Track intelligence: online per-vessel fusion, dead-reckoned forecasts
+// and integrity scoring behind the track/predict/quality query kinds
 // (packages internal/track and internal/query).
 type (
 	// QueryDuration is a JSON-friendly duration ("15m") used by
@@ -709,17 +709,6 @@ func WithObsTrace(ctx context.Context, tr *ObsTrace) context.Context { return ob
 
 // ObsTraceFromContext returns the trace carried by ctx, or nil.
 func ObsTraceFromContext(ctx context.Context) *ObsTrace { return obs.FromContext(ctx) }
-
-// Forecasting.
-type (
-	// Predictor forecasts future vessel positions.
-	Predictor = forecast.Predictor
-	// RouteModel is the patterns-of-life predictor.
-	RouteModel = forecast.RouteModel
-)
-
-// NewRouteModel returns an untrained patterns-of-life model.
-func NewRouteModel(cellDeg float64) *RouteModel { return forecast.NewRouteModel(cellDeg) }
 
 // Synopses.
 type (

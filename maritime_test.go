@@ -78,15 +78,6 @@ func TestFacadeEndToEndNMEA(t *testing.T) {
 	if !strings.Contains(s.Summary(), "SITUATION") {
 		t.Error("summary malformed")
 	}
-
-	// Forecast through the facade.
-	if n := p.TrainForecaster(0.05); n == 0 {
-		t.Error("forecaster trained on nothing")
-	}
-	mmsis := p.Store.MMSIs()
-	if _, ok := p.Forecast(mmsis[0], 15*time.Minute); !ok {
-		t.Log("first vessel had no forecast basis (acceptable for short histories)")
-	}
 }
 
 // TestFacadeWorlds sanity-checks the exported world builders.
