@@ -77,8 +77,8 @@
 // stop/move episodes materialised into a semantic store as they close,
 // and continuous open-world CEP — reporting gaps matched across vessels
 // for physically feasible covert meetings, raised as
-// possible-rendezvous alerts on the daemon's alert stream (and every
-// /v1/stream alert subscription), behind the anomalies kind
+// possible-rendezvous alerts to /v1/stream alert subscriptions only (the
+// daemon's alert printer never sees them), behind the anomalies kind
 // (/v1/anomalies, msaquery -anomalies / -watch anomalies).
 //
 // Failure semantics of both: a lane never refuses traffic or fails a

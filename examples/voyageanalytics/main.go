@@ -40,8 +40,7 @@ func main() {
 	gulf := geo.Rect{MinLat: 42.2, MinLon: 3.2, MaxLat: 43.5, MaxLon: 5.5}
 	from := run.Config.Start.Add(2 * time.Hour)
 	to := run.Config.Start.Add(4 * time.Hour)
-	snap := store.SpatialSnapshot()
-	hits := snap.Search(gulf, from, to)
+	hits := store.SpaceTime(gulf, from, to)
 	vesselsSeen := map[uint32]bool{}
 	for _, h := range hits {
 		vesselsSeen[h.MMSI] = true

@@ -47,17 +47,17 @@ import (
 // through OnAlert regardless.
 const retainedAlerts = 1024
 
+// openWorld qualifies the continuous possible-rendezvous matches.
+var openWorld = events.DefaultOpenWorldConfig()
+
 // Config tunes what the stage DOES with the stream facts the fold
 // surfaces — never the fold itself. Profile thresholds, bin layouts and
 // the gap threshold are query package constants, so configuring a stage
 // differently cannot break the online==offline equivalence the
-// anomalies kind is pinned to. The zero value is usable: default
-// open-world qualification, no zone annotation, no semantic
-// materialisation.
+// anomalies kind is pinned to. The zero value is usable: no zone
+// annotation, no semantic materialisation. Possible-rendezvous
+// qualification always uses events.DefaultOpenWorldConfig().
 type Config struct {
-	// OpenWorld tunes the continuous possible-rendezvous qualification;
-	// zero value = events.DefaultOpenWorldConfig().
-	OpenWorld events.OpenWorldConfig
 	// Zones annotates each incrementally closed episode (an anchored
 	// stop inside a port becomes moored) before materialisation; nil
 	// skips annotation. Annotation happens after the fold, so reports
@@ -74,9 +74,6 @@ type Config struct {
 }
 
 func (c Config) normalize() Config {
-	if c.OpenWorld == (events.OpenWorldConfig{}) {
-		c.OpenWorld = events.DefaultOpenWorldConfig()
-	}
 	if c.RecentGaps <= 0 {
 		c.RecentGaps = 256
 	}
@@ -149,7 +146,7 @@ func (sh *shared) gapClosed(g events.Gap) {
 		if h.MMSI == g.MMSI {
 			continue
 		}
-		reach := sh.cfg.OpenWorld.MaxSpeedKn * geo.Knot *
+		reach := openWorld.MaxSpeedKn * geo.Knot *
 			(g.Duration().Seconds() + h.Duration().Seconds()) / 2
 		if geo.Distance(g.Before.Pos, h.Before.Pos) > reach {
 			continue
@@ -158,7 +155,7 @@ func (sh *shared) gapClosed(g events.Gap) {
 		if g.MMSI < h.MMSI {
 			a, b = g, h
 		}
-		if alert, ok := events.PossibleRendezvous(a, b, sh.cfg.OpenWorld); ok {
+		if alert, ok := events.PossibleRendezvous(a, b, openWorld); ok {
 			fired = append(fired, alert)
 		}
 	}

@@ -38,18 +38,18 @@ type Config struct {
 	// Zones provides geographic context (nil disables zone-aware stages).
 	Zones *zones.ZoneSet
 	// SynopsisToleranceM controls the dead-reckoning synopsis filter that
-	// decides which positions reach the archive; 0 archives everything.
+	// decides which positions reach the archive (with a forced point
+	// every synopsisMaxGap); 0 archives everything.
 	SynopsisToleranceM float64
-	// SynopsisMaxGap forces an archive point after this long regardless of
-	// deviation (default 3 min when synopses are on).
-	SynopsisMaxGap time.Duration
 	// DarkThreshold configures the dark-period detector (default 10 min).
 	DarkThreshold time.Duration
-	// DisableQuality skips the veracity stage (ablation).
-	DisableQuality bool
 	// DisableEvents skips event recognition (ablation).
 	DisableEvents bool
 }
+
+// synopsisMaxGap forces an archive point after this long regardless of
+// deviation, when synopses are on.
+const synopsisMaxGap = 3 * time.Minute
 
 // Metrics counts pipeline activity; all fields are atomic and safe to
 // read while the pipeline runs.
@@ -119,7 +119,7 @@ func (p *Pipeline) vesselLocked(mmsi uint32) *vessel {
 	if v == nil {
 		v = &vessel{subject: subjectOf(mmsi), compressor: synopsis.StreamingCompressor{
 			ToleranceM: p.cfg.SynopsisToleranceM,
-			MaxGap:     p.cfg.SynopsisMaxGap,
+			MaxGap:     synopsisMaxGap,
 		}}
 		p.vessels[mmsi] = v
 	}
@@ -130,9 +130,6 @@ func (p *Pipeline) vesselLocked(mmsi uint32) *vessel {
 func New(cfg Config) *Pipeline {
 	if cfg.DarkThreshold == 0 {
 		cfg.DarkThreshold = 10 * time.Minute
-	}
-	if cfg.SynopsisToleranceM > 0 && cfg.SynopsisMaxGap == 0 {
-		cfg.SynopsisMaxGap = 3 * time.Minute
 	}
 	ctx := &events.Context{Zones: cfg.Zones}
 	engine := events.NewEngine(ctx, 0.1)
@@ -220,18 +217,15 @@ func (p *Pipeline) ingestLocked(at time.Time, rep *ais.PositionReport) []events.
 
 	// Stage 1 — veracity. Hard failures (no usable position) reject the
 	// message; soft issues only depress the vessel's reliability profile.
-	var v *vessel
-	if !p.cfg.DisableQuality {
-		if !rep.HasPosition() {
-			p.Metrics.Rejected.Add(1)
-			clk.lap(&p.Metrics.NsQuality)
-			return nil
-		}
-		v = p.vesselLocked(s.MMSI)
-		issues := v.checker.Check(s)
-		p.Quality.Record(v.subject, len(issues) == 0)
+	if !rep.HasPosition() {
+		p.Metrics.Rejected.Add(1)
 		clk.lap(&p.Metrics.NsQuality)
+		return nil
 	}
+	v := p.vesselLocked(s.MMSI)
+	issues := v.checker.Check(s)
+	p.Quality.Record(v.subject, len(issues) == 0)
+	clk.lap(&p.Metrics.NsQuality)
 
 	// Stage 2 — live picture (always full rate).
 	p.Live.Update(s)
@@ -240,9 +234,6 @@ func (p *Pipeline) ingestLocked(at time.Time, rep *ais.PositionReport) []events.
 	// Stage 3 — synopsis filter decides what the archive keeps.
 	archive := true
 	if p.cfg.SynopsisToleranceM > 0 {
-		if v == nil {
-			v = p.vesselLocked(s.MMSI)
-		}
 		_, archive = v.compressor.Push(s)
 	}
 	clk.lap(&p.Metrics.NsSynopsis)

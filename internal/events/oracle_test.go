@@ -704,7 +704,7 @@ func TestBatteryMatchesReferenceOnEdges(t *testing.T) {
 			{Kind: KindTeleport, MMSI: v1, At: t0().Add(min)},
 			{Kind: KindTeleport, MMSI: v2, At: t0().Add(min)},
 		}},
-		{"|lat| > 90, as DisableQuality lets through", []model.VesselState{
+		{"|lat| > 90, no veracity stage", []model.VesselState{
 			at(v1, 0, geo.Point{Lat: 95, Lon: 8}, 12, 0),
 			at(v1, min, geo.Point{Lat: 95.01, Lon: 8}, 12, 0),
 			at(v1, 2*min, geo.Point{Lat: -95, Lon: 8}, 12, 0),

@@ -50,10 +50,6 @@ func (e *Engine) flightWrap(s tstore.Sink, layer string) tstore.Sink {
 // HealthOptions tunes the readiness thresholds. The zero value is
 // usable: every bound defaults at Health.
 type HealthOptions struct {
-	// FlushBacklogMax is the flush-queue depth at which the engine stops
-	// being ready (default: the flush stage's configured queue bound —
-	// the depth at which appends actually block).
-	FlushBacklogMax int
 	// UploadQueueMaxAge bounds how old the oldest queued WAL upload may
 	// grow before readiness flips (default 30s). Age, not depth: a deep
 	// queue that drains young is a burst; an old head is a blocked
@@ -64,8 +60,8 @@ type HealthOptions struct {
 // Health builds the engine's readiness surface — the checks GET /readyz
 // evaluates on every scrape:
 //
-//   - flush-backlog (critical): the persistence queue is below the
-//     depth at which appends block.
+//   - flush-backlog (critical): the persistence queue is below its
+//     configured bound, the depth at which appends block.
 //   - upload-queue (critical): the oldest queued WAL migration is
 //     younger than the bound, so a blocked object store flips readiness
 //     — and recovery flips it back, unlike the latched UploadErr.
@@ -88,10 +84,7 @@ func (e *Engine) Health(opt HealthOptions) *obs.Health {
 	h := obs.NewHealth()
 	if e.flusher != nil {
 		f := e.flusher
-		maxDepth := opt.FlushBacklogMax
-		if maxDepth <= 0 {
-			maxDepth = f.QueueBound()
-		}
+		maxDepth := f.QueueBound()
 		h.Register(obs.HealthCheck{Name: "flush-backlog", Critical: true,
 			Check: func() (bool, string) {
 				depth := f.Depth()

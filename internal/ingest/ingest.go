@@ -122,11 +122,6 @@ type Config struct {
 	// cadence (default 2s; < 0 disables the loop so tests drive Check
 	// explicitly via Tier()).
 	TierCheckEvery time.Duration
-	// Hub parameterises the publish/subscribe stage behind Subscribe:
-	// the replay-ring retention and the default per-subscriber queue
-	// bound. The hub stays dormant (one atomic check per record) until
-	// something subscribes.
-	Hub query.HubConfig
 	// Peers are federation members (typically query.NewClient per remote
 	// daemon) merged into every query answer alongside the local shards,
 	// deduplicated on (MMSI, timestamp). A degraded peer is skipped, not
@@ -147,8 +142,9 @@ type Config struct {
 	// profile per vessel (sliding-window distribution shift against the
 	// vessel's own history), extracting stop/move episodes incrementally
 	// into Anomaly.Semantic, and matching reporting gaps continuously for
-	// feasible covert meetings — possible-rendezvous alerts surface on
-	// the engine's Alerts stream and every /v1/stream alert subscription.
+	// feasible covert meetings — possible-rendezvous alerts are published
+	// through the hub to /v1/stream alert subscriptions only; the
+	// engine's Alerts stream carries the pipelines' detections alone.
 	// Answers the anomalies query kind live; Resume seeds it from the
 	// recovered archive (state and episodes, never alerts). Nil means no
 	// lane in the tee and zero cost — the query engine then derives the
@@ -259,7 +255,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:     cfg,
 		sharded: core.NewSharded(cfg.Pipeline, cfg.Shards),
-		hub:     query.NewHub(cfg.Hub),
+		hub:     query.NewHub(query.HubConfig{}),
 	}
 	if cfg.Track != nil {
 		ts := track.NewStages(cfg.Shards, *cfg.Track)

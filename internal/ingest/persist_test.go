@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -139,8 +140,15 @@ func TestEngineRestartRecoversPersistedState(t *testing.T) {
 	for _, s := range persisted {
 		byVessel[s.MMSI] = s // persisted is time-sorted per vessel
 	}
+	world := geo.Rect{MinLat: -90, MinLon: -180, MaxLat: 90, MaxLon: 180}
 	for mmsi, want := range byVessel {
-		got, ok := e2.Sharded().ShardFor(mmsi).Live.Get(mmsi)
+		var got model.VesselState
+		ok := false
+		for _, s := range e2.Sharded().ShardFor(mmsi).Live.InRect(world) {
+			if s.MMSI == mmsi {
+				got, ok = s, true
+			}
+		}
 		if !ok {
 			t.Fatalf("vessel %d missing from resumed live picture", mmsi)
 		}

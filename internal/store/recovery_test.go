@@ -92,7 +92,7 @@ func TestTornWriteTruncation(t *testing.T) {
 			if got := re2.Stats.Total(); got != tc.wantRecs+1 {
 				t.Fatalf("after post-tear append: recovered %d, want %d", got, tc.wantRecs+1)
 			}
-			if _, ok := re2.Live().Get(200); !ok {
+			if _, ok := newestState(re2, 200); !ok {
 				t.Fatal("post-tear append lost")
 			}
 		})

@@ -130,9 +130,6 @@ type Config struct {
 	// CompactEvery folds sealed segments into the snapshot once this many
 	// have accumulated (default 8; negative disables auto-compaction).
 	CompactEvery int
-	// LiveCellDeg is the grid cell size of the live layer Archive.Live
-	// rebuilds (default 0.25°, matching core.Pipeline).
-	LiveCellDeg float64
 	// Remote, when set, tiers the archive onto an object store: a sealed
 	// WAL segment is uploaded on rotation (and a compacted snapshot on
 	// compaction) and its local file removed, so local disk holds only
@@ -141,13 +138,14 @@ type Config struct {
 	// re-uploads it; a half-written remote object cannot be observed at
 	// all when the store honours the ObjectStore atomic-Put contract.
 	// Recovery and compaction read migrated objects back through a block
-	// cache. A failed upload degrades to local (the segment stays on
-	// local disk, retried at the next Open) and surfaces in UploadErr.
+	// cache (remoteCacheBytes). A failed upload degrades to local (the
+	// segment stays on local disk, retried at the next Open) and surfaces
+	// in UploadErr.
 	Remote ObjectStore
-	// RemoteCacheBytes bounds the read-through cache over Remote reads
-	// (default 32 MiB).
-	RemoteCacheBytes int64
 }
+
+// remoteCacheBytes bounds the read-through cache over Remote reads.
+const remoteCacheBytes = 32 << 20
 
 func (c *Config) normalize() {
 	if c.SegmentBytes <= 0 {
@@ -155,12 +153,6 @@ func (c *Config) normalize() {
 	}
 	if c.CompactEvery == 0 {
 		c.CompactEvery = 8
-	}
-	if c.LiveCellDeg <= 0 {
-		c.LiveCellDeg = 0.25
-	}
-	if c.RemoteCacheBytes <= 0 {
-		c.RemoteCacheBytes = 32 << 20
 	}
 }
 
@@ -795,8 +787,6 @@ type Archive struct {
 	Stats RecoverStats
 	// ReadOnly reports whether this archive came from OpenReadOnly.
 	ReadOnly bool
-
-	cfg Config
 }
 
 // Open opens (creating if needed) the archive directory, recovers the
@@ -908,7 +898,7 @@ func open(cfg Config, readOnly bool) (*Archive, error) {
 	remoteSnap := map[uint64]bool{}
 	var rcache *BlockCache
 	if cfg.Remote != nil {
-		rcache = NewBlockCache(cfg.RemoteCacheBytes)
+		rcache = NewBlockCache(remoteCacheBytes)
 		keys, err := cfg.Remote.List("")
 		if err != nil {
 			releaseLock(lock)
@@ -1032,7 +1022,7 @@ func open(cfg Config, readOnly bool) (*Archive, error) {
 	}
 
 	if readOnly {
-		return &Archive{Store: st, Stats: stats, ReadOnly: true, cfg: cfg}, nil
+		return &Archive{Store: st, Stats: stats, ReadOnly: true}, nil
 	}
 	d := &Disk{cfg: cfg, rcache: rcache, sealed: sealed, snapSeq: snapSeq, lock: lock}
 	d.startUploader()
@@ -1060,7 +1050,7 @@ func open(cfg Config, readOnly bool) (*Archive, error) {
 		releaseLock(lock)
 		return nil, err
 	}
-	return &Archive{Store: st, Backend: d, Stats: stats, cfg: cfg}, nil
+	return &Archive{Store: st, Backend: d, Stats: stats}, nil
 }
 
 // sortedSeqs merges sequence-number sets into one ascending list.
@@ -1084,21 +1074,6 @@ func maxSegSeq(segs []uint64) uint64 {
 		return 0
 	}
 	return segs[len(segs)-1]
-}
-
-// Live rebuilds the live-picture layer from the recovered archive: each
-// vessel's newest persisted state under the grid index. With a synopsis
-// filter upstream this is the latest archived (not latest received)
-// state — exactly what the persisted picture can know.
-func (a *Archive) Live() *tstore.Live {
-	l := tstore.NewLive(a.cfg.LiveCellDeg)
-	for _, mmsi := range a.Store.MMSIs() {
-		tr := a.Store.Trajectory(mmsi)
-		if n := len(tr.Points); n > 0 {
-			l.Update(tr.Points[n-1])
-		}
-	}
-	return l
 }
 
 // Close closes the backend (a no-op for read-only archives).

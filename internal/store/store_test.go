@@ -247,12 +247,24 @@ func TestManualCompactThenRecover(t *testing.T) {
 	if re.Stats.Total() != 301 {
 		t.Fatalf("recovered %d records, want 301", re.Stats.Total())
 	}
-	if got, ok := re.Live().Get(99); !ok || got.Pos.Lat != 43 {
+	if got, ok := newestState(re, 99); !ok || got.Pos.Lat != 43 {
 		t.Fatalf("post-compaction record lost: %+v ok=%v", got, ok)
 	}
 }
 
-// TestArchiveLive pins that the rebuilt live picture is the newest
+// newestState returns the vessel's newest state in the recovered archive's
+// live picture (Store.LatestStates, the read the store source's live
+// answers come from).
+func newestState(a *Archive, mmsi uint32) (model.VesselState, bool) {
+	for _, s := range a.Store.LatestStates() {
+		if s.MMSI == mmsi {
+			return s, true
+		}
+	}
+	return model.VesselState{}, false
+}
+
+// TestArchiveLive pins that the recovered live picture is the newest
 // persisted state per vessel.
 func TestArchiveLive(t *testing.T) {
 	dir := t.TempDir()
@@ -275,11 +287,10 @@ func TestArchiveLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	live := re.Live()
-	if live.Count() != 2 {
-		t.Fatalf("live count = %d, want 2", live.Count())
+	if n := len(re.Store.LatestStates()); n != 2 {
+		t.Fatalf("live count = %d, want 2", n)
 	}
-	got, ok := live.Get(1)
+	got, ok := newestState(re, 1)
 	if !ok || got.Pos.Lat != 40.5 {
 		t.Fatalf("live picture holds %+v, want the newest persisted state of vessel 1", got)
 	}

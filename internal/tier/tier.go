@@ -100,11 +100,8 @@ func (cs *ChunkStore) failFetch(key string, err error) ([]model.VesselState, err
 }
 
 // NewChunkStore builds a spill store over objects with a read cache of
-// cacheBytes (default 32 MiB when <= 0).
+// cacheBytes.
 func NewChunkStore(objects store.ObjectStore, cacheBytes int64) *ChunkStore {
-	if cacheBytes <= 0 {
-		cacheBytes = 32 << 20
-	}
 	return &ChunkStore{objects: objects, cache: store.NewBlockCache(cacheBytes)}
 }
 
@@ -228,6 +225,9 @@ func (cs *ChunkStore) CacheStats() store.CacheStats { return cs.cache.Stats() }
 
 // --- eviction manager ----------------------------------------------------------
 
+// pageCacheBytes bounds a Manager's page-back block cache.
+const pageCacheBytes = 32 << 20
+
 // Config parameterises a Manager. Budget is required; everything else
 // defaults.
 type Config struct {
@@ -243,8 +243,6 @@ type Config struct {
 	// object store sealed WAL segments migrate to, under the "tier/"
 	// prefix.
 	Objects store.ObjectStore
-	// CacheBytes bounds the page-back block cache (default 32 MiB).
-	CacheBytes int64
 }
 
 // Manager enforces a memory budget over one or more trajectory stores by
@@ -302,7 +300,7 @@ func NewManager(cfg Config, stores ...*tstore.Store) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:     cfg,
-		chunks:  NewChunkStore(cfg.Objects, cfg.CacheBytes),
+		chunks:  NewChunkStore(cfg.Objects, pageCacheBytes),
 		stores:  stores,
 		done:    make(chan struct{}),
 		stopped: make(chan struct{}),

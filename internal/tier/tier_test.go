@@ -116,7 +116,6 @@ func TestEvictionIsInvisible(t *testing.T) {
 	if snG.Len() != snW.Len() {
 		t.Fatalf("snapshot Len: %d != %d", snG.Len(), snW.Len())
 	}
-	statesEqual(t, "Snapshot.Search", snG.Search(box, from, to), snW.Search(box, from, to))
 	p := geo.Point{Lat: 38, Lon: 12}
 	at := from.Add(5 * time.Minute)
 	statesEqual(t, "NearestVessels",

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/geo"
-	"repro/internal/index"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -21,10 +20,10 @@ import (
 // The reference for the differential tests below: the read paths as they
 // stood before run summaries. SpaceTime copied every in-window point of
 // every vessel under the read lock and applied the box afterwards; the
-// snapshot recomputed every chunk rectangle point by point, indexed every
-// resident point in an R-tree for Search, and NearestVessels queued every
-// admissible chunk of the archive in one best-first level. The summarised
-// paths must return the same answers in the same order.
+// snapshot recomputed every chunk rectangle point by point, and
+// NearestVessels queued every admissible chunk of the archive in one
+// best-first level. The summarised paths must return the same answers in
+// the same order.
 
 func (st *Store) refSpaceTime(r geo.Rect, from, to time.Time) []model.VesselState {
 	type vesselRead struct {
@@ -67,11 +66,10 @@ func (st *Store) refSpaceTime(r geo.Rect, from, to time.Time) []model.VesselStat
 	return out
 }
 
-// refSnapshot is the old snapshot: the point R-tree plus a flat chunk
-// directory (a Snapshot with no groups) whose rectangles were computed
-// point by point at build time.
+// refSnapshot is the old snapshot: a flat chunk directory (a Snapshot
+// with no groups) whose rectangles were computed point by point at build
+// time.
 type refSnapshot struct {
-	rt *index.RTree
 	sn *Snapshot
 }
 
@@ -109,45 +107,12 @@ func (st *Store) refSpatialSnapshot() *refSnapshot {
 			sn.chunks = append(sn.chunks, c)
 		}
 	}
-	items := make([]index.Item, len(states))
-	for i, s := range states {
-		items[i] = index.Item{Pos: s.Pos, ID: uint64(i)}
-	}
 	sn.states = states
 	sn.fetch = func(mmsi uint32, key string, n int) []model.VesselState {
 		pts, _ := st.fetchChunk(mmsi, evChunk{key: key, n: n})
 		return pts
 	}
-	return &refSnapshot{rt: index.BuildRTree(items), sn: sn}
-}
-
-func (rs *refSnapshot) Search(r geo.Rect, from, to time.Time) []model.VesselState {
-	sn := rs.sn
-	var out []model.VesselState
-	for _, it := range rs.rt.Search(r, nil) {
-		s := sn.states[it.ID]
-		if !s.At.Before(from) && !s.At.After(to) {
-			out = append(out, s)
-		}
-	}
-	for i := range sn.chunks {
-		c := &sn.chunks[i]
-		if c.lazy == nil || c.to.Before(from) || c.from.After(to) || !r.Intersects(c.rect) {
-			continue
-		}
-		for _, s := range sn.resolve(c) {
-			if !s.At.Before(from) && !s.At.After(to) && r.Contains(s.Pos) {
-				out = append(out, s)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].MMSI != out[j].MMSI {
-			return out[i].MMSI < out[j].MMSI
-		}
-		return out[i].At.Before(out[j].At)
-	})
-	return out
+	return &refSnapshot{sn: sn}
 }
 
 func (rs *refSnapshot) NearestVessels(p geo.Point, at time.Time, tol time.Duration, k int) []model.VesselState {
@@ -321,10 +286,8 @@ func randomQueries(rng *rand.Rand, st *Store, n int) ([]boxQuery, []nearQuery) {
 	return boxes, nears
 }
 
-// assertMatchesReference diffs SpaceTime, Snapshot.Search and
-// NearestVessels against the reference on the given reads. Search must
-// equal SpaceTime exactly; the reference Search sorted unstably, so it is
-// held to the (MMSI, time) sequence.
+// assertMatchesReference diffs SpaceTime and NearestVessels against the
+// reference on the given reads.
 func assertMatchesReference(t *testing.T, st *Store, boxes []boxQuery, nears []nearQuery) {
 	t.Helper()
 	sn, ref := st.SpatialSnapshot(), st.refSpatialSnapshot()
@@ -335,19 +298,6 @@ func assertMatchesReference(t *testing.T, st *Store, boxes []boxQuery, nears []n
 		want := st.refSpaceTime(q.r, q.from, q.to)
 		if got := st.SpaceTime(q.r, q.from, q.to); !reflect.DeepEqual(got, want) {
 			t.Fatalf("box read %d %+v: SpaceTime returned %d points, reference %d (or they differ)", i, q, len(got), len(want))
-		}
-		got := sn.Search(q.r, q.from, q.to)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("box read %d %+v: Search returned %d points, SpaceTime reference %d (or they differ)", i, q, len(got), len(want))
-		}
-		old := ref.Search(q.r, q.from, q.to)
-		if len(old) != len(got) {
-			t.Fatalf("box read %d: Search returned %d points, reference Search %d", i, len(got), len(old))
-		}
-		for j := range got {
-			if got[j].MMSI != old[j].MMSI || !got[j].At.Equal(old[j].At) {
-				t.Fatalf("box read %d: Search result %d is (%d, %v), reference Search (%d, %v)", i, j, got[j].MMSI, got[j].At, old[j].MMSI, old[j].At)
-			}
 		}
 	}
 	for i, q := range nears {
@@ -557,11 +507,7 @@ func TestReadsMatchReferenceOnEdges(t *testing.T) {
 		if got := st.SpaceTime(world, time.Time{}, time.Unix(1<<40, 0)); got != nil {
 			t.Fatalf("SpaceTime on an empty store: %v", got)
 		}
-		sn := st.SpatialSnapshot()
-		if got := sn.Search(world, time.Time{}, time.Unix(1<<40, 0)); got != nil {
-			t.Fatalf("Search on an empty store: %v", got)
-		}
-		if got := sn.NearestVessels(geo.Point{Lat: 40, Lon: 5}, t0(), 1<<63-1, 5); got != nil {
+		if got := st.SpatialSnapshot().NearestVessels(geo.Point{Lat: 40, Lon: 5}, t0(), 1<<63-1, 5); got != nil {
 			t.Fatalf("NearestVessels on an empty store: %v", got)
 		}
 	})

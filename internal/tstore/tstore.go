@@ -1,7 +1,7 @@
 // Package tstore is the moving-object store of the infrastructure (§2.3):
 // an append-optimised archive of vessel trajectories supporting
 // time-range, space-time-range and k-nearest-vessel queries, a live layer
-// holding the current fleet picture under a grid index, and a compact
+// holding the current fleet picture under a uniform grid, and a compact
 // binary snapshot format for persistence. It is safe for concurrent use.
 //
 // The archive is tierable: a Store with a ChunkStore attached can evict
@@ -28,15 +28,14 @@ import (
 
 	"repro/internal/ais"
 	"repro/internal/geo"
-	"repro/internal/index"
 	"repro/internal/model"
 )
 
-// Sink receives the records appended to a Store (or the updates applied
-// to a Live) — the hook a persistence backend attaches to. The canonical
-// implementation is internal/store's Flusher, which queues records for an
-// asynchronous write-ahead log; implementations must be safe for
-// concurrent use when the owning store is used concurrently.
+// Sink receives the records appended to a Store — the hook a persistence
+// backend attaches to. The canonical implementation is internal/store's
+// Flusher, which queues records for an asynchronous write-ahead log;
+// implementations must be safe for concurrent use when the owning store
+// is used concurrently.
 type Sink interface {
 	Append(recs ...model.VesselState) error
 }
@@ -478,10 +477,6 @@ func (st *Store) Heat() []VesselHeat {
 	return out
 }
 
-// Clock returns the store's logical touch clock (advances on every
-// append and vessel read).
-func (st *Store) Clock() int64 { return atomic.LoadInt64(&st.clock) }
-
 // TierCounters snapshots the store's tiered-storage state.
 type TierCounters struct {
 	ResidentPoints  int
@@ -513,14 +508,6 @@ func (st *Store) Tier() TierCounters {
 		}
 	}
 	return tc
-}
-
-// ResidentPoints returns the number of points currently held in memory
-// (Len counts evicted points too).
-func (st *Store) ResidentPoints() int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.resident
 }
 
 // forward hands records to the sink outside the store lock, serialised
@@ -719,18 +706,18 @@ func (st *Store) SpaceTime(r geo.Rect, from, to time.Time) []model.VesselState {
 // Snapshot is an immutable spatial view over the archive at build time: a
 // copy of the resident points plus a time-chunked directory (bounding
 // rectangle and time span per run of up to nearestChunkLen consecutive
-// samples), grouped per vessel under one union rectangle and span. Both
-// Search and NearestVessels walk the directory, pruning whole vessels and
-// chunks instead of filtering points one by one.
+// samples), grouped per vessel under one union rectangle and span.
+// NearestVessels walks the directory, pruning whole vessels and chunks
+// instead of filtering points one by one.
 //
 // Evicted spans join the same directory as unresolved entries carrying
 // their chunk-store key: their rectangle and span still prune and bound
 // the best-first search, and their points are paged in only when the
-// search actually pops them (or a Search window reaches them) — a
-// nearest query over a mostly evicted archive reads back just the
-// chunks it would have scanned anyway. Resolution is cached per chunk
-// inside the snapshot (sync.Once), so a shared snapshot pages each
-// chunk at most once however many queries run over it.
+// search actually pops them — a nearest query over a mostly evicted
+// archive reads back just the chunks it would have scanned anyway.
+// Resolution is cached per chunk inside the snapshot (sync.Once), so a
+// shared snapshot pages each chunk at most once however many queries run
+// over it.
 type Snapshot struct {
 	states []model.VesselState // resident points, (MMSI, time)-ordered
 	chunks []snapChunk         // per-vessel runs, grouped by vessel
@@ -849,28 +836,6 @@ func (st *Store) SpatialSnapshot() *Snapshot {
 // Len returns the number of points the snapshot covers, resident and
 // evicted alike.
 func (sn *Snapshot) Len() int { return sn.total }
-
-// Search returns the states inside the box during [from, to], ordered as
-// Store.SpaceTime orders them, from the chunk directory: evicted chunks
-// are paged in only when both their rectangle and span overlap the query.
-func (sn *Snapshot) Search(r geo.Rect, from, to time.Time) []model.VesselState {
-	var out []model.VesselState
-	for _, g := range sn.groups {
-		if g.to.Before(from) || g.from.After(to) || !r.Intersects(g.rect) {
-			continue
-		}
-		var parts [][]model.VesselState
-		for i := g.lo; i < g.hi; i++ {
-			c := &sn.chunks[i]
-			if c.to.Before(from) || c.from.After(to) || !r.Intersects(c.rect) {
-				continue
-			}
-			parts = append(parts, appendInBox(nil, trimWindow(sn.resolve(c), from, to), r))
-		}
-		out = append(out, mergeByTime(parts)...)
-	}
-	return out
-}
 
 // NearestVessels returns up to k distinct vessels with a sample within tol
 // of the instant `at`, ordered by the distance of that sample to p.
@@ -1019,38 +984,19 @@ func (q *nvQueue) pop() nvEntry {
 // --- live layer ---------------------------------------------------------------
 
 // Live maintains the current picture: the latest state per vessel under a
-// grid index for range and proximity queries over "now".
+// uniform grid for box reads over "now".
 type Live struct {
-	mu      sync.RWMutex
-	latest  map[uint32]model.VesselState
-	grid    *index.GridIndex
-	sink    Sink
-	sinkErr error
+	mu     sync.RWMutex
+	latest map[uint32]model.VesselState
+	grid   liveGrid
 }
 
-// NewLive returns an empty live layer with the given index cell size.
+// NewLive returns an empty live layer with the given grid cell size.
 func NewLive(cellDeg float64) *Live {
 	return &Live{
 		latest: make(map[uint32]model.VesselState),
-		grid:   index.NewGridIndex(cellDeg),
+		grid:   liveGrid{grid: geo.NewGrid(cellDeg), cells: make(map[geo.CellID][]gridEntry)},
 	}
-}
-
-// Attach installs a persistence sink receiving every subsequent Update —
-// a full-rate journal of the live picture, unlike the Store's
-// post-synopsis archive stream (nil detaches). Same contract as
-// Store.Attach: errors park in SinkErr, a blocking sink backpressures.
-func (l *Live) Attach(s Sink) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.sink = s
-}
-
-// SinkErr returns the first error the attached sink reported.
-func (l *Live) SinkErr() error {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.sinkErr
 }
 
 // Update replaces the vessel's current state.
@@ -1058,23 +1004,10 @@ func (l *Live) Update(s model.VesselState) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if prev, ok := l.latest[s.MMSI]; ok {
-		l.grid.Remove(prev.Pos, uint64(s.MMSI))
+		l.grid.remove(prev.Pos, s.MMSI)
 	}
 	l.latest[s.MMSI] = s
-	l.grid.Insert(index.Item{Pos: s.Pos, ID: uint64(s.MMSI)})
-	if l.sink != nil {
-		if err := l.sink.Append(s); err != nil && l.sinkErr == nil {
-			l.sinkErr = err
-		}
-	}
-}
-
-// Get returns the vessel's current state.
-func (l *Live) Get(mmsi uint32) (model.VesselState, bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	s, ok := l.latest[mmsi]
-	return s, ok
+	l.grid.insert(s.Pos, s.MMSI)
 }
 
 // Count returns the number of tracked vessels.
@@ -1103,36 +1036,60 @@ func (l *Live) InRect(r geo.Rect) []model.VesselState {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	var out []model.VesselState
-	for _, it := range l.grid.Search(r, nil) {
-		out = append(out, l.latest[uint32(it.ID)])
+	for _, m := range l.grid.search(r) {
+		out = append(out, l.latest[m])
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].MMSI < out[j].MMSI })
 	return out
 }
 
-// Nearest returns the k vessels currently closest to p.
-func (l *Live) Nearest(p geo.Point, k int) []model.VesselState {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []model.VesselState
-	for _, it := range l.grid.Nearest(p, k) {
-		out = append(out, l.latest[uint32(it.ID)])
-	}
-	return out
+// liveGrid hashes the live picture's vessels into equal-angle cells by
+// current position: O(1) moves, and a box read visits only the cells the
+// box covers.
+type liveGrid struct {
+	grid  geo.Grid
+	cells map[geo.CellID][]gridEntry
 }
 
-// Stale returns vessels whose latest report is older than maxAge relative
-// to now — the live layer's view of "possibly gone dark".
-func (l *Live) Stale(now time.Time, maxAge time.Duration) []model.VesselState {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []model.VesselState
-	for _, s := range l.latest {
-		if now.Sub(s.At) > maxAge {
-			out = append(out, s)
+// gridEntry is a vessel's position in its cell.
+type gridEntry struct {
+	pos  geo.Point
+	mmsi uint32
+}
+
+// insert files the vessel under the cell of pos.
+func (g *liveGrid) insert(pos geo.Point, mmsi uint32) {
+	c := g.grid.Cell(pos)
+	g.cells[c] = append(g.cells[c], gridEntry{pos: pos, mmsi: mmsi})
+}
+
+// remove deletes the vessel from the cell of pos, its last inserted
+// position.
+func (g *liveGrid) remove(pos geo.Point, mmsi uint32) {
+	c := g.grid.Cell(pos)
+	es := g.cells[c]
+	for i, e := range es {
+		if e.mmsi == mmsi {
+			es[i] = es[len(es)-1]
+			g.cells[c] = es[:len(es)-1]
+			if len(es) == 1 {
+				delete(g.cells, c)
+			}
+			return
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].MMSI < out[j].MMSI })
+}
+
+// search returns the MMSIs of the vessels inside r.
+func (g *liveGrid) search(r geo.Rect) []uint32 {
+	var out []uint32
+	for _, c := range g.grid.CellsInRect(r, nil) {
+		for _, e := range g.cells[c] {
+			if r.Contains(e.pos) {
+				out = append(out, e.mmsi)
+			}
+		}
+	}
 	return out
 }
 

@@ -84,31 +84,6 @@ func TestTimeRange(t *testing.T) {
 	}
 }
 
-func TestSpaceTimeMatchesSnapshot(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	st := populated(rng, 50, 60)
-	sn := st.SpatialSnapshot()
-	if sn.Len() != st.Len() {
-		t.Fatalf("snapshot len %d != store %d", sn.Len(), st.Len())
-	}
-	for trial := 0; trial < 20; trial++ {
-		c := geo.Point{Lat: 35 + rng.Float64()*8, Lon: rng.Float64() * 20}
-		r := geo.RectAround(c, 100000)
-		from := t0().Add(time.Duration(rng.Intn(300)) * time.Second)
-		to := from.Add(time.Duration(rng.Intn(300)) * time.Second)
-		a := st.SpaceTime(r, from, to)
-		b := sn.Search(r, from, to)
-		if len(a) != len(b) {
-			t.Fatalf("trial %d: SpaceTime %d vs Snapshot %d", trial, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].MMSI != b[i].MMSI || !a[i].At.Equal(b[i].At) {
-				t.Fatalf("trial %d: result %d differs", trial, i)
-			}
-		}
-	}
-}
-
 func TestNearestVessels(t *testing.T) {
 	st := New()
 	// Three vessels at increasing distance from the query point, all at t0.
@@ -141,10 +116,6 @@ func TestLiveLayer(t *testing.T) {
 	if l.Count() != 2 {
 		t.Fatalf("count %d", l.Count())
 	}
-	s, ok := l.Get(1)
-	if !ok || s.Pos.Lat != 40.5 {
-		t.Errorf("latest state not updated: %+v", s)
-	}
 	// The old position must no longer be indexed.
 	old := l.InRect(geo.RectAround(geo.Point{Lat: 40, Lon: 5}, 10000))
 	for _, v := range old {
@@ -153,23 +124,8 @@ func TestLiveLayer(t *testing.T) {
 		}
 	}
 	got := l.InRect(geo.RectAround(geo.Point{Lat: 40.5, Lon: 5.5}, 10000))
-	if len(got) != 1 || got[0].MMSI != 1 {
+	if len(got) != 1 || got[0].MMSI != 1 || got[0].Pos.Lat != 40.5 {
 		t.Errorf("new position not indexed: %+v", got)
-	}
-	nn := l.Nearest(geo.Point{Lat: 41.01, Lon: 6.01}, 1)
-	if len(nn) != 1 || nn[0].MMSI != 2 {
-		t.Errorf("nearest wrong: %+v", nn)
-	}
-}
-
-func TestLiveStale(t *testing.T) {
-	l := NewLive(0.5)
-	l.Update(sample(1, 0, 40, 5))
-	l.Update(sample(2, 3600, 41, 6))
-	now := t0().Add(2 * time.Hour)
-	stale := l.Stale(now, 90*time.Minute)
-	if len(stale) != 1 || stale[0].MMSI != 1 {
-		t.Errorf("stale detection wrong: %+v", stale)
 	}
 }
 
@@ -273,18 +229,6 @@ func BenchmarkTimeRange(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = st.TimeRange(201000050, t0().Add(100*time.Second), t0().Add(500*time.Second))
-	}
-}
-
-func BenchmarkSnapshotSearch(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	st := populated(rng, 100, 1000)
-	sn := st.SpatialSnapshot()
-	r := geo.RectAround(geo.Point{Lat: 39, Lon: 10}, 100000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = sn.Search(r, t0(), t0().Add(time.Hour))
 	}
 }
 
@@ -443,19 +387,5 @@ func TestStoreAttachForwards(t *testing.T) {
 	st.Append(sample(1, 40, 40.2, 5))
 	if len(rec.recs) != 3 {
 		t.Fatalf("detached sink still saw appends: %d records", len(rec.recs))
-	}
-}
-
-func TestLiveAttachForwards(t *testing.T) {
-	l := NewLive(0.25)
-	rec := &sinkRecorder{}
-	l.Attach(rec)
-	l.Update(sample(1, 0, 40, 5))
-	l.Update(sample(1, 10, 40.1, 5))
-	if len(rec.recs) != 2 {
-		t.Fatalf("sink saw %d updates, want 2", len(rec.recs))
-	}
-	if l.SinkErr() != nil {
-		t.Fatalf("unexpected sink error: %v", l.SinkErr())
 	}
 }

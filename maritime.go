@@ -370,7 +370,7 @@ type (
 	// VesselState is one timestamped kinematic sample.
 	VesselState = model.VesselState
 	// StoreSink receives appended records — the hook persistence attaches
-	// to (Store.Attach / Live.Attach).
+	// to (Store.Attach).
 	StoreSink = tstore.Sink
 )
 
@@ -474,7 +474,7 @@ func OpenArchiveReadOnly(cfg StoreConfig) (*Archive, error) { return store.OpenR
 func NewMem() *MemBackend { return store.NewMem() }
 
 // NewFlusher starts an asynchronous flush stage over a backend; attach
-// it to a Store (or Live) to persist its appends without putting disk
+// it to a Store to persist its appends without putting disk
 // latency on the ingest path.
 func NewFlusher(b StoreBackend, cfg FlushConfig) *Flusher { return store.NewFlusher(b, cfg) }
 
