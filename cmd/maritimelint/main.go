@@ -1,11 +1,14 @@
 // Command maritimelint runs the project-invariant analyzer suite
 // (internal/lint) over the module: the machine-checked form of the
-// concurrency and error-handling contracts documented in INVARIANTS.md.
+// contracts documented in INVARIANTS.md.
 //
 // Usage:
 //
 //	go run ./cmd/maritimelint ./...
 //	go run ./cmd/maritimelint ./internal/store ./internal/query
+//
+// A narrower pattern lints fewer packages, but deadexport still counts
+// uses from the whole module.
 //
 // Exit status: 0 clean, 1 findings, 2 load/type-check failure.
 package main

@@ -204,13 +204,8 @@ func armorPayload(bits []byte) (payload string, fill int) {
 	return sb.String(), fill
 }
 
-// unarmorPayload converts an armored payload back into a bit string,
-// dropping the given number of fill bits from the end.
-func unarmorPayload(payload string, fill int) ([]byte, error) {
-	return unarmorAppend(make([]byte, 0, len(payload)*6), []byte(payload), fill)
-}
-
-// unarmorAppend is the allocation-free core of unarmorPayload: it appends
+// unarmorAppend converts an armored payload back into a bit string,
+// dropping the given number of fill bits from the end: it appends
 // the unarmored bits to dst (reusing its capacity) so a decoder can hold
 // one buffer across sentences.
 func unarmorAppend(dst []byte, payload []byte, fill int) ([]byte, error) {

@@ -3,7 +3,6 @@ package ais
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/geo"
 )
@@ -74,8 +73,6 @@ const (
 	ShipTypeUnknown   ShipType = 0
 	ShipTypeFishing   ShipType = 30
 	ShipTypeTug       ShipType = 52
-	ShipTypePilot     ShipType = 50
-	ShipTypeSAR       ShipType = 51
 	ShipTypePassenger ShipType = 60
 	ShipTypeCargo     ShipType = 70
 	ShipTypeTanker    ShipType = 80
@@ -103,11 +100,10 @@ func (st ShipType) String() string {
 
 // Sentinel values defined by the standard for "not available".
 const (
-	SpeedNotAvailable   = 102.3 // knots; raw 1023
-	CourseNotAvailable  = 360.0 // degrees; raw 3600
-	HeadingNotAvailable = 511   // degrees
-	LonNotAvailable     = 181.0 // degrees
-	LatNotAvailable     = 91.0  // degrees
+	SpeedNotAvailable  = 102.3 // knots; raw 1023
+	CourseNotAvailable = 360.0 // degrees; raw 3600
+	LonNotAvailable    = 181.0 // degrees
+	LatNotAvailable    = 91.0  // degrees
 )
 
 // PositionReport is a decoded Class A (types 1–3) or Class B (type 18)
@@ -177,28 +173,6 @@ type StaticB struct {
 	DimStern int
 	DimPort  int
 	DimStarb int
-}
-
-// Envelope carries a decoded message with reception metadata attached by the
-// sentence layer.
-type Envelope struct {
-	Received time.Time // receiver timestamp
-	Source   string    // receiver / channel identifier
-	Message  any       // *PositionReport, *StaticVoyage or *StaticB
-}
-
-// MMSIOf extracts the MMSI from any supported message type, or 0.
-func MMSIOf(msg any) uint32 {
-	switch m := msg.(type) {
-	case *PositionReport:
-		return m.MMSI
-	case *StaticVoyage:
-		return m.MMSI
-	case *StaticB:
-		return m.MMSI
-	default:
-		return 0
-	}
 }
 
 // ValidMMSI reports whether m is a structurally plausible vessel MMSI:
@@ -408,14 +382,9 @@ func decodeStaticB(r *bitReader) (*StaticB, error) {
 	return s, nil
 }
 
-// DecodePayload decodes an unarmored AIS bit payload into one of the
-// supported message structs.
-func DecodePayload(bits []byte) (any, error) {
-	return decodePayloadWith(bits, nil)
-}
-
-// decodePayloadWith is DecodePayload with an optional intern table for
-// decoded text fields — the Decoder passes its own so repeated static
+// decodePayloadWith decodes an unarmored AIS bit payload into one of the
+// supported message structs, with an optional intern table for decoded
+// text fields — the Decoder passes its own so repeated static
 // rebroadcasts share string storage.
 func decodePayloadWith(bits []byte, interned *stringTable) (any, error) {
 	r := &bitReader{bits: bits, intern: interned}

@@ -153,11 +153,10 @@ type Decoder struct {
 
 // DecoderStats counts decoder outcomes.
 type DecoderStats struct {
-	Sentences  int // sentences parsed OK
-	Malformed  int // lines rejected at the sentence layer
-	Messages   int // complete messages decoded
-	Undecoded  int // payloads with unsupported type or truncated bits
-	Incomplete int // fragment groups dropped by ResetPending
+	Sentences int // sentences parsed OK
+	Malformed int // lines rejected at the sentence layer
+	Messages  int // complete messages decoded
+	Undecoded int // payloads with unsupported type or truncated bits
 }
 
 // NewDecoder returns an empty decoder.
@@ -241,16 +240,6 @@ func (d *Decoder) finish(frags []Sentence) (any, error) {
 	}
 	d.Stats.Messages++
 	return msg, nil
-}
-
-// ResetPending drops any partially assembled fragment groups (call it when
-// a stream gap makes completion impossible) and returns how many were
-// dropped.
-func (d *Decoder) ResetPending() int {
-	n := len(d.pending)
-	d.Stats.Incomplete += n
-	d.pending = make(map[string][]Sentence)
-	return n
 }
 
 func truncate(s string, n int) string {

@@ -42,10 +42,9 @@ import (
 	"repro/internal/zones"
 )
 
-// retainedAlerts bounds the CEP alerts the stage set keeps for pull
-// readers (oldest dropped first); push consumers get every alert
-// through OnAlert regardless.
-const retainedAlerts = 1024
+// recentGaps bounds the cross-vessel ring of closed reporting gaps the
+// rendezvous matcher pairs each fresh gap against.
+const recentGaps = 256
 
 // openWorld qualifies the continuous possible-rendezvous matches.
 var openWorld = events.DefaultOpenWorldConfig()
@@ -68,24 +67,7 @@ type Config struct {
 	// continuous version of batch materialisation. The store locks
 	// internally; it may be shared with readers.
 	Semantic *semstore.Store
-	// RecentGaps bounds the cross-vessel ring of closed reporting gaps
-	// the rendezvous matcher pairs each fresh gap against (default 256).
-	RecentGaps int
 }
-
-func (c Config) normalize() Config {
-	if c.RecentGaps <= 0 {
-		c.RecentGaps = 256
-	}
-	return c
-}
-
-// Stage is one shard's online anomaly stage: the host shard holding its
-// vessels' behavior profiles — the fold itself, nothing wrapped around
-// it. It implements tstore.Sink, so the ingest engine tees archived
-// records into it; the facts its folds surface cross shards through the
-// set's shared core.
-type Stage = lane.Shard[*query.AnomalyAccumulator, query.AnomalyFacts]
 
 // shared is the cross-shard core of a stage set: episode
 // materialisation and the continuous rendezvous matcher. Gaps of two
@@ -94,17 +76,15 @@ type Stage = lane.Shard[*query.AnomalyAccumulator, query.AnomalyFacts]
 // (lock order: stage.mu strictly before shared.mu, never nested).
 type shared struct {
 	cfg     Config
-	onAlert func(events.Alert) // set before traffic; nil = retain only
+	onAlert func(events.Alert) // set before traffic; nil = count only
 
 	episodes   atomic.Int64
 	gaps       atomic.Int64
 	rendezvous atomic.Int64
 
 	mu     sync.Mutex
-	recent []events.Gap // ring of the last RecentGaps closed gaps
+	recent []events.Gap // ring of the last recentGaps closed gaps
 	head   int
-	alerts []events.Alert // ring of the last retainedAlerts CEP alerts
-	ahead  int
 }
 
 // deliver acts on the facts a fold surfaced, outside every stage lock.
@@ -159,19 +139,11 @@ func (sh *shared) gapClosed(g events.Gap) {
 			fired = append(fired, alert)
 		}
 	}
-	if len(sh.recent) < sh.cfg.RecentGaps {
+	if len(sh.recent) < recentGaps {
 		sh.recent = append(sh.recent, g)
 	} else {
 		sh.recent[sh.head] = g
 		sh.head = (sh.head + 1) % len(sh.recent)
-	}
-	for _, a := range fired {
-		if len(sh.alerts) < retainedAlerts {
-			sh.alerts = append(sh.alerts, a)
-		} else {
-			sh.alerts[sh.ahead] = a
-			sh.ahead = (sh.ahead + 1) % len(sh.alerts)
-		}
 	}
 	sh.mu.Unlock()
 	sh.rendezvous.Add(int64(len(fired)))
@@ -194,7 +166,7 @@ type Stages struct {
 // NewStages builds the lane over n shards (one per ingest shard) and
 // one shared core.
 func NewStages(n int, cfg Config) *Stages {
-	sh := &shared{cfg: cfg.normalize()}
+	sh := &shared{cfg: cfg}
 	return &Stages{shared: sh, Host: lane.New("anomaly", n, query.NewAnomalyAccumulator, sh.deliver)}
 }
 
@@ -257,31 +229,6 @@ func (ss *Stages) GapCount() int64 { return ss.shared.gaps.Load() }
 
 // RendezvousCount returns possible-rendezvous alerts fired so far.
 func (ss *Stages) RendezvousCount() int64 { return ss.shared.rendezvous.Load() }
-
-// RecentGaps returns the cross-vessel ring of closed reporting gaps,
-// oldest first (at most Config.RecentGaps — raise it when scoring a
-// whole run, as E21 does).
-func (ss *Stages) RecentGaps() []events.Gap {
-	sh := ss.shared
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out := make([]events.Gap, 0, len(sh.recent))
-	out = append(out, sh.recent[sh.head:]...)
-	out = append(out, sh.recent[:sh.head]...)
-	return out
-}
-
-// Alerts returns the retained CEP alerts, oldest first (at most the
-// last retainedAlerts; push consumers via OnAlert see every alert).
-func (ss *Stages) Alerts() []events.Alert {
-	sh := ss.shared
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out := make([]events.Alert, 0, len(sh.alerts))
-	out = append(out, sh.alerts[sh.ahead:]...)
-	out = append(out, sh.alerts[:sh.ahead]...)
-	return out
-}
 
 // Instrument registers the lane's series with reg: the host's
 // profiled-vessel gauge and sampled append cost, episode/gap/rendezvous

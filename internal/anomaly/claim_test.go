@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/events"
 	"repro/internal/model"
+	"repro/internal/query"
 	"repro/internal/sim"
 )
 
@@ -12,7 +14,8 @@ import (
 // anomaly lane recognises injected ground truth without labels. Seed 43,
 // 300 vessels × 3 h, the paper-calibrated defect profile with identity
 // spoofing off (a switched identity silences the true MMSI without a dark
-// label) and dark rendezvous scheduled (DarkRendezvousFrac 0.08). Measured:
+// label) and dark rendezvous scheduled (DarkRendezvousFrac 0.08), with
+// the lane's 256-gap matcher ring, as the daemon runs it. Measured:
 // gap recall 1.00 over 127 revealable dark windows, possible-rendezvous
 // recall 1.00 over 12 dark meetings, course-deviation vessels' shift score
 // 1.4× the clean-fleet mean. Tolerances: gap recall ≥ 0.95, meeting recall
@@ -31,13 +34,29 @@ func TestAnomalyLaneClaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stages := NewStages(4, Config{RecentGaps: 1 << 14})
+	// The lane at the daemon's configuration pushes its alerts through
+	// OnAlert. Its gaps are the fold's AnomalyFacts.Gap: each vessel's
+	// feed goes through a query.AnomalyAccumulator of its own too, and
+	// the lane must have counted exactly the gaps those folds surface.
+	stages := NewStages(4, Config{})
+	var alerts []events.Alert
+	stages.OnAlert(func(a events.Alert) { alerts = append(alerts, a) })
+	folds := map[uint32]*query.AnomalyAccumulator{}
+	var gaps []events.Gap
 	firstAt, lastAt := map[uint32]time.Time{}, map[uint32]time.Time{}
 	for i := range run.Positions {
 		o := &run.Positions[i]
 		st := model.FromReport(o.At, &o.Report)
 		if err := stages.ShardFor(st.MMSI).Append(st); err != nil {
 			t.Fatal(err)
+		}
+		f, ok := folds[st.MMSI]
+		if !ok {
+			f = query.NewAnomalyAccumulator(st.MMSI)
+			folds[st.MMSI] = f
+		}
+		if g := f.Observe(st).Gap; g != nil {
+			gaps = append(gaps, *g)
 		}
 		if _, ok := firstAt[st.MMSI]; !ok {
 			firstAt[st.MMSI] = o.At
@@ -62,7 +81,9 @@ func TestAnomalyLaneClaim(t *testing.T) {
 	}
 
 	// Gap recognition against revealable dark windows.
-	gaps := stages.RecentGaps()
+	if got := stages.GapCount(); got != int64(len(gaps)) {
+		t.Fatalf("lane counted %d gaps, its folds surfaced %d", got, len(gaps))
+	}
 	var windows, windowsHit int
 	for _, evs := range darks {
 		for _, ev := range evs {
@@ -104,7 +125,7 @@ func TestAnomalyLaneClaim(t *testing.T) {
 		}
 	}
 	met := map[pair]bool{}
-	for _, a := range stages.Alerts() {
+	for _, a := range alerts {
 		k := norm(a.MMSI, a.Other)
 		if ev, ok := meetings[k]; ok && overlaps(a.Start, a.At, ev.Start, ev.End) {
 			met[k] = true

@@ -312,8 +312,8 @@ func (p *Pipeline) CompressionRatio() float64 {
 // luck, so pairwise detectors should run on a dedicated shard count of 1
 // when cross-vessel recall matters more than throughput).
 //
-// Sharded is the shard container; its Ingest/IngestBatch route on the
-// caller's goroutine. The asynchronous, backpressure-aware ingest path —
+// Sharded is the shard container; ShardFor routes a vessel to its
+// pipeline on the caller's goroutine. The asynchronous, backpressure-aware ingest path —
 // decode workers, per-shard goroutines with bounded queues, merged alert
 // output — lives in internal/ingest, which drives a Sharded underneath.
 // Routing uses the same key hash as stream.Partition (stream.ShardOf), so
@@ -343,33 +343,6 @@ func (s *Sharded) ShardIndex(mmsi uint32) int {
 // ShardFor returns the pipeline responsible for the vessel.
 func (s *Sharded) ShardFor(mmsi uint32) *Pipeline {
 	return s.Shards[s.ShardIndex(mmsi)]
-}
-
-// Ingest routes the report to its shard.
-func (s *Sharded) Ingest(at time.Time, rep *ais.PositionReport) []events.Alert {
-	return s.ShardFor(rep.MMSI).Ingest(at, rep)
-}
-
-// IngestBatch groups the batch per shard (preserving slice order within
-// each group) and runs one IngestBatch per touched shard, so a caller
-// holding a burst of reports pays one lock acquisition per shard instead
-// of one per message.
-func (s *Sharded) IngestBatch(batch []TimedReport) []events.Alert {
-	if len(s.Shards) == 1 {
-		return s.Shards[0].IngestBatch(batch)
-	}
-	groups := make(map[int][]TimedReport, len(s.Shards))
-	for _, tr := range batch {
-		idx := s.ShardIndex(tr.Rep.MMSI)
-		groups[idx] = append(groups[idx], tr)
-	}
-	var out []events.Alert
-	for i := range s.Shards {
-		if g := groups[i]; len(g) > 0 {
-			out = append(out, s.Shards[i].IngestBatch(g)...)
-		}
-	}
-	return out
 }
 
 // Alerts merges all shards' alerts, time-ordered.

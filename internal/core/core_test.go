@@ -23,6 +23,11 @@ func runScenario(t *testing.T, cfg sim.Config) *sim.Run {
 	return run
 }
 
+// Ingest routes the report to its shard.
+func (s *Sharded) Ingest(at time.Time, rep *ais.PositionReport) []events.Alert {
+	return s.ShardFor(rep.MMSI).Ingest(at, rep)
+}
+
 func feed(p *Pipeline, run *sim.Run) {
 	for i := range run.Positions {
 		obs := &run.Positions[i]

@@ -473,15 +473,6 @@ func (d *CollisionRiskDetector) ProcessPair(a, b *Contact, _ *Context) []Alert {
 	}}
 }
 
-// CPA returns the closest point of approach distance in metres and the
-// time to it in seconds for two vessels extrapolated at constant velocity
-// on a local plane. A negative TCPA means the vessels are already past
-// their closest point.
-func CPA(a, b model.VesselState) (cpaM, tcpaSec float64) {
-	ca, cb := contactOf(a), contactOf(b)
-	return cpaOf(&ca, &cb)
-}
-
 func cpaOf(a, b *Contact) (cpaM, tcpaSec float64) {
 	plane := geo.NewLocalPlane(geo.Midpoint(a.Pos, b.Pos))
 	ax, ay := plane.Forward(a.Pos)

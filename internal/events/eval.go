@@ -1,7 +1,6 @@
 package events
 
 import (
-	"sort"
 	"time"
 )
 
@@ -124,18 +123,4 @@ func Score(kind Kind, alerts []Alert, truths []TruthWindow, slack time.Duration)
 		r.MeanLatency = sum / time.Duration(len(latencies))
 	}
 	return r
-}
-
-// Kinds lists the distinct alert kinds present, sorted.
-func Kinds(alerts []Alert) []Kind {
-	seen := map[Kind]bool{}
-	for _, a := range alerts {
-		seen[a.Kind] = true
-	}
-	out := make([]Kind, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -435,3 +435,12 @@ func TestProcessSteadyStateAllocatesNothing(t *testing.T) {
 		t.Errorf("steady-state Process allocates %.0f times per report, want 0", allocs)
 	}
 }
+
+// CPA returns the closest point of approach distance in metres and the
+// time to it in seconds for two vessels extrapolated at constant velocity
+// on a local plane. A negative TCPA means the vessels are already past
+// their closest point.
+func CPA(a, b model.VesselState) (cpaM, tcpaSec float64) {
+	ca, cb := contactOf(a), contactOf(b)
+	return cpaOf(&ca, &cb)
+}

@@ -406,3 +406,10 @@ func TestPredictMatchesDenseAlgebra(t *testing.T) {
 		}
 	}
 }
+
+// Identity4 returns the identity matrix.
+func Identity4() Mat4 {
+	var m Mat4
+	m[0], m[5], m[10], m[15] = 1, 1, 1, 1
+	return m
+}

@@ -21,13 +21,6 @@ type Vec4 [4]float64
 // Mat4 is a 4×4 matrix in row-major order.
 type Mat4 [16]float64
 
-// Identity4 returns the identity matrix.
-func Identity4() Mat4 {
-	var m Mat4
-	m[0], m[5], m[10], m[15] = 1, 1, 1, 1
-	return m
-}
-
 // mul4 multiplies two 4×4 matrices.
 func mul4(a, b Mat4) Mat4 {
 	var c Mat4

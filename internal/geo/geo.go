@@ -134,54 +134,6 @@ func Interpolate(a, b Point, f float64) Point {
 // Midpoint returns the great-circle midpoint of a and b.
 func Midpoint(a, b Point) Point { return Interpolate(a, b, 0.5) }
 
-// CrossTrackDistance returns the signed distance in metres of point p from
-// the great-circle path through a and b. Positive means p lies to the right
-// of the path (as seen travelling a→b).
-func CrossTrackDistance(p, a, b Point) float64 {
-	d13 := Distance(a, p) / EarthRadius
-	th13 := Radians(Bearing(a, p))
-	th12 := Radians(Bearing(a, b))
-	dxt := math.Asin(math.Sin(d13) * math.Sin(th13-th12))
-	return dxt * EarthRadius
-}
-
-// AlongTrackDistance returns the distance in metres from a to the closest
-// point on the path a→b to p, measured along the path.
-func AlongTrackDistance(p, a, b Point) float64 {
-	d13 := Distance(a, p) / EarthRadius
-	dxt := CrossTrackDistance(p, a, b) / EarthRadius
-	cosd13 := math.Cos(d13)
-	cosdxt := math.Cos(dxt)
-	if cosdxt == 0 {
-		return 0
-	}
-	v := cosd13 / cosdxt
-	if v > 1 {
-		v = 1
-	} else if v < -1 {
-		v = -1
-	}
-	return math.Acos(v) * EarthRadius
-}
-
-// PointSegmentDistance returns the minimum distance in metres from p to the
-// great-circle segment a→b (not the infinite great circle).
-func PointSegmentDistance(p, a, b Point) float64 {
-	//lint:ignore floateq degenerate-segment fast path: only bitwise-equal endpoints may collapse to point distance
-	if a == b {
-		return Distance(p, a)
-	}
-	along := AlongTrackDistance(p, a, b)
-	total := Distance(a, b)
-	if along <= 0 {
-		return Distance(p, a)
-	}
-	if along >= total {
-		return Distance(p, b)
-	}
-	return math.Abs(CrossTrackDistance(p, a, b))
-}
-
 // Velocity describes motion over ground.
 type Velocity struct {
 	SpeedMS  float64 // speed over ground, m/s

@@ -217,7 +217,7 @@ func TestRectUnionProperty(t *testing.T) {
 				t.Fatalf("union must contain all source points")
 			}
 		}
-		if !u.ContainsRect(a) || !u.ContainsRect(b) {
+		if u.Union(a) != u || u.Union(b) != u {
 			t.Fatalf("union must contain both rects")
 		}
 	}
@@ -458,4 +458,72 @@ func BenchmarkPolygonContains(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = pg.Contains(p)
 	}
+}
+
+// DistanceToBoundary returns the minimum distance in metres from p to the
+// polygon's boundary.
+func (pg *Polygon) DistanceToBoundary(p Point) float64 {
+	n := len(pg.Vertices)
+	if n == 0 {
+		return math.Inf(1)
+	}
+	if n == 1 {
+		return Distance(p, pg.Vertices[0])
+	}
+	best := math.Inf(1)
+	for i := 0; i < n; i++ {
+		a := pg.Vertices[i]
+		b := pg.Vertices[(i+1)%n]
+		if d := PointSegmentDistance(p, a, b); d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// PointSegmentDistance returns the minimum distance in metres from p to the
+// great-circle segment a→b (not the infinite great circle).
+func PointSegmentDistance(p, a, b Point) float64 {
+	if a == b {
+		return Distance(p, a)
+	}
+	along := AlongTrackDistance(p, a, b)
+	total := Distance(a, b)
+	if along <= 0 {
+		return Distance(p, a)
+	}
+	if along >= total {
+		return Distance(p, b)
+	}
+	return math.Abs(CrossTrackDistance(p, a, b))
+}
+
+// AlongTrackDistance returns the distance in metres from a to the closest
+// point on the path a→b to p, measured along the path.
+func AlongTrackDistance(p, a, b Point) float64 {
+	d13 := Distance(a, p) / EarthRadius
+	dxt := CrossTrackDistance(p, a, b) / EarthRadius
+	cosd13 := math.Cos(d13)
+	cosdxt := math.Cos(dxt)
+	if cosdxt == 0 {
+		return 0
+	}
+	v := cosd13 / cosdxt
+	if v > 1 {
+		v = 1
+	} else if v < -1 {
+		v = -1
+	}
+	return math.Acos(v) * EarthRadius
+}
+
+// CrossTrackDistance returns the signed distance in metres of point p from
+// the great-circle path through a and b. Positive means p lies to the right
+// of the path (as seen travelling a→b).
+func CrossTrackDistance(p, a, b Point) float64 {
+	d13 := Distance(a, p) / EarthRadius
+	th13 := Radians(Bearing(a, p))
+	th12 := Radians(Bearing(a, b))
+	dxt := math.Asin(math.Sin(d13) * math.Sin(th13-th12))
+	return dxt * EarthRadius
 }

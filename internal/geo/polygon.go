@@ -1,7 +1,5 @@
 package geo
 
-import "math"
-
 // Polygon is a simple (non-self-intersecting) polygon on the sphere,
 // represented by its vertices in order. The ring is implicitly closed; the
 // last vertex should not repeat the first. Polygons are assumed small enough
@@ -63,27 +61,6 @@ func (pg *Polygon) Contains(p Point) bool {
 		j = i
 	}
 	return inside
-}
-
-// DistanceToBoundary returns the minimum distance in metres from p to the
-// polygon's boundary.
-func (pg *Polygon) DistanceToBoundary(p Point) float64 {
-	n := len(pg.Vertices)
-	if n == 0 {
-		return math.Inf(1)
-	}
-	if n == 1 {
-		return Distance(p, pg.Vertices[0])
-	}
-	best := math.Inf(1)
-	for i := 0; i < n; i++ {
-		a := pg.Vertices[i]
-		b := pg.Vertices[(i+1)%n]
-		if d := PointSegmentDistance(p, a, b); d < best {
-			best = d
-		}
-	}
-	return best
 }
 
 // Centroid returns the planar centroid of the polygon's vertices (adequate
@@ -158,30 +135,4 @@ func (pl Polyline) PointAt(dist float64) Point {
 		dist -= seg
 	}
 	return pl.Points[len(pl.Points)-1]
-}
-
-// DistanceTo returns the minimum distance in metres from p to the polyline.
-func (pl Polyline) DistanceTo(p Point) float64 {
-	if len(pl.Points) == 0 {
-		return math.Inf(1)
-	}
-	if len(pl.Points) == 1 {
-		return Distance(p, pl.Points[0])
-	}
-	best := math.Inf(1)
-	for i := 1; i < len(pl.Points); i++ {
-		if d := PointSegmentDistance(p, pl.Points[i-1], pl.Points[i]); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// Bounds returns the bounding box of the polyline.
-func (pl Polyline) Bounds() Rect {
-	r := EmptyRect()
-	for _, p := range pl.Points {
-		r = r.Extend(p)
-	}
-	return r
 }

@@ -21,6 +21,8 @@ func EmptyRect() Rect {
 
 // RectAround returns the bounding box of a circle of radius metres centred
 // on p, clamped to valid latitudes.
+//
+//lint:ignore deadexport TestLiveGridSearchAgreesWithScan draws its probe boxes with it
 func RectAround(p Point, radius float64) Rect {
 	dLat := Degrees(radius / EarthRadius)
 	cos := math.Cos(Radians(p.Lat))
@@ -65,15 +67,6 @@ func (r Rect) Intersects(o Rect) bool {
 		r.MinLon <= o.MaxLon && o.MinLon <= r.MaxLon
 }
 
-// ContainsRect reports whether o lies entirely within r.
-func (r Rect) ContainsRect(o Rect) bool {
-	if r.IsEmpty() || o.IsEmpty() {
-		return false
-	}
-	return o.MinLat >= r.MinLat && o.MaxLat <= r.MaxLat &&
-		o.MinLon >= r.MinLon && o.MaxLon <= r.MaxLon
-}
-
 // Extend returns the smallest rectangle containing both r and p.
 func (r Rect) Extend(p Point) Rect {
 	if p.Lat < r.MinLat {
@@ -110,23 +103,6 @@ func (r Rect) Union(o Rect) Rect {
 // Center returns the centre point of r.
 func (r Rect) Center() Point {
 	return Point{Lat: (r.MinLat + r.MaxLat) / 2, Lon: (r.MinLon + r.MaxLon) / 2}
-}
-
-// Area returns a planar pseudo-area in square degrees, used only for index
-// heuristics (split quality), never for geodesy.
-func (r Rect) Area() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return (r.MaxLat - r.MinLat) * (r.MaxLon - r.MinLon)
-}
-
-// Margin returns the half-perimeter in degrees, an R*-tree split heuristic.
-func (r Rect) Margin() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return (r.MaxLat - r.MinLat) + (r.MaxLon - r.MinLon)
 }
 
 // DistanceTo returns an admissible lower bound, in metres, of the

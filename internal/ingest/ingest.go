@@ -205,9 +205,6 @@ type Engine struct {
 	// per line, Out per decoded message, Dropped per undecodable line.
 	DecodeMetrics stream.Metrics
 
-	decodeStats ais.DecoderStats
-	statsMu     sync.Mutex
-
 	flusher   *store.Flusher
 	flushDone chan struct{}
 	tier      *tier.Manager
@@ -605,16 +602,6 @@ func (e *Engine) Wait() {
 	}
 }
 
-// FlushMetrics snapshots the persistence stage counters: In = records
-// enqueued by the shard stores, Out = records the backend accepted,
-// Dropped = records refused or failed. Zero when no Backend is configured.
-func (e *Engine) FlushMetrics() stream.MetricsSnapshot {
-	if e.flusher == nil {
-		return stream.MetricsSnapshot{}
-	}
-	return e.flusher.Metrics.Snapshot()
-}
-
 // FlushErr returns the first error the storage stages have seen — the
 // flush goroutine's backend writes, a shard store whose forwarding into
 // the queue was refused, a failed remote segment/snapshot migration
@@ -652,20 +639,6 @@ func (e *Engine) FlushErr() error {
 	return nil
 }
 
-// Tier returns the eviction manager (nil without a MemoryBudget) — the
-// handle for explicit Check calls in tests and benchmarks.
-func (e *Engine) Tier() *tier.Manager { return e.tier }
-
-// TierStats snapshots the tiered-archive state: resident vs evicted
-// points and vessels, eviction and page-back counters, spill volume and
-// cache behaviour. Zero when no MemoryBudget is configured.
-func (e *Engine) TierStats() tier.Stats {
-	if e.tier == nil {
-		return tier.Stats{}
-	}
-	return e.tier.Stats()
-}
-
 // IngestDetections feeds non-AIS sensor detections (radar contacts)
 // into the online track stage, which gates and assigns them to fused
 // vessel tracks (contacts no vessel gates become anonymous orphan
@@ -687,8 +660,7 @@ func (e *Engine) Tracks() *track.Stages { return e.tracks }
 
 // Anomalies exposes the streaming anomaly lane (nil when Config.Anomaly
 // is nil): per-vessel behavior profiles, the lane the query engine
-// reads, episode/gap/rendezvous tallies and the retained CEP
-// alerts.
+// reads and the episode/gap/rendezvous tallies.
 func (e *Engine) Anomalies() *anomaly.Stages { return e.anoms }
 
 // Sharded exposes the underlying pipelines for synchronous queries —
@@ -735,12 +707,6 @@ func (e *Engine) Query(req query.Request) (*query.Result, error) {
 func (e *Engine) QueryContext(ctx context.Context, req query.Request) (*query.Result, error) {
 	return e.QueryEngine().QueryContext(ctx, req)
 }
-
-// Hub is the engine's publish/subscribe stage: it carries every record
-// that reaches the shard archives (and every raised alert) to standing
-// queries, and its Metrics expose publication, delivery and
-// slow-consumer-drop counts.
-func (e *Engine) Hub() *query.Hub { return e.hub }
 
 // Subscribe turns a query request into a standing query over the live
 // dataflow: state updates as they are archived, alerts as they are
@@ -809,11 +775,6 @@ func (e *Engine) StartLines(ctx context.Context, lines <-chan Line,
 		go func(in <-chan *chunk) {
 			defer decoders.Done()
 			dec := ais.NewDecoder()
-			defer func() {
-				e.statsMu.Lock()
-				addDecoderStats(&e.decodeStats, dec.Stats)
-				e.statsMu.Unlock()
-			}()
 			var n int
 			for c := range in {
 				for i := range c.lines {
@@ -938,22 +899,6 @@ func (e *Engine) StartLines(ctx context.Context, lines <-chan Line,
 			}
 		}
 	}()
-}
-
-// DecodeStats sums the decoder counters accumulated by finished decode
-// workers (complete after the Alerts channel closes).
-func (e *Engine) DecodeStats() ais.DecoderStats {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	return e.decodeStats
-}
-
-func addDecoderStats(dst *ais.DecoderStats, s ais.DecoderStats) {
-	dst.Sentences += s.Sentences
-	dst.Malformed += s.Malformed
-	dst.Messages += s.Messages
-	dst.Undecoded += s.Undecoded
-	dst.Incomplete += s.Incomplete
 }
 
 // fragmentKey extracts the fragment linking key (msgID/channel) from an

@@ -79,7 +79,7 @@ func TestFlushStageMirrorsArchive(t *testing.T) {
 		t.Fatalf("backend holds %d records, shard stores archived %d — contents diverge",
 			len(got), len(want))
 	}
-	fm := e.FlushMetrics()
+	fm := e.flusher.Metrics.Snapshot()
 	if fm.In != int64(len(want)) || fm.Out != int64(len(want)) || fm.Dropped != 0 {
 		t.Fatalf("flush metrics = %+v, want In=Out=%d Dropped=0", fm, len(want))
 	}

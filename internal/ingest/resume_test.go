@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/anomaly"
+	"repro/internal/events"
 	"repro/internal/fusion"
 	"repro/internal/model"
 	"repro/internal/query"
@@ -23,8 +24,8 @@ import (
 // shadowed the archive.
 //
 // It also pins what seeding does not do: no alert, nothing on the hub,
-// the recent-gap ring left empty — while closed episodes re-materialise
-// into the (per-process) semantic store.
+// no seeded gap for a fresh one to pair with — while closed episodes
+// re-materialise into the (per-process) semantic store.
 func TestResumeSeedsLanes(t *testing.T) {
 	run := simTraffic(t, 47, 40, 45*time.Minute)
 	_, a := runEngine(t, run, Config{
@@ -68,14 +69,37 @@ func TestResumeSeedsLanes(t *testing.T) {
 	if got := an.VesselCount(); got != len(last) {
 		t.Fatalf("anomaly lane seeded %d vessels, archive holds %d", got, len(last))
 	}
-	if n := b.Hub().Metrics.In.Load(); n != 0 {
+	if n := b.hub.Metrics.In.Load(); n != 0 {
 		t.Fatalf("seeding published %d updates to the hub", n)
 	}
-	if an.RendezvousCount() != 0 || len(an.Alerts()) != 0 {
-		t.Fatalf("seeding raised alerts: %d fired, %d retained", an.RendezvousCount(), len(an.Alerts()))
+	if an.RendezvousCount() != 0 || an.GapCount() != 0 {
+		t.Fatalf("seeding raised alerts or counted gaps: %d fired, %d gaps", an.RendezvousCount(), an.GapCount())
 	}
-	if an.GapCount() != 0 || len(an.RecentGaps()) != 0 {
-		t.Fatalf("seeding refilled the gap matcher: %d counted, %d in the ring", an.GapCount(), len(an.RecentGaps()))
+	// The gap matcher holds no seeded gap: a fresh vessel whose gap is
+	// the twin of an archived one (same fixes, same times) would pair
+	// with it, yet fires nothing.
+	var seeded *events.Gap
+	for mmsi := range last {
+		for _, g := range events.FindGaps(a.Sharded().ShardFor(mmsi).Store.Trajectory(mmsi), query.AnomalyGapThreshold) {
+			twin := g
+			twin.MMSI = 1
+			if _, ok := events.PossibleRendezvous(twin, g, events.DefaultOpenWorldConfig()); ok && seeded == nil {
+				seeded = &g
+			}
+		}
+	}
+	if seeded == nil {
+		t.Fatal("fixture archived no gap a twin would pair with")
+	}
+	twin := an.ShardFor(1)
+	for _, s := range []model.VesselState{seeded.Before, seeded.After} {
+		s.MMSI = 1
+		if err := twin.Append(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if an.GapCount() != 1 || an.RendezvousCount() != 0 {
+		t.Fatalf("twin of a seeded gap: %d gaps counted (want 1), %d rendezvous fired (want 0)", an.GapCount(), an.RendezvousCount())
 	}
 	// Closed episodes are re-materialised: same count the first process
 	// closed live, and the triples are in B's store.

@@ -219,7 +219,7 @@ func TestSubscriptionDuringIngestRace(t *testing.T) {
 	if slow.Dropped() == 0 {
 		t.Fatal("slow consumer saw no drops: the test lost its teeth (shrink the buffer)")
 	}
-	m := e.Hub().Metrics.Snapshot()
+	m := e.hub.Metrics.Snapshot()
 	if m.Dropped < int64(slow.Dropped()) {
 		t.Fatalf("hub counts %d drops, slow consumer reports %d", m.Dropped, slow.Dropped())
 	}

@@ -35,8 +35,8 @@ func TestEngineMemoryBudgetEvictsAndAnswers(t *testing.T) {
 
 	// The loop stopped with Wait; one explicit pass covers whatever the
 	// final ingest batches appended after its last tick.
-	e.Tier().Check()
-	ts := e.TierStats()
+	e.tier.Check()
+	ts := e.tier.Stats()
 	if ts.Evictions == 0 || ts.EvictedPoints == 0 {
 		t.Fatalf("budget %d never triggered eviction: %+v", budget, ts)
 	}

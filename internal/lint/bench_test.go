@@ -3,7 +3,7 @@ package lint
 import "testing"
 
 // BenchmarkSuiteRepo measures a full cold run of the analyzer suite over
-// the module — load, type-check and all six analyzers — which is what
+// the module — load, type-check and all seven analyzers — which is what
 // the CI lint step pays on every push.
 func BenchmarkSuiteRepo(b *testing.B) {
 	root := moduleRoot(b)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -28,24 +29,53 @@ func moduleRoot(t testing.TB) string {
 	}
 }
 
-var wantRe = regexp.MustCompile(`// want "([^"]+)"`)
+// wantRe matches a `// want "substring"` comment, which expects a finding
+// on its own line, or `// want+N "substring"`, which expects one N lines
+// below (a directive's own line cannot carry a want).
+var wantRe = regexp.MustCompile(`// want(?:\+(\d+))? "([^"]+)"`)
 
-// runFixture loads testdata/src/<name>, runs the given analyzers and
-// matches the findings against `// want "substring"` comments placed on
-// the expected lines. Both directions are checked: a finding without a
-// want fails, and a want without a finding fails.
-func runFixture(t *testing.T, name string, analyzers []*Analyzer) {
+// loadFixture loads testdata/src/<name>: one package, or, when the
+// directory holds a go.mod, every package of that fixture module, so
+// uses can cross packages.
+func loadFixture(t *testing.T, name string) []*Package {
 	t.Helper()
+	dir, err := filepath.Abs(filepath.Join("testdata", "src", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+		loader, err := NewLoader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs, err := loader.ModulePackages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkgs
+	}
 	loader, err := NewLoader(moduleRoot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", name))
+	pkg, err := loader.LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, terr := range pkg.TypeErrors {
-		t.Errorf("fixture does not type-check: %v", terr)
+	return []*Package{pkg}
+}
+
+// runFixture loads testdata/src/<name>, runs the given analyzers and
+// matches the findings against want comments placed on (or above) the
+// expected lines. Both directions are checked: a finding without a want
+// fails, and a want without a finding fails.
+func runFixture(t *testing.T, name string, analyzers []*Analyzer) {
+	t.Helper()
+	pkgs := loadFixture(t, name)
+	for _, pkg := range pkgs {
+		for _, terr := range pkg.TypeErrors {
+			t.Errorf("fixture does not type-check: %v", terr)
+		}
 	}
 	if t.Failed() {
 		t.FailNow()
@@ -56,32 +86,40 @@ func runFixture(t *testing.T, name string, analyzers []*Analyzer) {
 		line int
 	}
 	wants := map[key][]string{}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if m := wantRe.FindStringSubmatch(c.Text); m != nil {
-					pos := pkg.Fset.Position(c.Pos())
-					k := key{pos.Filename, pos.Line}
-					wants[k] = append(wants[k], m[1])
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if m := wantRe.FindStringSubmatch(c.Text); m != nil {
+						pos := pkg.Fset.Position(c.Pos())
+						k := key{pos.Filename, pos.Line}
+						if m[1] != "" {
+							n, _ := strconv.Atoi(m[1])
+							k.line += n
+						}
+						wants[k] = append(wants[k], m[2])
+					}
 				}
 			}
 		}
 	}
 
-	for _, d := range RunPackage(pkg, analyzers) {
-		k := key{d.Pos.Filename, d.Pos.Line}
-		matched := -1
-		for i, w := range wants[k] {
-			if strings.Contains(d.Message, w) {
-				matched = i
-				break
+	for _, pkg := range pkgs {
+		for _, d := range RunPackage(pkg, analyzers) {
+			k := key{d.Pos.Filename, d.Pos.Line}
+			matched := -1
+			for i, w := range wants[k] {
+				if strings.Contains(d.Message, w) {
+					matched = i
+					break
+				}
 			}
+			if matched < 0 {
+				t.Errorf("unexpected finding: %s", d)
+				continue
+			}
+			wants[k] = append(wants[k][:matched], wants[k][matched+1:]...)
 		}
-		if matched < 0 {
-			t.Errorf("unexpected finding: %s", d)
-			continue
-		}
-		wants[k] = append(wants[k][:matched], wants[k][matched+1:]...)
 	}
 	for k, ws := range wants {
 		for _, w := range ws {

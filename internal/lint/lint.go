@@ -1,18 +1,20 @@
-// Package lint is the project-invariant analyzer suite: six static
-// analyzers that machine-check the concurrency and error-handling
-// contracts the surrounding packages previously only documented —
-// no IO under a lock (lockio), no blocking sends on publish paths
-// (boundedsend), contexts threaded not re-rooted (ctxflow), storage
-// errors routed to their sinks not dropped (errsink), atomic fields
-// accessed atomically (atomiccounter), and no float equality outside
-// tests (floateq). See INVARIANTS.md for the contract each rule
-// enforces and the PR that introduced it.
+// Package lint is the project-invariant analyzer suite: seven static
+// analyzers that machine-check the contracts the surrounding packages
+// previously only documented — no IO under a lock (lockio), no blocking
+// sends on publish paths (boundedsend), contexts threaded not re-rooted
+// (ctxflow), storage errors routed to their sinks not dropped (errsink),
+// atomic fields accessed atomically (atomiccounter), no float equality
+// outside tests (floateq), and no exported identifier that only tests,
+// or nothing at all, use (deadexport). See INVARIANTS.md for the
+// contract each rule enforces and the PR that introduced it.
 //
 // The suite is built on the standard library alone (go/parser +
 // go/types with the source importer — see load.go), so the module stays
 // dependency-free. cmd/maritimelint compiles the analyzers into a
 // driver run over ./... in CI; TestRepoIsLintClean pins the committed
-// tree to zero findings.
+// tree to zero findings. deadexport alone looks past the package it
+// runs on: it indexes the uses of every package in the module once per
+// Loader, whichever packages the driver was asked to lint.
 //
 // Findings are suppressed one line at a time with a justified escape
 // hatch:
@@ -81,6 +83,7 @@ func Analyzers() []*Analyzer {
 		ErrSink,
 		AtomicCounter,
 		FloatEq,
+		DeadExport,
 	}
 }
 

@@ -37,6 +37,8 @@ type Package struct {
 	// must check cleanly; the driver surfaces these instead of running
 	// analyzers over half-typed syntax.
 	TypeErrors []error
+
+	loader *Loader
 }
 
 // Loader loads and type-checks packages of one module without any
@@ -52,6 +54,7 @@ type Loader struct {
 	std  types.ImporterFrom
 	pkgs map[string]*Package // keyed by import path
 	busy map[string]bool     // import-cycle guard
+	uses *useIndex           // module-wide, built on first deadexport run
 }
 
 // NewLoader builds a loader rooted at moduleDir, reading the module path
@@ -83,9 +86,6 @@ func NewLoader(moduleDir string) (*Loader, error) {
 	l.std = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 	return l, nil
 }
-
-// Fset returns the shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Import implements types.Importer for the checker: module-internal
 // paths load recursively through the loader, everything else resolves
@@ -164,9 +164,10 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		files = append(files, f)
 	}
 	pkg := &Package{
-		Path: path,
-		Dir:  dir,
-		Fset: l.fset,
+		Path:   path,
+		Dir:    dir,
+		Fset:   l.fset,
+		loader: l,
 		Info: &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
 			Defs:       make(map[*ast.Ident]types.Object),
@@ -174,6 +175,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 			Implicits:  make(map[ast.Node]types.Object),
 			Scopes:     make(map[ast.Node]*types.Scope),
+			Instances:  make(map[*ast.Ident]types.Instance),
 		},
 	}
 	conf := types.Config{

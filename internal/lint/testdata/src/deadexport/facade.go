@@ -1,0 +1,13 @@
+// Fixture for the deadexport analyzer, a module of its own so uses can
+// cross packages: this root package is the facade, lib the library and
+// cmd/user the command that uses both.
+package fixture
+
+import "fixture/lib"
+
+// Request is selected only by cmd/user: under go 1.22 the type checker
+// resolves fixture.Request to lib.Request, yet the alias is used.
+type Request = lib.Request
+
+// Orphan is selected by nobody.
+type Orphan = lib.Orphaned // want "exported type Orphan"

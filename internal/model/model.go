@@ -65,18 +65,6 @@ func (t *Trajectory) End() time.Time {
 	return t.Points[len(t.Points)-1].At
 }
 
-// Duration returns End − Start.
-func (t *Trajectory) Duration() time.Duration { return t.End().Sub(t.Start()) }
-
-// Bounds returns the spatial bounding box of the trajectory.
-func (t *Trajectory) Bounds() geo.Rect {
-	r := geo.EmptyRect()
-	for _, p := range t.Points {
-		r = r.Extend(p.Pos)
-	}
-	return r
-}
-
 // Length returns the travelled great-circle length in metres.
 func (t *Trajectory) Length() float64 {
 	var total float64
@@ -87,6 +75,8 @@ func (t *Trajectory) Length() float64 {
 }
 
 // Sort orders the points by time (stable) in place.
+//
+//lint:ignore deadexport TestFleetCompressionClaim sorts its E2 fleet before compressing it
 func (t *Trajectory) Sort() {
 	sort.SliceStable(t.Points, func(i, j int) bool {
 		return t.Points[i].At.Before(t.Points[j].At)
@@ -137,20 +127,6 @@ func (t *Trajectory) Slice(from, to time.Time) *Trajectory {
 		if !p.At.Before(from) && !p.At.After(to) {
 			out.Points = append(out.Points, p)
 		}
-	}
-	return out
-}
-
-// Resample returns the trajectory sampled at fixed intervals across its
-// duration (inclusive of both ends when possible).
-func (t *Trajectory) Resample(every time.Duration) *Trajectory {
-	out := &Trajectory{MMSI: t.MMSI}
-	if len(t.Points) == 0 || every <= 0 {
-		return out
-	}
-	for at := t.Start(); !at.After(t.End()); at = at.Add(every) {
-		s, _ := t.At(at)
-		out.Points = append(out.Points, s)
 	}
 	return out
 }

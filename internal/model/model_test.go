@@ -88,22 +88,6 @@ func TestTrajectorySliceAndSort(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	tr := straightTrajectory(10, 60, 10) // 9 minutes
-	rs := tr.Resample(30 * time.Second)
-	if rs.Len() != 19 {
-		t.Fatalf("resample len %d, want 19", rs.Len())
-	}
-	for i := 1; i < rs.Len(); i++ {
-		if got := rs.Points[i].At.Sub(rs.Points[i-1].At); got != 30*time.Second {
-			t.Fatalf("uneven resample step %v", got)
-		}
-	}
-	if (&Trajectory{}).Resample(time.Second).Len() != 0 {
-		t.Error("empty resample should be empty")
-	}
-}
-
 func TestFromReport(t *testing.T) {
 	r := &ais.PositionReport{
 		MMSI: 7, Position: geo.Point{Lat: 1, Lon: 2},
@@ -117,4 +101,16 @@ func TestFromReport(t *testing.T) {
 	if math.Abs(v.SpeedMS-9.5*geo.Knot) > 1e-9 {
 		t.Error("velocity conversion wrong")
 	}
+}
+
+// Duration returns End − Start.
+func (t *Trajectory) Duration() time.Duration { return t.End().Sub(t.Start()) }
+
+// Bounds returns the spatial bounding box of the trajectory.
+func (t *Trajectory) Bounds() geo.Rect {
+	r := geo.EmptyRect()
+	for _, p := range t.Points {
+		r = r.Extend(p.Pos)
+	}
+	return r
 }

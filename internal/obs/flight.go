@@ -148,15 +148,6 @@ func (f *Flight) Record(level FlightLevel, layer, msg string, fields ...KV) {
 	slot.mu.Unlock()
 }
 
-// Len returns the number of events recorded so far (not retained —
-// the ring keeps the newest cap(slots)). Nil-safe.
-func (f *Flight) Len() uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.seq.Load()
-}
-
 // FlightFilter selects events for Events/WriteJSON: empty fields admit
 // everything.
 type FlightFilter struct {

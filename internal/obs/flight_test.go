@@ -316,3 +316,12 @@ func BenchmarkFlightRecord(b *testing.B) {
 		f.Record(FlightInfo, "store", "segment sealed", FI("seq", int64(i)), FI("bytes", 1<<20))
 	}
 }
+
+// Len returns the number of events recorded so far (not retained —
+// the ring keeps the newest cap(slots)). Nil-safe.
+func (f *Flight) Len() uint64 {
+	if f == nil {
+		return 0
+	}
+	return f.seq.Load()
+}

@@ -59,15 +59,6 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 	h.Observe(int64(time.Since(t0)))
 }
 
-// Count returns the number of samples observed.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the running sum of all samples.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Max returns the largest sample observed.
-func (h *Histogram) Max() int64 { return h.max.Load() }
-
 // Quantile returns the p-quantile (0 < p <= 1) by nearest rank: the
 // value at ceil(p*n) in sorted order, estimated as the midpoint of the
 // bucket holding that rank and clamped to the observed max. Returns 0

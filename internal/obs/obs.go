@@ -40,9 +40,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the gauge value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adjusts the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -70,20 +67,20 @@ func (k kind) String() string {
 
 // metric is one registered series: a family name plus a fixed label set.
 type metric struct {
-	id     string // fully rendered: name{k="v",...}
-	name   string // family name
-	kind   kind
-	ctr    *Counter
-	gauge  *Gauge
-	fn     func() float64
-	hist   *Histogram
+	id    string // fully rendered: name{k="v",...}
+	name  string // family name
+	kind  kind
+	ctr   *Counter
+	gauge *Gauge
+	fn    func() float64
+	hist  *Histogram
 }
 
 // Registry holds named metrics and renders them for scraping. All
 // methods are safe for concurrent use.
 type Registry struct {
-	mu    sync.Mutex
-	byID  map[string]*metric
+	mu   sync.Mutex
+	byID map[string]*metric
 }
 
 // NewRegistry returns an empty registry.

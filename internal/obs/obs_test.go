@@ -24,10 +24,10 @@ func TestHistogramSmallValuesExact(t *testing.T) {
 	if got := h.Quantile(0.5); got != 7 {
 		t.Fatalf("p50 of 0..15 = %d, want 7 (nearest rank)", got)
 	}
-	if got := h.Max(); got != 15 {
+	if got := h.Snapshot().Max; got != 15 {
 		t.Fatalf("max = %d, want 15", got)
 	}
-	if got := h.Count(); got != 16 {
+	if got := h.Snapshot().Count; got != 16 {
 		t.Fatalf("count = %d, want 16", got)
 	}
 }
@@ -62,11 +62,11 @@ func TestHistogramAccuracy(t *testing.T) {
 	for _, v := range ref {
 		sum += v
 	}
-	if h.Sum() != sum {
-		t.Errorf("sum = %d, want %d", h.Sum(), sum)
+	if h.Snapshot().Sum != sum {
+		t.Errorf("sum = %d, want %d", h.Snapshot().Sum, sum)
 	}
-	if h.Max() != ref[n-1] {
-		t.Errorf("max = %d, want %d", h.Max(), ref[n-1])
+	if h.Snapshot().Max != ref[n-1] {
+		t.Errorf("max = %d, want %d", h.Snapshot().Max, ref[n-1])
 	}
 	// The top quantile estimate never exceeds the observed max.
 	if h.Quantile(1.0) != ref[n-1] {
@@ -80,8 +80,8 @@ func TestHistogramHugeAndNegative(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(-5)
 	h.Observe(1 << 62)
-	if h.Count() != 2 {
-		t.Fatalf("count = %d, want 2", h.Count())
+	if h.Snapshot().Count != 2 {
+		t.Fatalf("count = %d, want 2", h.Snapshot().Count)
 	}
 	if h.Quantile(0.25) != 0 {
 		t.Fatalf("low quantile = %d, want 0", h.Quantile(0.25))
@@ -318,3 +318,6 @@ func BenchmarkWritePrometheus(b *testing.B) {
 		}
 	}
 }
+
+// Add adjusts the gauge by n (negative to decrease).
+func (g *Gauge) Add(n int64) { g.v.Add(n) }

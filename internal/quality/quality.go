@@ -173,6 +173,8 @@ type Completeness struct {
 // against a nominal interval; gaps above darkAfter count as dark time.
 // This is the measurement behind the "27% of ships dark ≥10% of the time"
 // statistic (E4).
+//
+//lint:ignore deadexport TestOpenWorldCoverageClaim measures E4 coverage with it
 func MeasureCompleteness(mmsi uint32, times []time.Time, from, to time.Time, nominal, darkAfter time.Duration) Completeness {
 	c := Completeness{MMSI: mmsi, Window: to.Sub(from)}
 	if nominal <= 0 || !to.After(from) {
@@ -243,24 +245,4 @@ func (p *Profile) Record(subject string, clean bool) {
 		b = b.Observe(0, 1)
 	}
 	p.subjects[subject] = b
-}
-
-// Reliability returns the mean reliability estimate and the conservative
-// 2-sigma lower bound for the subject; unknown subjects get the prior.
-func (p *Profile) Reliability(subject string) (mean, lower float64) {
-	b, ok := p.subjects[subject]
-	if !ok {
-		b = uncertainty.NewBeta()
-	}
-	return b.Mean(), b.LowerBound(2)
-}
-
-// Subjects lists the known subjects sorted by name.
-func (p *Profile) Subjects() []string {
-	out := make([]string, 0, len(p.subjects))
-	for s := range p.subjects {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -2,6 +2,7 @@ package quality
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/uncertainty"
 )
 
 func t0() time.Time { return time.Date(2017, 3, 21, 0, 0, 0, 0, time.UTC) }
@@ -317,4 +319,24 @@ func BenchmarkKinematicCheck(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = k.Check(states[i%len(states)])
 	}
+}
+
+// Reliability returns the mean reliability estimate and the conservative
+// 2-sigma lower bound for the subject; unknown subjects get the prior.
+func (p *Profile) Reliability(subject string) (mean, lower float64) {
+	b, ok := p.subjects[subject]
+	if !ok {
+		b = uncertainty.NewBeta()
+	}
+	return b.Mean(), b.LowerBound(2)
+}
+
+// Subjects lists the known subjects sorted by name.
+func (p *Profile) Subjects() []string {
+	out := make([]string, 0, len(p.subjects))
+	for s := range p.subjects {
+		out = append(out, s)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -229,38 +229,6 @@ func serverError(resp *http.Response, data []byte) error {
 	return fmt.Errorf("query: server returned %s", resp.Status)
 }
 
-// Wait polls the server's stats until it answers or the timeout elapses —
-// a readiness probe for daemons that bind asynchronously. See WaitContext.
-func (c *Client) Wait(timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	if err := c.WaitContext(ctx); err != nil {
-		return fmt.Errorf("query: server not ready after %v: %w", timeout, err)
-	}
-	return nil
-}
-
-// WaitContext polls the server's stats until it answers or ctx is done,
-// returning the last poll error in the latter case. WaitContext is its
-// own retry loop, so each poll runs without the client's retry policy
-// and under the caller's ctx budget.
-func (c *Client) WaitContext(ctx context.Context) error {
-	for {
-		_, err := c.queryContext(ctx, Request{Kind: KindStats}, RetryPolicy{})
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return err
-		}
-		select {
-		case <-time.After(50 * time.Millisecond):
-		case <-ctx.Done():
-			return err
-		}
-	}
-}
-
 // --- standing queries (Subscriber over /v1/stream) -------------------------------
 
 // Subscribe turns req into a standing query against the remote daemon:

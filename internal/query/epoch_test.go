@@ -139,3 +139,8 @@ func TestHubEpochsDistinct(t *testing.T) {
 		t.Fatal("two hubs drew the same epoch nonce")
 	}
 }
+
+// Epoch returns the hub's instance nonce: the identifier of the sequence
+// space its updates are numbered in, stamped on stream heartbeats so
+// resuming clients can tell a restart from a blip.
+func (h *Hub) Epoch() uint64 { return h.epoch }

@@ -162,7 +162,7 @@ func TestLiveSourceMatchesDirectSharded(t *testing.T) {
 	single := core.New(core.Config{Zones: run.Config.World.Zones})
 	for i := range run.Positions {
 		o := &run.Positions[i]
-		sharded.Ingest(o.At, &o.Report)
+		sharded.ShardFor(o.Report.MMSI).Ingest(o.At, &o.Report)
 		single.Ingest(o.At, &o.Report)
 	}
 	eng := NewEngine(NewLiveSource(sharded))

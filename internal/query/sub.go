@@ -193,9 +193,6 @@ type Subscription struct {
 // Updates is the push channel of the standing query.
 func (s *Subscription) Updates() <-chan Update { return s.ch }
 
-// Request returns the standing request.
-func (s *Subscription) Request() Request { return s.req }
-
 // StartSeq is the hub sequence at subscribe time: every update with a
 // larger Seq is either delivered or counted in Dropped.
 func (s *Subscription) StartSeq() uint64 { return s.startSeq }
@@ -210,9 +207,6 @@ func (s *Subscription) Epoch() uint64 { return s.epoch.Load() }
 // epoch) and delivered an UpdateRewound marker. Always 0 for in-process
 // subscriptions.
 func (s *Subscription) Rewound() uint64 { return s.rewinds.Load() }
-
-// Delivered counts updates enqueued to this subscription.
-func (s *Subscription) Delivered() uint64 { return s.delivered.Load() }
 
 // Dropped counts updates lost to this subscription's full queue. For
 // remote subscriptions it accumulates the server-side counts carried by
@@ -348,18 +342,6 @@ func newEpoch() uint64 {
 // SetFlight attaches a flight recorder: subscriptions created after the
 // call record their drop transitions into it. Safe on a live hub.
 func (h *Hub) SetFlight(f *obs.Flight) { h.flight.Store(f) }
-
-// Seq returns the current publication sequence.
-func (h *Hub) Seq() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.seq
-}
-
-// Epoch returns the hub's instance nonce: the identifier of the sequence
-// space its updates are numbered in, stamped on stream heartbeats so
-// resuming clients can tell a restart from a blip.
-func (h *Hub) Epoch() uint64 { return h.epoch }
 
 // Subscribers returns the number of active subscriptions.
 func (h *Hub) Subscribers() int {

@@ -334,3 +334,6 @@ func TestStreamerSituationTicker(t *testing.T) {
 		}
 	}
 }
+
+// Delivered counts updates enqueued to this subscription.
+func (s *Subscription) Delivered() uint64 { return s.delivered.Load() }

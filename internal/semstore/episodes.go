@@ -33,9 +33,6 @@ type Episode struct {
 	ZoneIDs  []string // zones containing the centroid
 }
 
-// Duration returns the episode length.
-func (e Episode) Duration() time.Duration { return e.End.Sub(e.Start) }
-
 // EpisodeConfig tunes the stop/move segmentation.
 type EpisodeConfig struct {
 	// StopSpeedKn is the speed below which a sample counts as stopped.

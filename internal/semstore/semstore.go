@@ -98,15 +98,9 @@ type Triple struct {
 
 // Maritime vocabulary: the predicates and classes the pipeline emits.
 const (
-	ClassVessel  = "mar:Vessel"
 	ClassEpisode = "mar:Episode"
-	ClassZone    = "mar:Zone"
 
 	PredType       = "rdf:type"
-	PredName       = "mar:name"
-	PredFlag       = "mar:flag"
-	PredShipType   = "mar:shipType"
-	PredLengthM    = "mar:lengthM"
 	PredHasEpisode = "mar:hasEpisode"
 	PredEpisodeOf  = "mar:episodeOf"
 	PredActivity   = "mar:activity"
@@ -115,8 +109,6 @@ const (
 	PredInZone     = "mar:inZone"
 	PredAtPoint    = "mar:atPoint"
 	PredAvgSpeedKn = "mar:avgSpeedKn"
-	PredWindMS     = "mar:windSpeedMS"
-	PredSameAs     = "owl:sameAs"
 )
 
 // VesselIRI builds the canonical IRI for a vessel.
@@ -155,13 +147,6 @@ func (st *Store) Add(tr Triple) {
 	st.pos[tr.P.Key()] = append(st.pos[tr.P.Key()], tr)
 	st.osp[tr.O.Key()] = append(st.osp[tr.O.Key()], tr)
 	st.n++
-}
-
-// AddAll inserts a batch.
-func (st *Store) AddAll(trs []Triple) {
-	for _, tr := range trs {
-		st.Add(tr)
-	}
 }
 
 // Len returns the number of stored triples.
@@ -221,40 +206,6 @@ func (st *Store) Match(p Pattern) []Triple {
 		return a.O.Key() < b.O.Key()
 	})
 	return out
-}
-
-// MatchFilter returns triples matching the pattern and an arbitrary
-// predicate on the object term (e.g. spatial or temporal filters).
-func (st *Store) MatchFilter(p Pattern, keep func(Term) bool) []Triple {
-	var out []Triple
-	for _, tr := range st.Match(p) {
-		if keep(tr.O) {
-			out = append(out, tr)
-		}
-	}
-	return out
-}
-
-// ObjectsWithin is the spatial query of §2.3: all triples with the given
-// predicate whose point object lies in the rectangle.
-func (st *Store) ObjectsWithin(pred string, r geo.Rect) []Triple {
-	return st.MatchFilter(Pattern{P: T(IRI(pred))}, func(o Term) bool {
-		return o.Kind == KindPoint && r.Contains(o.Point)
-	})
-}
-
-// ObjectsDuring returns triples with the given predicate whose time object
-// falls in [from, to].
-func (st *Store) ObjectsDuring(pred string, from, to time.Time) []Triple {
-	return st.MatchFilter(Pattern{P: T(IRI(pred))}, func(o Term) bool {
-		return o.Kind == KindTime && !o.Time.Before(from) && !o.Time.After(to)
-	})
-}
-
-// Describe returns every triple about a subject, the "concise bounded
-// description" a UI shows for an entity.
-func (st *Store) Describe(subjectIRI string) []Triple {
-	return st.Match(Pattern{S: T(IRI(subjectIRI))})
 }
 
 // --- string similarity (link discovery substrate) ------------------------------

@@ -11,6 +11,13 @@ import (
 	"repro/internal/zones"
 )
 
+// Vocabulary only the tests write.
+const (
+	ClassVessel = "mar:Vessel"
+	PredName    = "mar:name"
+	PredLengthM = "mar:lengthM"
+)
+
 func t0() time.Time { return time.Date(2017, 3, 21, 0, 0, 0, 0, time.UTC) }
 
 func TestStoreAddAndMatch(t *testing.T) {
@@ -46,34 +53,6 @@ func TestStoreAddAndMatch(t *testing.T) {
 	// Wildcard-everything.
 	if got := st.Match(Pattern{}); len(got) != 3 {
 		t.Errorf("full scan: %d", len(got))
-	}
-}
-
-func TestSpatialTemporalFilters(t *testing.T) {
-	st := NewStore()
-	for i := 0; i < 10; i++ {
-		epi := IRI(EpisodeIRI(1, i))
-		st.Add(Triple{S: epi, P: IRI(PredAtPoint), O: Pt(geo.Point{Lat: 40 + float64(i), Lon: 5})})
-		st.Add(Triple{S: epi, P: IRI(PredStartTime), O: Tim(t0().Add(time.Duration(i) * time.Hour))})
-	}
-	within := st.ObjectsWithin(PredAtPoint, geo.Rect{MinLat: 42.5, MinLon: 0, MaxLat: 45.5, MaxLon: 10})
-	if len(within) != 3 {
-		t.Errorf("spatial filter: %d, want 3", len(within))
-	}
-	during := st.ObjectsDuring(PredStartTime, t0().Add(2*time.Hour), t0().Add(5*time.Hour))
-	if len(during) != 4 {
-		t.Errorf("temporal filter: %d, want 4", len(during))
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	st := NewStore()
-	v := IRI(VesselIRI(5))
-	st.Add(Triple{S: v, P: IRI(PredName), O: Str("X")})
-	st.Add(Triple{S: v, P: IRI(PredFlag), O: Str("FR")})
-	st.Add(Triple{S: IRI(VesselIRI(6)), P: IRI(PredName), O: Str("Y")})
-	if got := st.Describe(VesselIRI(5)); len(got) != 2 {
-		t.Errorf("describe: %d", len(got))
 	}
 }
 
@@ -138,18 +117,6 @@ func TestBlockingAblation(t *testing.T) {
 	// Exhaustive matching recalls at least as much as blocked matching.
 	if qw.Recall < qb.Recall-1e-9 {
 		t.Errorf("exhaustive recall %.3f below blocked %.3f", qw.Recall, qb.Recall)
-	}
-}
-
-func TestMaterialiseLinks(t *testing.T) {
-	st := NewStore()
-	MaterialiseLinks(st, []LinkedPair{{MMSIA: 1, MMSIB: 1, Score: 1}}, "A", "B")
-	got := st.Match(Pattern{P: T(IRI(PredSameAs))})
-	if len(got) != 1 {
-		t.Fatalf("sameAs triples: %d", len(got))
-	}
-	if got[0].S.IRI != "mar:A/vessel/1" || got[0].O.IRI != "mar:B/vessel/1" {
-		t.Errorf("link triple wrong: %v", got[0])
 	}
 }
 
@@ -290,3 +257,6 @@ func BenchmarkDiscoverLinks300(b *testing.B) {
 		_ = DiscoverLinks(ra, rb, cfg)
 	}
 }
+
+// Duration returns the episode length.
+func (e Episode) Duration() time.Duration { return e.End.Sub(e.Start) }

@@ -78,9 +78,6 @@ func newFSObjects(dir string, noSync bool) (*FSObjects, error) {
 	return &FSObjects{root: dir, noSync: noSync}, nil
 }
 
-// Root returns the root directory.
-func (f *FSObjects) Root() string { return f.root }
-
 // objTmpSuffix marks in-flight Put temporaries. They are never listed as
 // objects, and a crash mid-Put leaves at most one behind (cleaned up by
 // the next Put of the same key or ignored forever).

@@ -280,3 +280,6 @@ func orderStates(recs []model.VesselState) []model.VesselState {
 	}
 	return states(st)
 }
+
+// Root returns the root directory.
+func (f *FSObjects) Root() string { return f.root }

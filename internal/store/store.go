@@ -63,6 +63,8 @@ type Mem struct {
 }
 
 // NewMem returns an empty in-memory backend.
+//
+//lint:ignore deadexport TestFlushStageMirrorsArchive backs an engine with it
 func NewMem() *Mem { return &Mem{} }
 
 // Append stores the batch.
@@ -95,6 +97,8 @@ func (m *Mem) Len() int {
 }
 
 // States returns a copy of the appended records in append order.
+//
+//lint:ignore deadexport TestFlushStageMirrorsArchive reads the flushed records back
 func (m *Mem) States() []model.VesselState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -691,17 +695,6 @@ func (d *Disk) Close() error {
 	d.upWG.Wait()
 	releaseLock(d.lock)
 	return err
-}
-
-// Dir returns the archive directory.
-func (d *Disk) Dir() string { return d.cfg.Dir }
-
-// SealedSegments returns the sequence numbers of sealed, uncompacted
-// segments (diagnostics).
-func (d *Disk) SealedSegments() []uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]uint64(nil), d.sealed...)
 }
 
 func writeSnapshot(path string, st *tstore.Store) error {

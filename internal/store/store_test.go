@@ -451,3 +451,11 @@ func TestFlusherSyncEveryCoversIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// SealedSegments returns the sequence numbers of sealed, uncompacted
+// segments (diagnostics).
+func (d *Disk) SealedSegments() []uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]uint64(nil), d.sealed...)
+}

@@ -42,6 +42,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // truncated to nanoseconds UTC, speed and course clamped to [0, 655.35]
 // and rounded to centi-units — the same quantisation tstore's snapshot
 // encoding applies.
+//
+//lint:ignore deadexport TestEngineRestartRecoversPersistedState compares recovered records through it
 func Quantize(s model.VesselState) model.VesselState {
 	s.At = time.Unix(0, s.At.UnixNano()).UTC()
 	s.SpeedKn = float64(quant100(s.SpeedKn)) / 100

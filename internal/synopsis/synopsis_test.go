@@ -270,3 +270,42 @@ func BenchmarkSquishE2000(b *testing.B) {
 		_ = c.Compress(tr)
 	}
 }
+
+// Report quantifies a compression outcome against the original trace.
+type Report struct {
+	Algorithm string
+	Original  int
+	Kept      int
+	Ratio     float64 // 1 - kept/original, the paper's "compression ratio"
+	MeanSEDM  float64
+	RMSESEDM  float64
+	MaxSEDM   float64
+}
+
+// Evaluate reconstructs the compressed trajectory at each original
+// timestamp and reports SED statistics plus the compression ratio.
+func Evaluate(orig, comp *model.Trajectory, algorithm string) Report {
+	r := Report{Algorithm: algorithm, Original: orig.Len(), Kept: comp.Len()}
+	if orig.Len() == 0 {
+		return r
+	}
+	r.Ratio = 1 - float64(comp.Len())/float64(orig.Len())
+	var sum, sumSq, maxd float64
+	for _, p := range orig.Points {
+		rec, ok := comp.At(p.At)
+		if !ok {
+			continue
+		}
+		d := geo.Distance(p.Pos, rec.Pos)
+		sum += d
+		sumSq += d * d
+		if d > maxd {
+			maxd = d
+		}
+	}
+	n := float64(orig.Len())
+	r.MeanSEDM = sum / n
+	r.RMSESEDM = math.Sqrt(sumSq / n)
+	r.MaxSEDM = maxd
+	return r
+}

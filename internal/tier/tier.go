@@ -319,9 +319,6 @@ func NewManager(cfg Config, stores ...*tstore.Store) (*Manager, error) {
 	return m, nil
 }
 
-// Chunks returns the spill store (shared with the watched stores).
-func (m *Manager) Chunks() *ChunkStore { return m.chunks }
-
 // Instrument registers the tiered-archive series with reg: eviction and
 // spill counters, resident/evicted gauges aggregated across the watched
 // stores at scrape time, block-cache hit accounting, and the page-back

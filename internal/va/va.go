@@ -61,26 +61,6 @@ func (d *Density) Add(p geo.Point) {
 // At returns the count in bin (row, col).
 func (d *Density) At(row, col int) int { return d.Counts[row*d.Cols+col] }
 
-// NonEmptyBins returns how many bins hold at least one point — the
-// coverage statistic behind Figure 1.
-func (d *Density) NonEmptyBins() int {
-	n := 0
-	for _, c := range d.Counts {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// CoverageFraction returns the fraction of bins with data.
-func (d *Density) CoverageFraction() float64 {
-	if len(d.Counts) == 0 {
-		return 0
-	}
-	return float64(d.NonEmptyBins()) / float64(len(d.Counts))
-}
-
 // densityRamp maps intensity to ASCII, light to heavy.
 var densityRamp = []byte(" .:-=+*#%@")
 

@@ -180,3 +180,23 @@ func BenchmarkMultiScale100k(b *testing.B) {
 		_ = MultiScaleDensity(bounds, []int{8, 32, 128}, pts)
 	}
 }
+
+// CoverageFraction returns the fraction of bins with data.
+func (d *Density) CoverageFraction() float64 {
+	if len(d.Counts) == 0 {
+		return 0
+	}
+	return float64(d.NonEmptyBins()) / float64(len(d.Counts))
+}
+
+// NonEmptyBins returns how many bins hold at least one point — the
+// coverage statistic behind Figure 1.
+func (d *Density) NonEmptyBins() int {
+	n := 0
+	for _, c := range d.Counts {
+		if c > 0 {
+			n++
+		}
+	}
+	return n
+}

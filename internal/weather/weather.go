@@ -19,15 +19,10 @@ import (
 // Variable identifies an environmental variable carried by a field.
 type Variable string
 
-// Common variables.
-const (
-	WindSpeedMS    Variable = "wind_speed_ms"
-	WindDirDeg     Variable = "wind_dir_deg"
-	WaveHeightM    Variable = "wave_height_m"
-	CurrentEastMS  Variable = "current_east_ms"
-	CurrentNorthMS Variable = "current_north_ms"
-	SeaTempC       Variable = "sea_temp_c"
-)
+// WindSpeedMS is wind speed in m/s.
+//
+//lint:ignore deadexport TestGridResolutionClaim samples E7's wind field
+const WindSpeedMS Variable = "wind_speed_ms"
 
 // Grid is one time-slice of a regular lat/lon raster.
 type Grid struct {
@@ -118,6 +113,8 @@ type Series struct {
 // Sample interpolates the variable at position p and time t: bilinear in
 // space on the two bracketing slices, linear in time between them. Times
 // outside the series clamp to the first/last slice.
+//
+//lint:ignore deadexport TestGridResolutionClaim measures E7's interpolation error through it
 func (s *Series) Sample(p geo.Point, t time.Time) (float64, error) {
 	if len(s.Slices) == 0 {
 		return 0, fmt.Errorf("weather: series %q has no slices", s.Variable)
@@ -148,37 +145,6 @@ func (s *Series) Sample(p geo.Point, t time.Time) (float64, error) {
 	return a.Sample(p)*(1-f) + b.Sample(p)*f, nil
 }
 
-// Provider bundles several variables' series into one lookup service.
-type Provider struct {
-	series map[Variable]*Series
-}
-
-// NewProvider returns an empty provider.
-func NewProvider() *Provider {
-	return &Provider{series: make(map[Variable]*Series)}
-}
-
-// Add registers a series, replacing any previous series for the variable.
-func (pv *Provider) Add(s *Series) { pv.series[s.Variable] = s }
-
-// Sample returns the value of variable v at (p, t).
-func (pv *Provider) Sample(v Variable, p geo.Point, t time.Time) (float64, error) {
-	s, ok := pv.series[v]
-	if !ok {
-		return 0, fmt.Errorf("weather: no series for variable %q", v)
-	}
-	return s.Sample(p, t)
-}
-
-// Variables lists the registered variables.
-func (pv *Provider) Variables() []Variable {
-	out := make([]Variable, 0, len(pv.series))
-	for v := range pv.series {
-		out = append(out, v)
-	}
-	return out
-}
-
 // AnalyticField is a smooth synthetic field with a closed form, used both
 // to fill synthetic grids and as ground truth when measuring interpolation
 // error. It is a sum of travelling sinusoids — smooth, bounded, and rich
@@ -206,6 +172,8 @@ func (f AnalyticField) Eval(p geo.Point, t time.Time) float64 {
 // BuildSeries rasterises the analytic field into a series of grids covering
 // bounds at the given spatial resolution and time step, from t0 for n steps.
 // This is the synthetic stand-in for a forecast download (§2.5).
+//
+//lint:ignore deadexport TestGridResolutionClaim rasterises E7's field with it
 func (f AnalyticField) BuildSeries(v Variable, bounds geo.Rect, cellDeg float64, t0 time.Time, step time.Duration, n int) *Series {
 	s := &Series{Variable: v}
 	for i := 0; i < n; i++ {

@@ -1,6 +1,7 @@
 package weather
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -186,4 +187,41 @@ func BenchmarkSeriesSample(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Variables only the tests carry.
+const (
+	WaveHeightM Variable = "wave_height_m"
+	SeaTempC    Variable = "sea_temp_c"
+)
+
+// Provider bundles several variables' series into one lookup service.
+type Provider struct {
+	series map[Variable]*Series
+}
+
+// NewProvider returns an empty provider.
+func NewProvider() *Provider {
+	return &Provider{series: make(map[Variable]*Series)}
+}
+
+// Add registers a series, replacing any previous series for the variable.
+func (pv *Provider) Add(s *Series) { pv.series[s.Variable] = s }
+
+// Sample returns the value of variable v at (p, t).
+func (pv *Provider) Sample(v Variable, p geo.Point, t time.Time) (float64, error) {
+	s, ok := pv.series[v]
+	if !ok {
+		return 0, fmt.Errorf("weather: no series for variable %q", v)
+	}
+	return s.Sample(p, t)
+}
+
+// Variables lists the registered variables.
+func (pv *Provider) Variables() []Variable {
+	out := make([]Variable, 0, len(pv.series))
+	for v := range pv.series {
+		out = append(out, v)
+	}
+	return out
 }

