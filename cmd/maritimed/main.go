@@ -19,15 +19,13 @@
 //
 // With -http the daemon serves the unified query surface while it
 // ingests: POST a QueryRequest to /v1/query (or use the per-kind GET
-// routes — /v1/trajectory, /v1/spacetime, /v1/nearest, /v1/live,
-// /v1/situation, /v1/alerts, /v1/stats, /v1/track, /v1/predict,
-// /v1/quality) and read the live picture, the
+// routes, /v1/<kind> for every query kind) and read the live picture, the
 // accumulated archive, situation boards and alert history as JSON, from
 // any host, mid-ingest. POST a StreamRequest to /v1/stream and the same
 // typed request becomes a standing query: incremental updates pushed as
 // NDJSON while ingest runs (box watches, per-vessel follows, alert
 // feeds, situation tickers). cmd/msaquery -http is the CLI client
-// (-watch / -follow for the streaming modes).
+// (-watch for the streaming modes).
 //
 // With -peer URL (repeatable) the daemon federates: every query it
 // serves merges the named daemons' pictures into its own, deduplicated
@@ -79,7 +77,7 @@
 // for physically feasible covert meetings, raised as
 // possible-rendezvous alerts to /v1/stream alert subscriptions only (the
 // daemon's alert printer never sees them), behind the anomalies kind
-// (/v1/anomalies, msaquery -anomalies / -watch anomalies).
+// (/v1/anomalies, msaquery anomalies / -watch anomalies).
 //
 // Failure semantics of both: a lane never refuses traffic or fails a
 // query; without its flag the kinds still answer, derived from the

@@ -7,46 +7,47 @@
 //
 // Usage:
 //
+//	msaquery [-read F | -data D [-remote R] | -http A] [-json] [-watch [-count N] [-from-seq S]] KIND [name=value …]
+//	msaquery -write F [-vessels N] [-minutes M]
+//
+// KIND is a query kind and the name=value arguments are exactly the
+// query string of its GET route, read by the same query.ParseParams:
+// "msaquery -http h nearest point=43.2,5.3 k=5" asks what
+// GET /v1/nearest?point=43.2,5.3&k=5 asks, and a name the kind does not
+// take is rejected the same way. Flags go before KIND. trace=1 prints
+// where the query spent its time (per-source fan-out, merge/dedup,
+// end-to-end) under the answer; -json dumps the raw Result encoding
+// instead of the human summary.
+//
 //	msaquery -write archive.bin -vessels 100 -minutes 120
-//	msaquery -read archive.bin -vessel 201000091
-//	msaquery -read archive.bin -box "42,4,44,9"
-//	msaquery -data /var/lib/maritimed -knn "43.2,5.3" -k 5
-//	msaquery -http localhost:8080 -live "42,4,44,9"
-//	msaquery -http localhost:8080 -situation "42,4,44,9"
-//	msaquery -data /var/lib/maritimed -stats -json
-//	msaquery -http localhost:8080 -track 201000091
-//	msaquery -http localhost:8080 -predict 201000091 -horizon 15m
-//	msaquery -http localhost:8080 -quality 201000091
-//	msaquery -http localhost:8080 -anomalies ranked -limit 10
-//	msaquery -http localhost:8080 -anomalies 201000091
+//	msaquery -read archive.bin trajectory mmsi=201000091
+//	msaquery -read archive.bin spacetime box=42,4,44,9
+//	msaquery -data /var/lib/maritimed nearest point=43.2,5.3 k=5
+//	msaquery -http localhost:8080 live box=42,4,44,9
+//	msaquery -http localhost:8080 situation box=42,4,44,9
+//	msaquery -http localhost:8080 alerts severity=3 limit=20
+//	msaquery -data /var/lib/maritimed -json stats
+//	msaquery -http localhost:8080 track mmsi=201000091
+//	msaquery -http localhost:8080 predict mmsi=201000091 horizon=15m
+//	msaquery -http localhost:8080 quality mmsi=201000091
+//	msaquery -http localhost:8080 anomalies limit=10
+//	msaquery -http localhost:8080 anomalies mmsi=201000091
 //
-// Exactly one query flag (-vessel, -box, -knn, -live, -situation,
-// -alerts, -stats, -track, -predict, -quality, -anomalies) runs per
-// invocation; -from/-to/-at bound time where
-// the kind supports it, and -json dumps the raw Result encoding instead
-// of the human summary. -trace asks the executor to record where the
-// query spent its time and prints the per-stage breakdown (per-source
-// fan-out, merge/dedup, end-to-end) under the answer.
+// With -http, -watch makes the request standing over /v1/stream:
+// updates stream until interrupted (or -count updates arrive), and the
+// daemon rejects kinds that do not stream:
 //
-// With -http the same requests also run as standing queries over
-// /v1/stream — updates stream until interrupted (or -count updates
-// arrive):
+//	msaquery -http localhost:8080 -watch spacetime box=42,4,44,9     # box watch
+//	msaquery -http localhost:8080 -watch trajectory mmsi=201000091   # vessel follow
+//	msaquery -http localhost:8080 -watch -count 100 -json spacetime box=42,4,44,9
+//	msaquery -http localhost:8080 -watch predict mmsi=201000091 horizon=10m
+//	msaquery -http localhost:8080 -watch anomalies                   # ranked board ticker
 //
-//	msaquery -http localhost:8080 -watch "42,4,44,9"       # box watch
-//	msaquery -http localhost:8080 -follow 201000091        # vessel follow
-//	msaquery -http localhost:8080 -watch "42,4,44,9" -count 100 -json
-//	msaquery -http localhost:8080 -watch predict -predict 201000091 -horizon 10m
-//	msaquery -http localhost:8080 -watch track -track 201000091
-//	msaquery -http localhost:8080 -watch anomalies                    # ranked board ticker
-//	msaquery -http localhost:8080 -watch anomalies -anomalies 201000091
-//
-// -watch KIND turns the one-shot request the other flags spell into a
-// standing one (the daemon rejects kinds that do not stream). -watch
-// predict is the forecast ticker: a fresh dead-reckoned fix every tick,
-// showing the vessel's expected motion between AIS reports. -watch
-// anomalies is the deviation ticker: the fleet ranked by behavior-shift
-// score (or one vessel's report, with -anomalies MMSI) pushed every
-// tick — a client watching "vessels deviating from their own history".
+// -watch predict is the forecast ticker: a fresh dead-reckoned fix
+// every tick, showing the vessel's expected motion between AIS reports.
+// -watch anomalies is the deviation ticker: the fleet ranked by
+// behavior-shift score (or one vessel's report, with mmsi=) pushed
+// every tick.
 package main
 
 import (
@@ -54,10 +55,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net/url"
 	"os"
-	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -69,90 +69,105 @@ import (
 	"repro/internal/tstore"
 )
 
-func main() {
-	write := flag.String("write", "", "simulate traffic and write an archive to this path")
-	read := flag.String("read", "", "load an archive snapshot file from this path")
-	data := flag.String("data", "", "open an archive directory (maritimed -data-dir) with read-only WAL recovery")
-	remote := flag.String("remote", "", "with -data: also read segments/snapshots migrated to this object-store directory (maritimed -remote-dir)")
-	httpAddr := flag.String("http", "", "query a running maritimed -http daemon at this address")
-	vessels := flag.Int("vessels", 100, "fleet size for -write")
-	minutes := flag.Int("minutes", 120, "duration for -write")
+// options is one command line: the flags, and the request KIND
+// name=value… spells (zero with -write).
+type options struct {
+	write, read, data, remote, http string
+	vessels, minutes                int
+	json, watch                     bool
+	count                           int
+	fromSeq                         uint64
+	req                             query.Request
+}
 
-	vessel := flag.Uint("vessel", 0, "trajectory query: print this vessel's summary")
-	box := flag.String("box", "", "space-time query: minLat,minLon,maxLat,maxLon")
-	knn := flag.String("knn", "", "nearest-vessel query: lat,lon")
-	k := flag.Int("k", 5, "number of neighbours for -knn")
-	live := flag.String("live", "", "live-picture query: minLat,minLon,maxLat,maxLon")
-	situation := flag.String("situation", "", "situation query: minLat,minLon,maxLat,maxLon")
-	alerts := flag.Bool("alerts", false, "alert-history query")
-	severity := flag.Int("severity", 0, "minimum severity for -alerts / -situation")
-	stats := flag.Bool("stats", false, "store statistics query")
-	track := flag.Uint("track", 0, "track query: fused Kalman state + error ellipse for this MMSI")
-	predict := flag.Uint("predict", 0, "predict query: forecast this MMSI's position -horizon ahead")
-	horizon := flag.Duration("horizon", 0, "forecast horizon for -predict (e.g. 15m; required, at most 24h)")
-	quality := flag.Uint("quality", 0, "quality query: data-integrity score for this MMSI")
-	anomalies := flag.String("anomalies", "", "anomalies query: an MMSI for one vessel's deviation report, or \"ranked\" for the fleet board (cap with -limit)")
-	from := flag.String("from", "", "lower time bound, RFC 3339")
-	to := flag.String("to", "", "upper time bound, RFC 3339")
-	at := flag.String("at", "", "reference instant for -knn, RFC 3339 (default: any time)")
-	tol := flag.Duration("tol", 0, "time tolerance around -at for -knn (default 30m when -at is set)")
-	limit := flag.Int("limit", 0, "cap returned states/alerts (0 = unlimited)")
-	asJSON := flag.Bool("json", false, "print the raw Result JSON instead of a summary")
-	trace := flag.Bool("trace", false, "request a per-stage trace and print where the query spent its time")
-
-	watch := flag.String("watch", "", "standing query (requires -http): a box minLat,minLon,maxLat,maxLon to watch — or a query kind (predict, track, quality, anomalies, ...) made standing, with that kind's own flags (-watch predict -predict MMSI -horizon 10m; -watch anomalies alone is the ranked board)")
-	follow := flag.Uint("follow", 0, "standing per-vessel follow (requires -http): MMSI")
-	count := flag.Int("count", 0, "stop a -watch/-follow stream after this many updates (0 = until interrupted)")
-	fromSeq := flag.Uint64("from-seq", 0, "resume a -watch/-follow stream after this sequence number")
-	flag.Parse()
-
-	if *write != "" {
-		writeArchive(*write, *vessels, *minutes)
-		return
+// parseArgs reads the flags, then KIND name=value….
+func parseArgs(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("msaquery", flag.ExitOnError)
+	fs.StringVar(&o.write, "write", "", "simulate traffic and write an archive to this path")
+	fs.StringVar(&o.read, "read", "", "load an archive snapshot file from this path")
+	fs.StringVar(&o.data, "data", "", "open an archive directory (maritimed -data-dir) with read-only WAL recovery")
+	fs.StringVar(&o.remote, "remote", "", "with -data: also read segments/snapshots migrated to this object-store directory (maritimed -remote-dir)")
+	fs.StringVar(&o.http, "http", "", "query a running maritimed -http daemon at this address")
+	fs.IntVar(&o.vessels, "vessels", 100, "fleet size for -write")
+	fs.IntVar(&o.minutes, "minutes", 120, "duration for -write")
+	fs.BoolVar(&o.json, "json", false, "print the raw Result JSON instead of a summary")
+	fs.BoolVar(&o.watch, "watch", false, "make the request a standing query (requires -http)")
+	fs.IntVar(&o.count, "count", 0, "stop a -watch stream after this many updates (0 = until interrupted)")
+	fs.Uint64Var(&o.fromSeq, "from-seq", 0, "resume a -watch stream after this sequence number")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: msaquery [-read F | -data D [-remote R] | -http A] [-json] [-watch [-count N] [-from-seq S]] KIND [name=value ...]\n"+
+			"       msaquery -write F [-vessels N] [-minutes M]\n"+
+			"KIND is one of %v; name=value are the parameters of GET /v1/KIND.\n", query.Kinds())
+		fs.PrintDefaults()
 	}
-
-	flags := reqFlags{
-		vessel: uint32(*vessel), box: *box, knn: *knn, k: *k,
-		live: *live, situation: *situation, alerts: *alerts, stats: *stats,
-		track: uint32(*track), predict: uint32(*predict), horizon: *horizon, quality: uint32(*quality),
-		anomalies: *anomalies,
-		severity:  *severity, from: *from, to: *to, at: *at, tol: *tol, limit: *limit,
+	fs.Parse(args) // ExitOnError: a bad flag exits here
+	if o.write != "" {
+		return o, nil
 	}
-	if *watch != "" || *follow != 0 {
-		if *httpAddr == "" {
-			log.Fatal("-watch/-follow are standing queries against a daemon: pass -http ADDR")
+	var err error
+	o.req, err = parseRequest(fs.Args())
+	return o, err
+}
+
+// parseRequest reads KIND name=value… into the validated request
+// GET /v1/KIND?name=value… carries.
+func parseRequest(args []string) (query.Request, error) {
+	if len(args) == 0 {
+		return query.Request{}, fmt.Errorf("missing KIND (one of %v)", query.Kinds())
+	}
+	q := url.Values{}
+	for _, a := range args[1:] {
+		if strings.HasPrefix(a, "-") {
+			return query.Request{}, fmt.Errorf("%s after KIND %s: flags go before KIND", a, args[0])
 		}
-		streamUpdates(*httpAddr, *watch, uint32(*follow), flags, *count, *fromSeq, *asJSON)
-		return
+		name, value, ok := strings.Cut(a, "=")
+		if !ok {
+			return query.Request{}, fmt.Errorf("argument %q after KIND %s is not name=value", a, args[0])
+		}
+		q.Add(name, value)
 	}
+	req, err := query.ParseParams(query.Kind(args[0]), q)
+	if err != nil {
+		return req, err
+	}
+	return req, req.Validate()
+}
 
-	req, err := buildRequest(flags)
+func main() {
+	o, err := parseArgs(os.Args[1:])
 	if err != nil {
 		log.Fatal(err)
 	}
-	req.Trace = *trace
+	if o.write != "" {
+		writeArchive(o.write, o.vessels, o.minutes)
+		return
+	}
+	if o.watch {
+		if o.http == "" {
+			log.Fatal("-watch is a standing query against a daemon: pass -http ADDR")
+		}
+		streamUpdates(o)
+		return
+	}
 
-	exec, describe, err := openExecutor(*read, *data, *remote, *httpAddr)
+	exec, describe, err := openExecutor(o.read, o.data, o.remote, o.http)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if describe != "" {
 		fmt.Println(describe)
 	}
-	res, err := exec.Query(req)
+	res, err := exec.Query(o.req)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			log.Fatal(err)
-		}
+	if o.json {
+		printJSON(res)
 		return
 	}
-	printResult(req, res)
-	if *trace {
+	printResult(o.req, res)
+	if o.req.Trace {
 		printTrace(res)
 	}
 }
@@ -204,156 +219,6 @@ func printTrace(res *query.Result) {
 		}
 	}
 	walk("", 0)
-}
-
-// reqFlags collects the raw query flags for translation into a Request.
-type reqFlags struct {
-	vessel          uint32
-	box, knn        string
-	k               int
-	live, situation string
-	alerts, stats   bool
-	track, predict  uint32
-	horizon         time.Duration
-	quality         uint32
-	anomalies       string
-	severity        int
-	from, to, at    string
-	tol             time.Duration
-	limit           int
-	// watch is the kind -watch KIND names: the request must come out as
-	// that kind, and with no query flag at all it is the kind's bare
-	// request (the ranked anomalies board; anything that needs more fails
-	// the kind's own validation).
-	watch query.Kind
-}
-
-// buildRequest translates the flags into exactly one validated Request.
-func buildRequest(f reqFlags) (query.Request, error) {
-	req := query.Request{MinSeverity: f.severity, Limit: f.limit}
-	modes := 0
-	switch {
-	case f.vessel != 0:
-		modes++
-		req.Kind = query.KindTrajectory
-		req.MMSI = f.vessel
-	}
-	if f.box != "" {
-		modes++
-		b, err := query.ParseBox(f.box)
-		if err != nil {
-			return req, fmt.Errorf("bad -box: %w", err)
-		}
-		req.Kind = query.KindSpaceTime
-		req.Box = &b
-	}
-	if f.knn != "" {
-		modes++
-		p, err := query.ParsePoint(f.knn)
-		if err != nil {
-			return req, fmt.Errorf("bad -knn: %w", err)
-		}
-		req.Kind = query.KindNearest
-		req.Lat, req.Lon = p.Lat, p.Lon
-		req.K = f.k
-		req.Tol = query.Duration(f.tol)
-	}
-	if f.live != "" {
-		modes++
-		b, err := query.ParseBox(f.live)
-		if err != nil {
-			return req, fmt.Errorf("bad -live: %w", err)
-		}
-		req.Kind = query.KindLivePicture
-		req.Box = &b
-	}
-	if f.situation != "" {
-		modes++
-		b, err := query.ParseBox(f.situation)
-		if err != nil {
-			return req, fmt.Errorf("bad -situation: %w", err)
-		}
-		req.Kind = query.KindSituation
-		req.Box = &b
-	}
-	if f.alerts {
-		modes++
-		req.Kind = query.KindAlertHistory
-	}
-	if f.stats {
-		modes++
-		req.Kind = query.KindStats
-	}
-	if f.track != 0 {
-		modes++
-		req.Kind = query.KindTrack
-		req.MMSI = f.track
-	}
-	if f.predict != 0 {
-		modes++
-		req.Kind = query.KindPredict
-		req.MMSI = f.predict
-		req.Horizon = query.Duration(f.horizon)
-	}
-	if f.quality != 0 {
-		modes++
-		req.Kind = query.KindQuality
-		req.MMSI = f.quality
-	}
-	if f.anomalies != "" {
-		modes++
-		req.Kind = query.KindAnomalies
-		mmsi, err := parseAnomalyTarget(f.anomalies)
-		if err != nil {
-			return req, err
-		}
-		req.MMSI = mmsi
-	}
-	if modes == 0 && f.watch != "" {
-		modes, req.Kind = 1, f.watch
-	}
-	if f.watch != "" && req.Kind != f.watch {
-		return req, fmt.Errorf("-watch %s with the flags of a %s query", f.watch, req.Kind)
-	}
-	if modes != 1 {
-		return req, fmt.Errorf("pass exactly one of -vessel, -box, -knn, -live, -situation, -alerts, -stats, -track, -predict, -quality, -anomalies (got %d)", modes)
-	}
-	var err error
-	if req.From, err = parseTime(f.from, "-from"); err != nil {
-		return req, err
-	}
-	if req.To, err = parseTime(f.to, "-to"); err != nil {
-		return req, err
-	}
-	if req.At, err = parseTime(f.at, "-at"); err != nil {
-		return req, err
-	}
-	return req, req.Validate()
-}
-
-// parseAnomalyTarget interprets the -anomalies value: "ranked" (or
-// "all") asks for the fleet board (MMSI 0), anything else must be the
-// MMSI of the vessel whose deviation report to fetch.
-func parseAnomalyTarget(s string) (uint32, error) {
-	if s == "ranked" || s == "all" {
-		return 0, nil
-	}
-	n, err := strconv.ParseUint(s, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad -anomalies (want an MMSI or \"ranked\"): %q", s)
-	}
-	return uint32(n), nil
-}
-
-func parseTime(s, flagName string) (time.Time, error) {
-	if s == "" {
-		return time.Time{}, nil
-	}
-	t, err := time.Parse(time.RFC3339, s)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("bad %s (want RFC 3339): %w", flagName, err)
-	}
-	return t, nil
 }
 
 // openExecutor builds the query executor for the selected mode: a local
@@ -419,81 +284,27 @@ func openExecutor(read, data, remote, httpAddr string) (query.Executor, string, 
 	}
 }
 
-// streamUpdates runs a standing query (-watch / -follow) over /v1/stream
-// and prints updates as they arrive. The request is the one-shot path's
-// (buildRequest): -watch BOX is a -box watch, -follow MMSI a -vessel
-// follow, and -watch KIND the request the kind's own flags spell, made
-// standing — whether a kind streams is the daemon's call.
-func streamUpdates(httpAddr, watch string, follow uint32, f reqFlags, count int, fromSeq uint64, asJSON bool) {
-	switch {
-	case watch != "" && follow != 0:
-		log.Fatal("pass exactly one of -watch, -follow")
-	case follow != 0:
-		f.vessel = follow
-	case slices.Contains(query.Kinds(), query.Kind(watch)):
-		f.watch = query.Kind(watch)
-	default:
-		f.box = watch
-	}
-	req, err := buildRequest(f)
-	if err != nil {
-		log.Fatalf("standing query: %v", err)
-	}
-	c := query.NewClient(httpAddr)
-	sub, err := c.Subscribe(req, query.SubOptions{FromSeq: fromSeq})
+// streamUpdates runs the request as a standing query over /v1/stream
+// and prints updates as they arrive.
+func streamUpdates(o options) {
+	sub, err := query.NewClient(o.http).Subscribe(o.req, query.SubOptions{FromSeq: o.fromSeq})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sub.Cancel()
-	fmt.Fprintf(os.Stderr, "streaming %s from %s (seq %d)...\n", req.Kind, httpAddr, sub.StartSeq())
+	fmt.Fprintf(os.Stderr, "streaming %s from %s (seq %d)...\n", o.req.Kind, o.http, sub.StartSeq())
 	enc := json.NewEncoder(os.Stdout)
 	n := 0
 	for u := range sub.Updates() {
-		if asJSON {
+		if o.json {
 			if err := enc.Encode(u); err != nil {
 				log.Fatal(err)
 			}
-		} else if u.State != nil {
-			s := u.State
-			fmt.Printf("#%-8d vessel %-9d %8.4f,%9.4f  %5.1f kn  %s\n",
-				u.Seq, s.MMSI, s.Lat, s.Lon, s.SpeedKn, s.At.Format("15:04:05"))
-		} else if u.Alert != nil {
-			a := u.Alert
-			fmt.Printf("#%-8d [sev%d] %-18s vessel %d: %s\n", u.Seq, a.Severity, a.Kind, a.MMSI, a.Note)
-		} else if u.Prediction != nil {
-			p := u.Prediction
-			fmt.Printf("#%-8d vessel %-9d %8.4f,%9.4f  at %s (+%s, %s, ±%.0f m)\n",
-				u.Seq, p.MMSI, p.Lat, p.Lon, p.At.Format("15:04:05"),
-				time.Duration(p.Horizon), p.Method, p.ConfidenceM)
-		} else if u.Track != nil {
-			s := u.Track
-			fmt.Printf("#%-8d vessel %-9d %8.4f,%9.4f  %5.1f kn  ±%.0f m  %s\n",
-				u.Seq, s.MMSI, s.Lat, s.Lon, s.SpeedKn, s.SigmaM, s.At.Format("15:04:05"))
-		} else if u.Quality != nil {
-			q := u.Quality
-			fmt.Printf("#%-8d vessel %-9d reliability %.3f (lower %.3f), %d/%d flagged\n",
-				u.Seq, q.MMSI, q.Reliability, q.LowerBound, q.Flagged, q.Checked)
-		} else if u.Anomalies != nil {
-			if v := u.Anomalies.Vessel; v != nil {
-				fmt.Printf("#%-8d vessel %-9d score %.3f (spd %.3f hdg %.3f pos %.3f)  %d gaps  %s\n",
-					u.Seq, v.MMSI, v.Score, v.SpeedShift, v.HeadingShift, v.PositionShift,
-					v.Gaps, v.At.Format("15:04:05"))
-			} else {
-				fmt.Printf("#%-8d %d vessels by deviation score\n", u.Seq, len(u.Anomalies.Ranked))
-				top := u.Anomalies.Ranked
-				if len(top) > 5 {
-					top = top[:5]
-				}
-				for i, v := range top {
-					fmt.Printf("  %d. vessel %-9d score %.3f  %d gaps\n", i+1, v.MMSI, v.Score, v.Gaps)
-				}
-			}
-		} else if u.Kind == query.UpdateRewound {
-			fmt.Fprintf(os.Stderr, "(stream rewound: daemon restarted — cursor reset to seq %d in epoch %x; retained-but-undelivered updates from the old epoch are gone)\n",
-				u.Seq, u.Epoch)
+		} else {
+			printUpdate(u)
 		}
 		n++
-		if count > 0 && n >= count {
+		if o.count > 0 && n >= o.count {
 			break
 		}
 	}
@@ -508,12 +319,40 @@ func streamUpdates(httpAddr, watch string, follow uint32, f reqFlags, count int,
 	}
 }
 
-// printResult renders the human summary for each kind.
+// printUpdate renders one standing-query update: its payload, through
+// the printer the one-shot answer uses, after its #seq.
+func printUpdate(u query.Update) {
+	if u.Kind == query.UpdateRewound {
+		fmt.Fprintf(os.Stderr, "(stream rewound: daemon restarted — cursor reset to seq %d in epoch %x; retained-but-undelivered updates from the old epoch are gone)\n",
+			u.Seq, u.Epoch)
+		return
+	}
+	fmt.Printf("#%-8d ", u.Seq)
+	switch {
+	case u.State != nil:
+		printState(*u.State)
+	case u.Alert != nil:
+		printAlert(*u.Alert)
+	case u.Situation != nil:
+		printSituation(u.Situation)
+	case u.Track != nil:
+		printTrack(u.Track)
+	case u.Prediction != nil:
+		printPrediction(u.Prediction)
+	case u.Quality != nil:
+		printQuality(u.Quality)
+	case u.Anomalies != nil:
+		printAnomalies(u.Anomalies)
+	}
+}
+
+// printResult renders the human summary of a one-shot answer.
 func printResult(req query.Request, res *query.Result) {
+	notFound := func() { log.Fatalf("vessel %d not found", req.MMSI) }
 	switch res.Kind {
 	case query.KindTrajectory:
 		if res.Count == 0 {
-			log.Fatalf("vessel %d not found", req.MMSI)
+			notFound()
 		}
 		tr := &model.Trajectory{MMSI: req.MMSI, Points: res.ModelStates()}
 		fmt.Printf("vessel %d: %d points, %s → %s, %.1f km travelled\n",
@@ -536,79 +375,40 @@ func printResult(req query.Request, res *query.Result) {
 	case query.KindLivePicture:
 		fmt.Printf("live picture: %d vessels\n", res.Count)
 		for _, s := range res.States {
-			fmt.Printf("  vessel %-9d %8.4f,%9.4f  %5.1f kn  %s\n",
-				s.MMSI, s.Lat, s.Lon, s.SpeedKn, s.At.Format("15:04:05"))
+			fmt.Print("  ")
+			printState(s)
 		}
 	case query.KindSituation:
-		sit := res.Situation
-		fmt.Printf("SITUATION %s — %d vessels, %d alerts\n",
-			sit.At.Format("2006-01-02 15:04:05"), len(sit.Vessels), len(sit.Alerts))
-		renderDensity(sit)
-		n := len(sit.Alerts)
-		if n > 8 {
-			n = 8
-		}
-		for _, a := range sit.Alerts[:n] {
-			fmt.Printf("  [sev%d] %-18s vessel %-9d %s\n", a.Severity, a.Kind, a.MMSI, a.Note)
-		}
+		printSituation(res.Situation)
 	case query.KindAlertHistory:
 		fmt.Printf("%d alerts\n", res.Count)
 		for _, a := range res.Alerts {
-			fmt.Printf("  [%s] sev%d %-18s vessel %d: %s\n",
-				a.At.Format("15:04:05"), a.Severity, a.Kind, a.MMSI, a.Note)
+			fmt.Print("  ")
+			printAlert(a)
 		}
 	case query.KindTrack:
 		if res.Track == nil {
-			log.Fatalf("vessel %d not found", req.MMSI)
+			notFound()
 		}
-		s := res.Track
-		status := "tentative"
-		if s.Confirmed {
-			status = "confirmed"
-		}
-		fmt.Printf("vessel %d track (%s, %d hits): %.5f,%.5f  %.1f kn @ %.0f°  at %s\n",
-			s.MMSI, status, s.Hits, s.Lat, s.Lon, s.SpeedKn, s.CourseDeg, s.At.Format(time.RFC3339))
-		fmt.Printf("  uncertainty ±%.0f m (ellipse %.0f×%.0f m @ %.0f°)\n",
-			s.SigmaM, s.MajorM, s.MinorM, s.OrientDeg)
-		for _, src := range sortedKeys(s.Sources) {
-			fmt.Printf("  %d %s measurements\n", s.Sources[src], src)
-		}
+		printTrack(res.Track)
 	case query.KindPredict:
 		if res.Prediction == nil {
-			log.Fatalf("vessel %d not found", req.MMSI)
+			notFound()
 		}
-		p := res.Prediction
-		fmt.Printf("vessel %d at %s (+%s from %s): %.5f,%.5f  (%s, ±%.0f m)\n",
-			p.MMSI, p.At.Format(time.RFC3339), time.Duration(p.Horizon),
-			p.From.Format("15:04:05"), p.Lat, p.Lon, p.Method, p.ConfidenceM)
+		printPrediction(res.Prediction)
 	case query.KindQuality:
 		if res.Quality == nil {
-			log.Fatalf("vessel %d not found", req.MMSI)
+			notFound()
 		}
-		q := res.Quality
-		fmt.Printf("vessel %d reliability %.3f (lower bound %.3f): %d of %d messages flagged\n",
-			q.MMSI, q.Reliability, q.LowerBound, q.Flagged, q.Checked)
-		for _, rule := range sortedKeys(q.Issues) {
-			fmt.Printf("  %-16s %d\n", rule, q.Issues[rule])
-		}
+		printQuality(res.Quality)
 	case query.KindAnomalies:
 		if res.Anomalies == nil {
 			log.Fatal("no anomaly report (is the daemon running, or the archive empty?)")
 		}
-		if req.MMSI != 0 {
-			v := res.Anomalies.Vessel
-			if v == nil {
-				log.Fatalf("vessel %d not found", req.MMSI)
-			}
-			printVesselAnomaly(v)
-			break
+		if req.MMSI != 0 && res.Anomalies.Vessel == nil {
+			notFound()
 		}
-		fmt.Printf("%d vessels by deviation score\n", len(res.Anomalies.Ranked))
-		for i, v := range res.Anomalies.Ranked {
-			fmt.Printf("%2d. vessel %-9d score %.3f (spd %.3f hdg %.3f pos %.3f)  %d gaps  %d samples\n",
-				i+1, v.MMSI, v.Score, v.SpeedShift, v.HeadingShift, v.PositionShift,
-				v.Gaps, v.Samples)
-		}
+		printAnomalies(res.Anomalies)
 	case query.KindStats:
 		st := res.Stats
 		fmt.Printf("%d points, %d vessels, %d live, %d alerts\n",
@@ -625,9 +425,85 @@ func printResult(req query.Request, res *query.Result) {
 			}
 			fmt.Println()
 		}
+	default: // a kind with no human renderer yet
+		printJSON(res)
 	}
 	if res.Truncated {
-		fmt.Printf("(truncated to -limit %d of %d)\n", req.Limit, res.Count)
+		fmt.Printf("(truncated to limit=%d of %d)\n", req.Limit, res.Count)
+	}
+}
+
+// printJSON prints the raw Result encoding (-json).
+func printJSON(res *query.Result) {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(res); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// The per-payload printers, shared by one-shot answers and stream updates.
+
+func printState(s query.State) {
+	fmt.Printf("vessel %-9d %8.4f,%9.4f  %5.1f kn  %s\n",
+		s.MMSI, s.Lat, s.Lon, s.SpeedKn, s.At.Format("15:04:05"))
+}
+
+func printAlert(a query.Alert) {
+	fmt.Printf("[%s] sev%d %-18s vessel %d: %s\n",
+		a.At.Format("15:04:05"), a.Severity, a.Kind, a.MMSI, a.Note)
+}
+
+func printSituation(sit *query.Situation) {
+	fmt.Printf("SITUATION %s — %d vessels, %d alerts\n",
+		sit.At.Format("2006-01-02 15:04:05"), len(sit.Vessels), len(sit.Alerts))
+	renderDensity(sit)
+	for _, a := range sit.Alerts[:min(len(sit.Alerts), 8)] {
+		fmt.Print("  ")
+		printAlert(a)
+	}
+}
+
+func printTrack(s *query.TrackState) {
+	status := "tentative"
+	if s.Confirmed {
+		status = "confirmed"
+	}
+	fmt.Printf("vessel %d track (%s, %d hits): %.5f,%.5f  %.1f kn @ %.0f°  at %s\n",
+		s.MMSI, status, s.Hits, s.Lat, s.Lon, s.SpeedKn, s.CourseDeg, s.At.Format(time.RFC3339))
+	fmt.Printf("  uncertainty ±%.0f m (ellipse %.0f×%.0f m @ %.0f°)\n",
+		s.SigmaM, s.MajorM, s.MinorM, s.OrientDeg)
+	for _, src := range sortedKeys(s.Sources) {
+		fmt.Printf("  %d %s measurements\n", s.Sources[src], src)
+	}
+}
+
+func printPrediction(p *query.Prediction) {
+	fmt.Printf("vessel %d at %s (+%s from %s): %.5f,%.5f  (%s, ±%.0f m)\n",
+		p.MMSI, p.At.Format(time.RFC3339), time.Duration(p.Horizon),
+		p.From.Format("15:04:05"), p.Lat, p.Lon, p.Method, p.ConfidenceM)
+}
+
+func printQuality(q *query.QualityScore) {
+	fmt.Printf("vessel %d reliability %.3f (lower bound %.3f): %d of %d messages flagged\n",
+		q.MMSI, q.Reliability, q.LowerBound, q.Flagged, q.Checked)
+	for _, rule := range sortedKeys(q.Issues) {
+		fmt.Printf("  %-16s %d\n", rule, q.Issues[rule])
+	}
+}
+
+// printAnomalies renders either form of the anomalies payload: one
+// vessel's report, or the fleet ranked by deviation score.
+func printAnomalies(rep *query.AnomalyReport) {
+	if rep.Vessel != nil {
+		printVesselAnomaly(rep.Vessel)
+		return
+	}
+	fmt.Printf("%d vessels by deviation score\n", len(rep.Ranked))
+	for i, v := range rep.Ranked {
+		fmt.Printf("%2d. vessel %-9d score %.3f (spd %.3f hdg %.3f pos %.3f)  %d gaps  %d samples\n",
+			i+1, v.MMSI, v.Score, v.SpeedShift, v.HeadingShift, v.PositionShift,
+			v.Gaps, v.Samples)
 	}
 }
 

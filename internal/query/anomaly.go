@@ -173,16 +173,15 @@ type winSample struct {
 
 // AnomalyAccumulator folds one vessel's sample stream into a behavior
 // profile: long-run histograms over speed/heading/position, a sliding
-// window of the last AnomalyWindow samples, an incremental stop/move
-// episode segmenter that agrees with semstore.SegmentEpisodes (zone-free;
-// pinned by TestAccumulatorMatchesBatchSegmenter), and a reporting-gap
+// window of the last AnomalyWindow samples, the stop/move
+// semstore.Segmenter that semstore.SegmentEpisodes also loops over
+// (pinned by TestAccumulatorMatchesBatchSegmenter), and a reporting-gap
 // detector with FindGaps semantics (a gap is recognised when the first
 // sample after the silence arrives). The online stage keeps one per
 // vessel; Replay folds a stored history through one — the same fold
 // either way, so online and replayed reports agree exactly.
 type AnomalyAccumulator struct {
 	mmsi    uint32
-	epCfg   semstore.EpisodeConfig
 	samples int
 	last    model.VesselState
 
@@ -196,58 +195,18 @@ type AnomalyAccumulator struct {
 	gaps    int
 	lastGap events.Gap
 
-	// In-progress episode (semstore.SegmentEpisodes state, inlined).
-	cur                    semstore.Episode
-	curLat, curLon, curSpd float64
-	curN                   int
-	closed                 []semstore.Episode // ring, cap AnomalyRecentEpisodes
-	kept                   int                // episodes closed (and kept) so far
+	semstore.Segmenter
+	closed []semstore.Episode // the last AnomalyRecentEpisodes it closed
 }
 
 // NewAnomalyAccumulator returns an empty accumulator for one vessel.
 func NewAnomalyAccumulator(mmsi uint32) *AnomalyAccumulator {
 	return &AnomalyAccumulator{
-		mmsi:    mmsi,
-		epCfg:   semstore.DefaultEpisodeConfig(),
-		posBase: make(map[posCell]int),
-		win:     make([]winSample, 0, AnomalyWindow),
+		mmsi:      mmsi,
+		posBase:   make(map[posCell]int),
+		win:       make([]winSample, 0, AnomalyWindow),
+		Segmenter: semstore.NewSegmenter(mmsi, semstore.DefaultEpisodeConfig()),
 	}
-}
-
-func (a *AnomalyAccumulator) classify(s model.VesselState) semstore.Activity {
-	switch {
-	case s.SpeedKn <= a.epCfg.StopSpeedKn:
-		return semstore.ActivityAnchored
-	case s.SpeedKn <= a.epCfg.SlowSpeedKn:
-		return semstore.ActivitySlowMove
-	default:
-		return semstore.ActivityUnderway
-	}
-}
-
-// flushEpisode closes the in-progress episode at end, keeping it (and
-// returning it) only when it reaches MinDuration — exactly the batch
-// segmenter's filter. The accumulator retains the most recent
-// AnomalyRecentEpisodes closed episodes.
-func (a *AnomalyAccumulator) flushEpisode(end time.Time) (semstore.Episode, bool) {
-	a.cur.End = end
-	if a.curN > 0 {
-		a.cur.Centroid.Lat = a.curLat / float64(a.curN)
-		a.cur.Centroid.Lon = a.curLon / float64(a.curN)
-		a.cur.AvgSpeed = a.curSpd / float64(a.curN)
-	}
-	a.curLat, a.curLon, a.curSpd, a.curN = 0, 0, 0, 0
-	if a.cur.End.Sub(a.cur.Start) < a.epCfg.MinDuration {
-		return semstore.Episode{}, false
-	}
-	e := a.cur
-	if len(a.closed) == AnomalyRecentEpisodes {
-		copy(a.closed, a.closed[1:])
-		a.closed[len(a.closed)-1] = e
-	} else {
-		a.closed = append(a.closed, e)
-	}
-	return e, true
 }
 
 // AnomalyFacts are the stream facts one sample completed, for callers
@@ -274,21 +233,14 @@ func (a *AnomalyAccumulator) Observe(s model.VesselState) (facts AnomalyFacts) {
 		g := a.lastGap
 		facts.Gap = &g
 	}
-	// Episode segmentation (semstore.SegmentEpisodes, incremental).
-	act := a.classify(s)
-	if a.samples == 0 {
-		a.cur = semstore.Episode{MMSI: a.mmsi, Activity: act, Start: s.At}
-	} else if act != a.cur.Activity {
-		if e, ok := a.flushEpisode(s.At); ok {
-			facts.Closed, facts.Index = &e, a.kept
-			a.kept++
+	if e, idx := a.Segmenter.Observe(s); e != nil {
+		if len(a.closed) == AnomalyRecentEpisodes {
+			copy(a.closed, a.closed[1:])
+			a.closed = a.closed[:len(a.closed)-1]
 		}
-		a.cur = semstore.Episode{MMSI: a.mmsi, Activity: act, Start: s.At}
+		a.closed = append(a.closed, *e)
+		facts.Closed, facts.Index = e, idx
 	}
-	a.curLat += s.Pos.Lat
-	a.curLon += s.Pos.Lon
-	a.curSpd += s.SpeedKn
-	a.curN++
 	// Behavior histograms.
 	w := winSample{
 		speed: int8(speedBinOf(s.SpeedKn)),
@@ -382,16 +334,7 @@ func (a *AnomalyAccumulator) Report() *VesselAnomaly {
 	for _, e := range a.closed {
 		va.Episodes = append(va.Episodes, episodeInfoOf(e))
 	}
-	// The open episode, rendered without disturbing the fold state: end
-	// and centroid are provisional as of the last sample.
-	cur := semstore.Episode{
-		MMSI: a.mmsi, Activity: a.cur.Activity, Start: a.cur.Start, End: a.last.At,
-	}
-	if a.curN > 0 {
-		cur.Centroid.Lat = a.curLat / float64(a.curN)
-		cur.Centroid.Lon = a.curLon / float64(a.curN)
-		cur.AvgSpeed = a.curSpd / float64(a.curN)
-	}
+	cur, _ := a.Current()
 	ci := episodeInfoOf(cur)
 	va.Current = &ci
 	return va

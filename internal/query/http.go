@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -201,8 +200,8 @@ func (s *Server) handlePost(w http.ResponseWriter, r *http.Request) {
 	s.run(w, r, req)
 }
 
-// handleGet serves a kind's GET route: every parameter its definition
-// accepts is parsed into the Request the POST route would have carried.
+// handleGet serves a kind's GET route: ParseParams builds the Request
+// the POST route would have carried.
 func (s *Server) handleGet(d *kindDef) http.HandlerFunc {
 	for _, name := range d.params {
 		if _, ok := getParams[name]; !ok { // a defect in the table: fail the mount, not each request
@@ -210,16 +209,10 @@ func (s *Server) handleGet(d *kindDef) http.HandlerFunc {
 		}
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		req := Request{Kind: d.kind}
-		for _, name := range d.params {
-			if err := getParams[name].set(&req, name, q.Get(name)); err != nil {
-				writeError(w, http.StatusBadRequest, err)
-				return
-			}
-		}
-		if b, _ := strconv.ParseBool(q.Get("trace")); b {
-			req.Trace = true
+		req, err := ParseParams(d.kind, r.URL.Query())
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
 		}
 		s.run(w, r, req)
 	}

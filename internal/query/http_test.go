@@ -140,6 +140,9 @@ func TestHTTPErrors(t *testing.T) {
 		{"/v1/trajectory?mmsi=-1", http.StatusBadRequest, "unsigned"},
 		{"/v1/trajectory?mmsi=4294967297", http.StatusBadRequest, "unsigned"},
 		{"/v1/alerts?from=yesterday", http.StatusBadRequest, "RFC 3339"},
+		{"/v1/trajectory?mmsi=201000003&bogus=1", http.StatusBadRequest, `no parameter "bogus"`},
+		{"/v1/track?box=41,4,45,9&mmsi=201000003", http.StatusBadRequest, `track has no parameter "box"`},
+		{"/v1/trajectory?mmsi=201000003&mmsi=201000004", http.StatusBadRequest, "mmsi given 2 times"},
 		{"/v1/query", http.StatusMethodNotAllowed, "POST"},
 	}
 	for _, c := range cases {

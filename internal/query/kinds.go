@@ -3,6 +3,8 @@ package query
 import (
 	"context"
 	"fmt"
+	"net/url"
+	"slices"
 	"strconv"
 	"time"
 
@@ -13,7 +15,8 @@ import (
 
 // kindDef is the one definition of a query kind. Everything that has to
 // know a kind — Validate and normalize, the engine's execution, the GET
-// route, the hub filter or the Streamer ticker — looks it up here
+// route and msaquery (ParseParams), the hub filter or the Streamer
+// ticker — looks it up here
 // (lookup) or iterates the table (Kinds, NewServer); federation needs no
 // entry at all, because a peer is asked through the same primitive
 // reads and the Derived hook every other source answers. Adding a kind
@@ -319,6 +322,39 @@ func prepare(r Request) (Request, *kindDef, error) {
 
 // --- the GET vocabulary ---------------------------------------------------------
 
+// ParseParams builds the request of kind from query-string parameters,
+// the way GET /v1/<kind>?name=value… and msaquery's KIND name=value…
+// both read one. It accepts each name the kind's params list, plus
+// trace (a bool), and rejects an unknown kind, any other name and a
+// name given twice. The request is parsed, not validated.
+func ParseParams(kind Kind, q url.Values) (Request, error) {
+	req := Request{Kind: kind}
+	d := lookup(kind)
+	if d == nil {
+		return req, fmt.Errorf("query: unknown kind %q (one of %v)", kind, Kinds())
+	}
+	names := make([]string, 0, len(q))
+	for name := range q {
+		names = append(names, name)
+	}
+	slices.Sort(names) // the first bad name in a stable order
+	for _, name := range names {
+		if name != "trace" && !slices.Contains(d.params, name) {
+			return req, fmt.Errorf("query: %s has no parameter %q (it takes %v and trace)", kind, name, d.params)
+		}
+		if n := len(q[name]); n > 1 {
+			return req, fmt.Errorf("query: parameter %s given %d times", name, n)
+		}
+	}
+	for _, name := range d.params {
+		if err := getParams[name].set(&req, name, q.Get(name)); err != nil {
+			return req, err
+		}
+	}
+	req.Trace, _ = strconv.ParseBool(q.Get("trace"))
+	return req, nil
+}
+
 // param is one query-string parameter of the GET routes: set parses its
 // value into the request ("" = absent, and absent is fine unless the
 // parameter says otherwise); has reports the field present on a typed
@@ -365,7 +401,7 @@ var getParams = map[string]param{
 			if v == "" {
 				return nil
 			}
-			b, err := ParseBox(v)
+			b, err := parseBox(v)
 			if err != nil {
 				return err
 			}
@@ -381,7 +417,7 @@ var getParams = map[string]param{
 			if v == "" {
 				return fmt.Errorf("query: %s requires point=lat,lon", r.Kind)
 			}
-			p, err := ParsePoint(v)
+			p, err := parsePoint(v)
 			r.Lat, r.Lon = p.Lat, p.Lon // the zero point on error, and the error rejects the request
 			return err
 		},

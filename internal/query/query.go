@@ -127,7 +127,7 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 }
 
 // Box is the wire form of a geographic bounding box. Unlike geo.Rect it
-// validates (ParseBox, Validate) and carries stable JSON field names.
+// validates (parseBox, Validate) and carries stable JSON field names.
 type Box struct {
 	MinLat float64 `json:"min_lat"`
 	MinLon float64 `json:"min_lon"`
@@ -162,9 +162,9 @@ func (b Box) Validate() error {
 	return nil
 }
 
-// ParseBox parses "minLat,minLon,maxLat,maxLon" strictly: exactly four
+// parseBox parses "minLat,minLon,maxLat,maxLon" strictly: exactly four
 // numeric fields (spaces around commas tolerated) and validated bounds.
-func ParseBox(s string) (Box, error) {
+func parseBox(s string) (Box, error) {
 	fields, err := splitFloats(s, 4)
 	if err != nil {
 		return Box{}, fmt.Errorf("query: box must be minLat,minLon,maxLat,maxLon: %w", err)
@@ -176,8 +176,8 @@ func ParseBox(s string) (Box, error) {
 	return b, nil
 }
 
-// ParsePoint parses "lat,lon" strictly, validating the coordinate range.
-func ParsePoint(s string) (geo.Point, error) {
+// parsePoint parses "lat,lon" strictly, validating the coordinate range.
+func parsePoint(s string) (geo.Point, error) {
 	fields, err := splitFloats(s, 2)
 	if err != nil {
 		return geo.Point{}, fmt.Errorf("query: point must be lat,lon: %w", err)

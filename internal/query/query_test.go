@@ -408,7 +408,7 @@ func TestRequestValidation(t *testing.T) {
 }
 
 func TestParseBox(t *testing.T) {
-	good, err := ParseBox("42, 4, 44, 9")
+	good, err := parseBox("42, 4, 44, 9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,8 +425,8 @@ func TestParseBox(t *testing.T) {
 		"42,-190,44,9", // lon out of range
 		"-95,4,44,9",   // lat out of range
 	} {
-		if _, err := ParseBox(s); err == nil {
-			t.Errorf("ParseBox(%q) should fail", s)
+		if _, err := parseBox(s); err == nil {
+			t.Errorf("parseBox(%q) should fail", s)
 		}
 	}
 }

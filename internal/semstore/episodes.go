@@ -51,63 +51,101 @@ func DefaultEpisodeConfig() EpisodeConfig {
 // SegmentEpisodes converts a trajectory into stop/move episodes and
 // annotates each with the zones containing its centroid. This is the
 // "semantic trajectory" computation the paper frames as a link-discovery/
-// annotation task (§2.2, §3.1).
+// annotation task (§2.2, §3.1): a Segmenter over the points, then the
+// trailing open episode flushed at the last sample under the same
+// MinDuration filter (the online anomaly fold, which cannot see stream
+// end, reports it as the provisional "current" episode instead).
+func SegmentEpisodes(tr *model.Trajectory, zs *zones.ZoneSet, cfg EpisodeConfig) []Episode {
+	seg := NewSegmenter(tr.MMSI, cfg)
+	var out []Episode
+	keep := func(e Episode) {
+		Annotate(&e, zs)
+		out = append(out, e)
+	}
+	for _, p := range tr.Points {
+		if e, _ := seg.Observe(p); e != nil {
+			keep(*e)
+		}
+	}
+	if e, ok := seg.Current(); ok && e.End.Sub(e.Start) >= cfg.MinDuration {
+		keep(e)
+	}
+	return out
+}
+
+// Segmenter is the incremental stop/move segmentation of one vessel's
+// samples, zone-free.
 //
 // Boundary semantics (pinned by TestSegmentEpisodesBoundaries): a
 // sample at an activity threshold belongs to the slower class (<=
 // StopSpeedKn stops, <= SlowSpeedKn slow-moves); the sample that
 // changes activity ends the previous episode at its timestamp and opens
-// — and counts toward — the new one; episodes strictly shorter than
-// MinDuration are dropped without merging their neighbours; and the
-// trailing in-progress episode IS flushed at the last sample, kept
-// under the same MinDuration filter (the online anomaly fold, which
-// cannot see stream end, reports it separately as the provisional
-// "current" episode instead).
-func SegmentEpisodes(tr *model.Trajectory, zs *zones.ZoneSet, cfg EpisodeConfig) []Episode {
-	if tr.Len() == 0 {
-		return nil
+// — and counts toward — the new one; and episodes strictly shorter than
+// MinDuration are dropped without merging their neighbours.
+type Segmenter struct {
+	cfg                    EpisodeConfig
+	cur                    Episode // open episode; End is the last sample's time
+	latSum, lonSum, spdSum float64
+	n                      int // samples in cur; 0 = nothing observed yet
+	kept                   int // episodes closed and kept so far
+}
+
+// NewSegmenter returns an empty segmenter for one vessel.
+func NewSegmenter(mmsi uint32, cfg EpisodeConfig) Segmenter {
+	return Segmenter{cfg: cfg, cur: Episode{MMSI: mmsi}}
+}
+
+func (s *Segmenter) classify(p model.VesselState) Activity {
+	switch {
+	case p.SpeedKn <= s.cfg.StopSpeedKn:
+		return ActivityAnchored // refined to moored later via zones
+	case p.SpeedKn <= s.cfg.SlowSpeedKn:
+		return ActivitySlowMove
+	default:
+		return ActivityUnderway
 	}
-	classify := func(s model.VesselState) Activity {
-		switch {
-		case s.SpeedKn <= cfg.StopSpeedKn:
-			return ActivityAnchored // refined to moored later via zones
-		case s.SpeedKn <= cfg.SlowSpeedKn:
-			return ActivitySlowMove
-		default:
-			return ActivityUnderway
+}
+
+// Observe folds in the vessel's next sample (time order). When the
+// sample closes an episode that reached MinDuration, it returns that
+// episode and idx numbers it among the vessel's kept episodes from
+// zero; otherwise nil (most samples: nothing is allocated).
+func (s *Segmenter) Observe(p model.VesselState) (closed *Episode, idx int) {
+	act := s.classify(p)
+	if s.n > 0 && act != s.cur.Activity {
+		s.cur.End = p.At
+		if e := s.closing(); e.End.Sub(e.Start) >= s.cfg.MinDuration {
+			closed, idx = &e, s.kept
+			s.kept++
 		}
+		s.latSum, s.lonSum, s.spdSum, s.n = 0, 0, 0, 0
 	}
-	var out []Episode
-	cur := Episode{MMSI: tr.MMSI, Activity: classify(tr.Points[0]), Start: tr.Points[0].At}
-	var latSum, lonSum, spdSum float64
-	var n int
-	flush := func(end time.Time) {
-		cur.End = end
-		if n > 0 {
-			cur.Centroid = geo.Point{Lat: latSum / float64(n), Lon: lonSum / float64(n)}
-			cur.AvgSpeed = spdSum / float64(n)
-		}
-		if cur.End.Sub(cur.Start) >= cfg.MinDuration {
-			Annotate(&cur, zs)
-			out = append(out, cur)
-		}
-		latSum, lonSum, spdSum, n = 0, 0, 0, 0
+	if s.n == 0 {
+		s.cur = Episode{MMSI: s.cur.MMSI, Activity: act, Start: p.At}
 	}
-	for i, p := range tr.Points {
-		act := classify(p)
-		if act != cur.Activity {
-			flush(p.At)
-			cur = Episode{MMSI: tr.MMSI, Activity: act, Start: p.At}
-		}
-		latSum += p.Pos.Lat
-		lonSum += p.Pos.Lon
-		spdSum += p.SpeedKn
-		n++
-		if i == tr.Len()-1 {
-			flush(p.At)
-		}
+	s.cur.End = p.At
+	s.latSum += p.Pos.Lat
+	s.lonSum += p.Pos.Lon
+	s.spdSum += p.SpeedKn
+	s.n++
+	return closed, idx
+}
+
+// Current returns the open episode, provisional as of the last sample;
+// ok is false before any sample.
+func (s *Segmenter) Current() (Episode, bool) {
+	if s.n == 0 {
+		return Episode{}, false
 	}
-	return out
+	return s.closing(), true
+}
+
+// closing is the open episode with its centroid and mean speed filled.
+func (s *Segmenter) closing() Episode {
+	e := s.cur
+	e.Centroid = geo.Point{Lat: s.latSum / float64(s.n), Lon: s.lonSum / float64(s.n)}
+	e.AvgSpeed = s.spdSum / float64(s.n)
+	return e
 }
 
 // Annotate refines an episode's activity using zones (anchored inside a
