@@ -87,31 +87,33 @@ func (g Grid) CellRect(id CellID) Rect {
 // CellsInRect appends to dst the IDs of all cells intersecting r and returns
 // the extended slice.
 func (g Grid) CellsInRect(r Rect, dst []CellID) []CellID {
-	if r.IsEmpty() {
-		return dst
-	}
-	c0 := int((r.MinLon + 180) / g.SizeDeg)
-	c1 := int((r.MaxLon + 180) / g.SizeDeg)
-	r0 := int((r.MinLat + 90) / g.SizeDeg)
-	r1 := int((r.MaxLat + 90) / g.SizeDeg)
-	if c0 < 0 {
-		c0 = 0
-	}
-	if r0 < 0 {
-		r0 = 0
-	}
-	if c1 >= g.cols {
-		c1 = g.cols - 1
-	}
-	if r1 >= g.rows {
-		r1 = g.rows - 1
-	}
+	r0, r1, c0, c1 := g.span(r)
 	for row := r0; row <= r1; row++ {
 		for col := c0; col <= c1; col++ {
 			dst = append(dst, CellID(g.res<<44|uint64(row)<<22|uint64(col)))
 		}
 	}
 	return dst
+}
+
+// NumCellsInRect returns len(CellsInRect(r, nil)) without building the
+// list.
+func (g Grid) NumCellsInRect(r Rect) int {
+	r0, r1, c0, c1 := g.span(r)
+	return max(0, r1-r0+1) * max(0, c1-c0+1)
+}
+
+// span returns the clamped row and column ranges of the cells r
+// intersects; they are empty (r0 > r1) for an empty r.
+func (g Grid) span(r Rect) (r0, r1, c0, c1 int) {
+	if r.IsEmpty() {
+		return 0, -1, 0, -1
+	}
+	c0 = max(int((r.MinLon+180)/g.SizeDeg), 0)
+	c1 = min(int((r.MaxLon+180)/g.SizeDeg), g.cols-1)
+	r0 = max(int((r.MinLat+90)/g.SizeDeg), 0)
+	r1 = min(int((r.MaxLat+90)/g.SizeDeg), g.rows-1)
+	return r0, r1, c0, c1
 }
 
 // Neighbors appends the IDs of the up-to-8 cells adjacent to id (fewer at

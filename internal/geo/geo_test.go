@@ -357,6 +357,28 @@ func TestGridCellsInRect(t *testing.T) {
 	}
 }
 
+// TestGridNumCellsInRect counts what CellsInRect lists, on random boxes
+// that cross the world's edges and on empty and off-world ones.
+func TestGridNumCellsInRect(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := NewGrid(0.25)
+	boxes := []Rect{
+		{MinLat: 1, MinLon: 1, MaxLat: 0, MaxLon: 2},         // empty
+		{MinLat: -95, MinLon: 185, MaxLat: -91, MaxLon: 190}, // off the world
+		{MinLat: -90, MinLon: -180, MaxLat: 90, MaxLon: 180}, // the world
+		{MinLat: 30, MinLon: -6, MaxLat: 46, MaxLon: 36},     // the sea
+	}
+	for range 200 {
+		lat, lon := -100+rng.Float64()*200, -190+rng.Float64()*380
+		boxes = append(boxes, Rect{MinLat: lat, MinLon: lon, MaxLat: lat + rng.Float64()*20, MaxLon: lon + rng.Float64()*20})
+	}
+	for _, r := range boxes {
+		if got, want := g.NumCellsInRect(r), len(g.CellsInRect(r, nil)); got != want {
+			t.Fatalf("NumCellsInRect(%+v) = %d, CellsInRect lists %d", r, got, want)
+		}
+	}
+}
+
 func TestGridNeighbors(t *testing.T) {
 	g := NewGrid(1.0)
 	id := g.Cell(Point{45.5, 45.5})

@@ -17,8 +17,10 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -366,13 +368,13 @@ func replayAnomalies(ctx context.Context, a archived, r Request) *Result {
 // ascending on ties — the one deterministic order every producer of the
 // ranked form (stage, replay, engine merge) must agree on.
 func SortRankedAnomalies(out []VesselAnomaly) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score > out[j].Score {
-			return true
+	slices.SortFunc(out, func(a, b VesselAnomaly) int {
+		if a.Score > b.Score {
+			return -1
 		}
-		if out[i].Score < out[j].Score {
-			return false
+		if a.Score < b.Score {
+			return 1
 		}
-		return out[i].MMSI < out[j].MMSI
+		return cmp.Compare(a.MMSI, b.MMSI)
 	})
 }

@@ -1,8 +1,10 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -249,7 +251,8 @@ func statesOf(read func(ctx context.Context, s Source, r Request) []model.Vessel
 }
 
 // sortStates orders samples by (MMSI, time), the order of every sample
-// answer.
+// answer. Federated sources can tie on that key, so it stays sort.Slice:
+// another algorithm could keep another of the tied duplicates.
 func sortStates(states []model.VesselState) {
 	sort.Slice(states, func(i, j int) bool {
 		if states[i].MMSI != states[j].MMSI {
@@ -314,8 +317,8 @@ func runNearest(c *call, res *Result) {
 		return s.Nearest(ctx, p, req.At, time.Duration(req.Tol), req.K)
 	}))
 	defer c.tr.StartSpan("merge")()
-	sort.SliceStable(cands, func(i, j int) bool {
-		return geo.Distance(p, cands[i].Pos) < geo.Distance(p, cands[j].Pos)
+	slices.SortStableFunc(cands, func(a, b model.VesselState) int {
+		return cmp.Compare(geo.Distance(p, a.Pos), geo.Distance(p, b.Pos))
 	})
 	seen := make(map[uint32]bool, min(req.K, len(cands)))
 	for _, cand := range cands {
@@ -340,20 +343,41 @@ func runLive(c *call, res *Result) {
 func livePicture(c *call, r geo.Rect) []model.VesselState {
 	lists := gather(c, func(ctx context.Context, s Source) []model.VesselState { return s.Live(ctx, r) })
 	defer c.tr.StartSpan("merge")()
-	newest := make(map[uint32]model.VesselState)
-	for _, states := range lists {
-		for _, st := range states {
-			if prev, ok := newest[st.MMSI]; !ok || st.At.After(prev.At) {
-				newest[st.MMSI] = st
+	return mergeByMMSI(lists)
+}
+
+// mergeByMMSI merges MMSI-ordered lists into one, keeping the newest
+// state per vessel and the earlier list's on an At tie. A single list
+// is returned as it is. It consumes lists.
+func mergeByMMSI(lists [][]model.VesselState) []model.VesselState {
+	if len(lists) == 1 {
+		return lists[0]
+	}
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	out := make([]model.VesselState, 0, n)
+	for {
+		next := -1 // the list whose head has the least MMSI, the earliest on ties
+		for i, l := range lists {
+			if len(l) > 0 && (next < 0 || l[0].MMSI < lists[next][0].MMSI) {
+				next = i
 			}
 		}
+		if next < 0 {
+			return out
+		}
+		s := lists[next][0]
+		lists[next] = lists[next][1:]
+		if k := len(out) - 1; k >= 0 && out[k].MMSI == s.MMSI {
+			if s.At.After(out[k].At) {
+				out[k] = s
+			}
+			continue
+		}
+		out = append(out, s)
 	}
-	out := make([]model.VesselState, 0, len(newest))
-	for _, st := range newest {
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].MMSI < out[j].MMSI })
-	return out
 }
 
 // runSituation assembles the merged operational picture: the
@@ -413,7 +437,7 @@ func runAlerts(c *call, res *Result) {
 		}
 		kept = append(kept, a)
 	}
-	sort.SliceStable(kept, func(i, j int) bool { return kept[i].At.Before(kept[j].At) })
+	slices.SortStableFunc(kept, func(a, b events.Alert) int { return a.At.Compare(b.At) })
 	res.Count = len(kept)
 	kept, res.Truncated = capped(kept, req.Limit)
 	for _, a := range kept {
@@ -508,19 +532,24 @@ func runRankedAnomalies(c *call, res *Result) {
 		return nil
 	})
 	defer c.tr.StartSpan("merge")()
-	best := make(map[uint32]VesselAnomaly)
-	for _, l := range lists {
-		for _, va := range l {
-			if prev, ok := best[va.MMSI]; !ok || betterVesselAnomaly(&va, &prev) {
-				best[va.MMSI] = va
+	var out []VesselAnomaly
+	if len(lists) == 1 {
+		out = lists[0] // one entry per vessel, sorted already
+	} else {
+		best := make(map[uint32]VesselAnomaly)
+		for _, l := range lists {
+			for _, va := range l {
+				if prev, ok := best[va.MMSI]; !ok || betterVesselAnomaly(&va, &prev) {
+					best[va.MMSI] = va
+				}
 			}
 		}
+		out = make([]VesselAnomaly, 0, len(best))
+		for _, va := range best {
+			out = append(out, va)
+		}
+		SortRankedAnomalies(out)
 	}
-	out := make([]VesselAnomaly, 0, len(best))
-	for _, va := range best {
-		out = append(out, va)
-	}
-	SortRankedAnomalies(out)
 	out, res.Truncated = capped(out, c.req.Limit)
 	res.Anomalies = &AnomalyReport{Ranked: out}
 	res.Count = len(out)
@@ -538,11 +567,9 @@ func runStats(c *call, res *Result) {
 	list := gather(c, func(ctx context.Context, s Source) SourceStats { return s.Stats(ctx) })
 	defer c.tr.StartSpan("merge")()
 	st := &Stats{}
-	union := make(map[uint32]bool)
+	var fleet []uint32
 	for _, ss := range list {
-		for _, m := range ss.MMSIs {
-			union[m] = true
-		}
+		fleet = append(fleet, ss.MMSIs...)
 		if !c.req.MMSIs {
 			ss.MMSIs = nil
 		}
@@ -550,14 +577,14 @@ func runStats(c *call, res *Result) {
 		st.Points += ss.Points
 		st.Alerts += ss.Alerts
 	}
-	st.Vessels = len(union)
-	st.Live = len(union)
+	if len(list) > 1 { // one source's identifiers are sorted and distinct already
+		slices.Sort(fleet)
+		fleet = slices.Compact(fleet)
+	}
+	st.Vessels = len(fleet)
+	st.Live = len(fleet)
 	if c.req.MMSIs {
-		st.MMSIs = make([]uint32, 0, len(union))
-		for m := range union {
-			st.MMSIs = append(st.MMSIs, m)
-		}
-		sort.Slice(st.MMSIs, func(i, j int) bool { return st.MMSIs[i] < st.MMSIs[j] })
+		st.MMSIs = fleet
 	}
 	res.Stats = st
 	res.Count = st.Points
@@ -634,7 +661,7 @@ func (l *liveSource) Nearest(_ context.Context, p geo.Point, at time.Time, tol t
 			cands = append(cands, cand{geo.Distance(p, s.Pos), s})
 		}
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].dist < cands[j].dist })
+	slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Compare(a.dist, b.dist) })
 	if len(cands) > k {
 		cands = cands[:k]
 	}
@@ -646,12 +673,11 @@ func (l *liveSource) Nearest(_ context.Context, p geo.Point, at time.Time, tol t
 }
 
 func (l *liveSource) Live(_ context.Context, r geo.Rect) []model.VesselState {
-	var out []model.VesselState
-	for _, p := range l.sharded.Shards {
-		out = append(out, p.Live.InRect(r)...)
+	lists := make([][]model.VesselState, len(l.sharded.Shards))
+	for i, p := range l.sharded.Shards {
+		lists[i] = p.Live.InRect(r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].MMSI < out[j].MMSI })
-	return out
+	return mergeByMMSI(lists)
 }
 
 func (l *liveSource) Alerts(context.Context) []events.Alert { return l.sharded.Alerts() }
@@ -675,7 +701,7 @@ func (l *liveSource) Stats(context.Context) SourceStats {
 	if evicted > 0 { // fully resident sources report bytes-identically to pre-tiering
 		st.ResidentPoints = resident
 	}
-	sort.Slice(st.MMSIs, func(i, j int) bool { return st.MMSIs[i] < st.MMSIs[j] })
+	slices.Sort(st.MMSIs)
 	return st
 }
 

@@ -15,11 +15,13 @@ package tstore
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -574,7 +576,7 @@ func (st *Store) MMSIs() []uint32 {
 	for m := range st.vessels {
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -633,7 +635,7 @@ func (st *Store) LatestStates() []model.VesselState {
 			out = append(out, ser.last)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].MMSI < out[j].MMSI })
+	slices.SortFunc(out, func(a, b model.VesselState) int { return cmp.Compare(a.MMSI, b.MMSI) })
 	return out
 }
 
@@ -689,7 +691,7 @@ func (st *Store) SpaceTime(r geo.Rect, from, to time.Time) []model.VesselState {
 		reads = append(reads, vesselRead{mmsi: m, resident: resident, need: need})
 	}
 	st.mu.RUnlock()
-	sort.Slice(reads, func(i, j int) bool { return reads[i].mmsi < reads[j].mmsi })
+	slices.SortFunc(reads, func(a, b vesselRead) int { return cmp.Compare(a.mmsi, b.mmsi) })
 	var out []model.VesselState
 	for _, vr := range reads {
 		if len(vr.need) == 0 {
@@ -788,7 +790,7 @@ func (st *Store) SpatialSnapshot() *Snapshot {
 	for m := range st.vessels {
 		mmsis = append(mmsis, m)
 	}
-	sort.Slice(mmsis, func(i, j int) bool { return mmsis[i] < mmsis[j] })
+	slices.Sort(mmsis)
 	sn := &Snapshot{total: st.total, states: make([]model.VesselState, 0, st.resident)}
 	for _, m := range mmsis {
 		ser, first := st.vessels[m], len(sn.chunks)
@@ -990,6 +992,7 @@ func (q *nvQueue) pop() nvEntry {
 type Live struct {
 	mu     sync.RWMutex
 	latest map[uint32]model.VesselState
+	order  []uint32 // the keys of latest, ascending
 	grid   liveGrid
 }
 
@@ -1007,6 +1010,9 @@ func (l *Live) Update(s model.VesselState) {
 	defer l.mu.Unlock()
 	if prev, ok := l.latest[s.MMSI]; ok {
 		l.grid.remove(prev.Pos, s.MMSI)
+	} else {
+		i, _ := slices.BinarySearch(l.order, s.MMSI)
+		l.order = slices.Insert(l.order, i, s.MMSI)
 	}
 	l.latest[s.MMSI] = s
 	l.grid.insert(s.Pos, s.MMSI)
@@ -1021,27 +1027,33 @@ func (l *Live) Count() int {
 
 // MMSIs returns the sorted identifiers of the tracked vessels — the
 // distinct-count read stats aggregation uses (O(vessels) integers, no
-// state copies).
+// state copies). The slice is the caller's.
 func (l *Live) MMSIs() []uint32 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	out := make([]uint32, 0, len(l.latest))
-	for m := range l.latest {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(make([]uint32, 0, len(l.order)), l.order...)
 }
 
-// InRect returns the current states inside the box, ordered by MMSI.
+// InRect returns the current states inside the box, ordered by MMSI. A box
+// spanning more grid cells than there are vessels walks the fleet in
+// MMSI order instead of the cells.
 func (l *Live) InRect(r geo.Rect) []model.VesselState {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	var out []model.VesselState
-	for _, m := range l.grid.search(r) {
+	if l.grid.grid.NumCellsInRect(r) > len(l.order) {
+		for _, m := range l.order {
+			if s := l.latest[m]; r.Contains(s.Pos) {
+				out = append(out, s)
+			}
+		}
+		return out
+	}
+	ids := l.grid.search(r)
+	slices.Sort(ids)
+	for _, m := range ids {
 		out = append(out, l.latest[m])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].MMSI < out[j].MMSI })
 	return out
 }
 
@@ -1125,7 +1137,7 @@ func (st *Store) WriteTo(w io.Writer) (int64, error) {
 		caps = append(caps, vc)
 	}
 	st.mu.RUnlock()
-	sort.Slice(caps, func(i, j int) bool { return caps[i].mmsi < caps[j].mmsi })
+	slices.SortFunc(caps, func(a, b vcap) int { return cmp.Compare(a.mmsi, b.mmsi) })
 
 	bw := bufio.NewWriter(w)
 	var n int64
