@@ -114,11 +114,18 @@ import (
 	"syscall"
 	"time"
 
-	maritime "repro"
 	"repro/internal/ais"
+	"repro/internal/anomaly"
+	"repro/internal/core"
+	"repro/internal/geo"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/quality"
+	"repro/internal/query"
+	"repro/internal/semstore"
 	"repro/internal/sim"
+	"repro/internal/store"
+	"repro/internal/track"
 )
 
 // parseBytes reads a human byte size: plain bytes, decimal suffixes
@@ -149,19 +156,19 @@ func parseBytes(s string) (int64, error) {
 
 // parseRadarLine parses one "$PRADAR,<station>,<lat>,<lon>" contact
 // sentence, stamping it with the feed's synthesized timeline.
-func parseRadarLine(line string, at time.Time) (maritime.Detection, bool) {
+func parseRadarLine(line string, at time.Time) (track.Detection, bool) {
 	parts := strings.Split(line, ",")
 	if len(parts) != 4 {
-		return maritime.Detection{}, false
+		return track.Detection{}, false
 	}
 	station, err1 := strconv.Atoi(parts[1])
 	lat, err2 := strconv.ParseFloat(parts[2], 64)
 	lon, err3 := strconv.ParseFloat(parts[3], 64)
 	if err1 != nil || err2 != nil || err3 != nil {
-		return maritime.Detection{}, false
+		return track.Detection{}, false
 	}
-	return maritime.Detection{
-		At: at, Pos: maritime.Point{Lat: lat, Lon: lon}, Station: station,
+	return track.Detection{
+		At: at, Pos: geo.Point{Lat: lat, Lon: lon}, Station: station,
 	}, true
 }
 
@@ -205,16 +212,16 @@ func main() {
 	// One registry is the single source of truth for every stat the
 	// daemon reports: the /metrics and /debug/vars scrapes, the periodic
 	// -stats-every line and the final summary all read from it.
-	reg := maritime.NewObsRegistry()
-	revision, goVersion := maritime.RegisterObsBuildInfo(reg, time.Now())
+	reg := obs.NewRegistry()
+	revision, goVersion := obs.RegisterBuildInfo(reg, time.Now())
 	// The flight recorder is always on: recording is an atomic add plus a
 	// short per-slot mutex hold, cheap enough that the black box exists
 	// before anyone knows they need it. Served on /debug/flight with
 	// -http, dumped to stderr on SIGQUIT and at exit.
-	flight := maritime.NewObsFlight(4096)
+	flight := obs.NewFlight(4096)
 	fmt.Printf("[build] %s (%s)\n", revision, goVersion)
-	cfg := maritime.IngestConfig{
-		Pipeline: maritime.PipelineConfig{
+	cfg := ingest.Config{
+		Pipeline: core.Config{
 			Zones:              world.Zones,
 			SynopsisToleranceM: *synopsisTol,
 		},
@@ -224,7 +231,7 @@ func main() {
 		Flight:        flight,
 	}
 	for _, u := range peers {
-		c := maritime.NewQueryClient(u)
+		c := query.NewClient(u)
 		c.Flight = flight // peer degraded/recovered + epoch rewinds, on the record
 		cfg.Peers = append(cfg.Peers, c)
 		fmt.Printf("[federation] peer %s merged into query answers\n", u)
@@ -239,25 +246,25 @@ func main() {
 		}
 	}()
 	if *trackOn || *detections {
-		cfg.Track = &maritime.TrackConfig{}
+		cfg.Track = &track.Config{}
 		if *detections {
 			fmt.Println("[track] online tracker on; fusing $PRADAR radar contacts from the feed")
 		} else {
 			fmt.Println("[track] online tracker on")
 		}
 	}
-	var semantic *maritime.SemanticStore
+	var semantic *semstore.Store
 	if *anomalyOn {
-		semantic = maritime.NewSemanticStore()
-		cfg.Anomaly = &maritime.AnomalyConfig{Semantic: semantic, Zones: world.Zones}
+		semantic = semstore.NewStore()
+		cfg.Anomaly = &anomaly.Config{Semantic: semantic, Zones: world.Zones}
 		fmt.Println("[anomaly] streaming anomaly lane on: behavior profiles, episode extraction, possible-rendezvous CEP")
 	}
 
 	// Tiered storage: -remote-dir is the object store sealed segments,
 	// snapshots and evicted chunks migrate to; -mem-budget arms eviction.
-	var objects maritime.ObjectStore
+	var objects store.ObjectStore
 	if *remoteDir != "" {
-		fs, err := maritime.NewFSObjects(*remoteDir)
+		fs, err := store.NewFSObjects(*remoteDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "maritimed: opening remote object store:", err)
 			os.Exit(1)
@@ -285,7 +292,7 @@ func main() {
 			// ignores.
 			spillDir = filepath.Join(*dataDir, "tier")
 		}
-		spill, err := maritime.NewFSObjectsCache(spillDir)
+		spill, err := store.NewFSObjectsCache(spillDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "maritimed: opening spill store:", err)
 			os.Exit(1)
@@ -295,21 +302,21 @@ func main() {
 		fmt.Printf("[tier] resident archive budget %s: cold vessels evict and page back on demand\n", *memBudget)
 	}
 
-	var arch *maritime.Archive
+	var arch *store.Archive
 	if *dataDir != "" {
-		policy, ok := map[string]maritime.SyncPolicy{
-			"rotate": maritime.SyncRotate, "always": maritime.SyncAlways, "never": maritime.SyncNever,
+		policy, ok := map[string]store.SyncPolicy{
+			"rotate": store.SyncRotate, "always": store.SyncAlways, "never": store.SyncNever,
 		}[*fsync]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "maritimed: unknown -fsync policy %q\n", *fsync)
 			os.Exit(2)
 		}
-		scfg := maritime.StoreConfig{Dir: *dataDir, Sync: policy}
+		scfg := store.Config{Dir: *dataDir, Sync: policy}
 		if *remoteDir != "" {
 			scfg.Remote = objects
 		}
 		var err error
-		arch, err = maritime.OpenArchive(scfg)
+		arch, err = store.Open(scfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "maritimed: opening archive:", err)
 			os.Exit(1)
@@ -318,7 +325,7 @@ func main() {
 		arch.Instrument(reg) // recovery stats + WAL/upload latency series
 	}
 
-	engine := maritime.NewIngestEngine(cfg)
+	engine := ingest.New(cfg)
 	if arch != nil {
 		resumed := engine.Resume(arch.Store)
 		fmt.Printf("[archive] %s: recovered %d records (%d from snapshot, %d from WAL over %d segments",
@@ -370,10 +377,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "maritimed: query API listen:", err)
 			os.Exit(1)
 		}
-		srv := maritime.NewQueryServer(engine)
+		srv := query.NewServer(engine)
 		srv.ServeMetrics(reg)
 		srv.ServeFlight(flight)
-		srv.ServeHealth(engine.Health(maritime.IngestHealthOptions{}))
+		srv.ServeHealth(engine.Health(ingest.HealthOptions{}))
 		if *slowQuery > 0 {
 			srv.RecordSlowQueries(*slowQuery, flight)
 		}
@@ -405,7 +412,7 @@ func main() {
 			fmt.Printf("[quality] vessel %d: %s (%s)\n", issue.MMSI, issue.Rule, issue.Note)
 		}
 	}
-	lines := make(chan maritime.IngestLine, 1024)
+	lines := make(chan ingest.Line, 1024)
 	engine.StartLines(ctx, lines, onStatic)
 
 	// Periodic health line: the same registry the scrape endpoints
@@ -476,14 +483,14 @@ func main() {
 			if *detections {
 				radarSeen++
 				if d, ok := parseRadarLine(line, at); ok {
-					radarFused += engine.IngestDetections([]maritime.Detection{d})
+					radarFused += engine.IngestDetections([]track.Detection{d})
 				} else {
 					radarBad++
 				}
 			}
 			continue
 		}
-		lines <- maritime.IngestLine{At: at, Text: line}
+		lines <- ingest.Line{At: at, Text: line}
 	}
 	close(lines)
 	<-printed // engine auto-closes once decode drains; alerts close last

@@ -9,16 +9,16 @@ import (
 	"log"
 	"time"
 
-	maritime "repro"
 	"repro/internal/forecast"
 	"repro/internal/model"
+	"repro/internal/sim"
 )
 
 func main() {
 	// History: one simulated day to learn from. Train and test share one
 	// world — patterns-of-life belong to the lanes, not the vessels.
-	world := maritime.MediterraneanWorld(31)
-	hist, err := maritime.Simulate(maritime.SimConfig{
+	world := sim.MediterraneanWorld(31)
+	hist, err := sim.Simulate(sim.Config{
 		Seed: 31, World: world, NumVessels: 120, Duration: 8 * time.Hour, TickSec: 5,
 	})
 	if err != nil {
@@ -40,7 +40,7 @@ func main() {
 
 	// Evaluation: a fresh run on the same world (same seed world, new
 	// vessel draws) — same lanes, unseen vessels.
-	test, err := maritime.Simulate(maritime.SimConfig{
+	test, err := sim.Simulate(sim.Config{
 		Seed: 97, World: world, NumVessels: 40, Duration: 6 * time.Hour, TickSec: 5,
 	})
 	if err != nil {

@@ -11,21 +11,21 @@ import (
 	"math/rand"
 	"time"
 
-	maritime "repro"
 	"repro/internal/fusion"
 	"repro/internal/geo"
 	"repro/internal/registry"
+	"repro/internal/sim"
 )
 
 func main() {
-	cfg := maritime.SimConfig{
+	cfg := sim.Config{
 		Seed:        21,
 		NumVessels:  60,
 		Duration:    time.Hour,
 		RadarRangeM: 60000,
 		NumRadar:    4,
 	}
-	run, err := maritime.Simulate(cfg)
+	run, err := sim.Simulate(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

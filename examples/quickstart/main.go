@@ -8,19 +8,20 @@ import (
 	"log"
 	"time"
 
-	maritime "repro"
+	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 func main() {
 	// 1. A synthetic world stands in for live AIS feeds (the library's
 	// substitution for radio receivers; see README.md).
-	cfg := maritime.SimConfig{
+	cfg := sim.Config{
 		Seed:       42,
 		NumVessels: 80,
 		Duration:   90 * time.Minute,
 	}
 	cfg.DefaultAnomalyRates() // the paper-calibrated defect profile
-	run, err := maritime.Simulate(cfg)
+	run, err := sim.Simulate(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func main() {
 		len(run.Vessels), len(run.Positions), len(run.Events))
 
 	// 2. The integrated pipeline of the paper's Figure 2.
-	p := maritime.NewPipeline(maritime.PipelineConfig{
+	p := core.New(core.Config{
 		Zones:              run.Config.World.Zones,
 		SynopsisToleranceM: 60, // archive synopses, not raw firehose
 	})

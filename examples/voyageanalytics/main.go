@@ -9,15 +9,16 @@ import (
 	"log"
 	"time"
 
-	maritime "repro"
 	"repro/internal/geo"
 	"repro/internal/model"
 	"repro/internal/semstore"
+	"repro/internal/sim"
+	"repro/internal/tstore"
 	"repro/internal/va"
 )
 
 func main() {
-	run, err := maritime.Simulate(maritime.SimConfig{
+	run, err := sim.Simulate(sim.Config{
 		Seed: 17, NumVessels: 150, Duration: 6 * time.Hour, TickSec: 5,
 	})
 	if err != nil {
@@ -26,7 +27,7 @@ func main() {
 	world := run.Config.World
 
 	// 1. Archive everything.
-	store := maritime.NewStore()
+	store := tstore.New()
 	for mmsi, pts := range run.Truth {
 		for _, p := range pts {
 			store.Append(model.VesselState{

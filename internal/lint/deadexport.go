@@ -10,10 +10,10 @@ import "go/types"
 // Loader.moduleUses), so a narrower maritimelint pattern sees the same
 // findings for the packages it names.
 //
-// A use is any reference from a non-test file. A selected facade alias
-// (`maritime.IngestConfig`) is recorded as a use of the alias's own
-// name, also under gotypesalias=0, which go.mod's go 1.22 implies, so
-// re-exports need no special case. A method is also used when its name
+// A use is any reference from a non-test file. A type alias selected
+// from another package (`pkg.Alias`) is recorded as a use of the alias's
+// own name, also under gotypesalias=0, which go.mod's go 1.22 implies,
+// so re-exports need no special case. A method is also used when its name
 // and signature match a method of any interface declared in the module
 // or in a package it imports, `error` included, or when its type is a
 // type argument whose parameter's constraint names the method.

@@ -2,10 +2,10 @@ package lib
 
 import "fmt"
 
-// Request is used through the facade alias only.
+// Request is used through the root package's alias only.
 type Request struct{ ID int }
 
-// Orphaned is used by the facade's unused alias, which is use enough.
+// Orphaned is used by the root package's unused alias, which is use enough.
 type Orphaned struct{}
 
 func Unused() {} // want "exported func Unused"
