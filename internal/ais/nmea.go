@@ -146,17 +146,6 @@ type Decoder struct {
 	bits     []byte       // reused unarmored-bit buffer
 	fragFree [][]Sentence // recycled fragment slices from completed groups
 	interned stringTable  // shared copies of decoded text fields
-
-	// Stats counts decoding outcomes since creation.
-	Stats DecoderStats
-}
-
-// DecoderStats counts decoder outcomes.
-type DecoderStats struct {
-	Sentences int // sentences parsed OK
-	Malformed int // lines rejected at the sentence layer
-	Messages  int // complete messages decoded
-	Undecoded int // payloads with unsupported type or truncated bits
 }
 
 // NewDecoder returns an empty decoder.
@@ -170,10 +159,8 @@ func NewDecoder() *Decoder {
 func (d *Decoder) Decode(line string) (any, error) {
 	s, err := ParseSentence(line)
 	if err != nil {
-		d.Stats.Malformed++
 		return nil, err
 	}
-	d.Stats.Sentences++
 	if s.FragCount == 1 {
 		d.single[0] = s
 		return d.finish(d.single[:1])
@@ -195,7 +182,6 @@ func (d *Decoder) Decode(line string) (any, error) {
 	// into fragment-number order in place.
 	for _, f := range frags {
 		if f.FragNum < 1 || f.FragNum > s.FragCount {
-			d.Stats.Undecoded++
 			return nil, fmt.Errorf("ais: inconsistent fragment set for %q", key)
 		}
 	}
@@ -203,7 +189,6 @@ func (d *Decoder) Decode(line string) (any, error) {
 		for frags[i].FragNum != i+1 {
 			j := frags[i].FragNum - 1
 			if frags[j].FragNum == frags[i].FragNum {
-				d.Stats.Undecoded++
 				return nil, fmt.Errorf("ais: inconsistent fragment set for %q", key)
 			}
 			frags[i], frags[j] = frags[j], frags[i]
@@ -230,15 +215,12 @@ func (d *Decoder) finish(frags []Sentence) (any, error) {
 	bits, err := unarmorAppend(d.bits[:0], d.payload, fill)
 	d.bits = bits[:0]
 	if err != nil {
-		d.Stats.Undecoded++
 		return nil, err
 	}
 	msg, err := decodePayloadWith(bits, &d.interned)
 	if err != nil {
-		d.Stats.Undecoded++
 		return nil, err
 	}
-	d.Stats.Messages++
 	return msg, nil
 }
 

@@ -296,7 +296,6 @@ type RendezvousDetector struct {
 
 type pairState struct {
 	since   time.Time
-	lastAt  time.Time
 	where   geo.Point
 	alerted bool
 }
@@ -374,10 +373,9 @@ func (d *RendezvousDetector) ProcessPair(a, b *Contact, ctx *Context) []Alert {
 		return nil
 	}
 	if !ok {
-		d.pairs[key] = &pairState{since: now, lastAt: now, where: geo.Midpoint(a.Pos, b.Pos)}
+		d.pairs[key] = &pairState{since: now, where: geo.Midpoint(a.Pos, b.Pos)}
 		return nil
 	}
-	st.lastAt = now
 	st.where = geo.Midpoint(a.Pos, b.Pos)
 	if st.alerted || now.Sub(st.since) < d.MinDuration {
 		return nil

@@ -335,10 +335,9 @@ func (d *refRendezvous) ProcessPair(a, b model.VesselState, ctx *Context) []Aler
 		return nil
 	}
 	if !ok {
-		d.pairs[key] = &pairState{since: now, lastAt: now, where: geo.Midpoint(a.Pos, b.Pos)}
+		d.pairs[key] = &pairState{since: now, where: geo.Midpoint(a.Pos, b.Pos)}
 		return nil
 	}
-	st.lastAt = now
 	st.where = geo.Midpoint(a.Pos, b.Pos)
 	if st.alerted || now.Sub(st.since) < d.MinDuration {
 		return nil
