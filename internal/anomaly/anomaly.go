@@ -186,21 +186,17 @@ func (ss *Stages) VesselAnomaly(mmsi uint32) (va *query.VesselAnomaly, ok bool) 
 // merged, sorted score-descending (MMSI ascending on ties) and
 // truncated to limit when limit > 0.
 func (ss *Stages) RankedAnomalies(limit int) ([]query.VesselAnomaly, bool) {
-	var out []query.VesselAnomaly
+	var reports []*query.VesselAnomaly
 	for i := range ss.Len() {
 		ss.Stage(i).View(func(vessels map[uint32]*query.AnomalyAccumulator) {
 			for _, acc := range vessels {
 				if va := acc.Report(); va != nil {
-					out = append(out, *va)
+					reports = append(reports, va)
 				}
 			}
 		})
 	}
-	query.SortRankedAnomalies(out)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out, true
+	return query.RankAnomalies(reports, limit), true
 }
 
 // Lane is the stages' read side as the live source consumes it: the

@@ -111,7 +111,7 @@ func TestStageMatchesOfflineReplay(t *testing.T) {
 	ss := NewStages(4, Config{})
 	feed(ss, interleave(fleet))
 
-	var derived []query.VesselAnomaly
+	var derived []*query.VesselAnomaly
 	for mmsi, pts := range fleet {
 		want := query.Replay(query.NewAnomalyAccumulator, mmsi, pts)
 		got, ok := ss.VesselAnomaly(mmsi)
@@ -123,16 +123,15 @@ func TestStageMatchesOfflineReplay(t *testing.T) {
 		if string(gj) != string(wj) {
 			t.Fatalf("vessel %d online report diverged from replay:\n%s\n%s", mmsi, gj, wj)
 		}
-		derived = append(derived, *want)
+		derived = append(derived, want)
 	}
 
-	query.SortRankedAnomalies(derived)
 	ranked, ok := ss.RankedAnomalies(0)
 	if !ok {
 		t.Fatal("stage ranking not ok")
 	}
 	gj, _ := json.Marshal(ranked)
-	wj, _ := json.Marshal(derived)
+	wj, _ := json.Marshal(query.RankAnomalies(derived, 0))
 	if string(gj) != string(wj) {
 		t.Fatalf("online ranking diverged from replay:\n%s\n%s", gj, wj)
 	}

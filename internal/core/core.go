@@ -16,7 +16,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -345,13 +345,15 @@ func (s *Sharded) ShardFor(mmsi uint32) *Pipeline {
 	return s.Shards[s.ShardIndex(mmsi)]
 }
 
-// Alerts merges all shards' alerts, time-ordered.
+// Alerts merges all shards' alerts, time-ordered. Alerts with equal At
+// keep a defined order: the lower shard's first, and within a shard the
+// order it raised them in.
 func (s *Sharded) Alerts() []events.Alert {
 	var out []events.Alert
 	for _, p := range s.Shards {
 		out = append(out, p.Alerts()...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At.Before(out[j].At) })
+	slices.SortStableFunc(out, func(a, b events.Alert) int { return a.At.Compare(b.At) })
 	return out
 }
 

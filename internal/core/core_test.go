@@ -245,6 +245,9 @@ func TestShardedMatchesSingleOnPerVesselMetrics(t *testing.T) {
 // TestShardedAlertsTimeOrdered routes a feed by ShardFor, as a caller
 // fanning out to shard workers does, and checks that every report is
 // counted once and that the merged alert list comes back in time order.
+// Alerts with equal At come lower shard first, then in raise order:
+// equal-At alerts planted on two shards, and one on a third, out of
+// shard order, come back in exactly that order.
 func TestShardedAlertsTimeOrdered(t *testing.T) {
 	run := runScenario(t, sim.Config{Seed: 5, NumVessels: 20, Duration: 20 * time.Minute, TickSec: 2})
 	sp := NewSharded(Config{Zones: run.Config.World.Zones}, 3)
@@ -263,6 +266,24 @@ func TestShardedAlertsTimeOrdered(t *testing.T) {
 		if alerts[i].At.Before(alerts[i-1].At) {
 			t.Fatal("merged alerts not time-ordered")
 		}
+	}
+
+	tie := alerts[len(alerts)-1].At.Add(time.Hour)
+	for _, plant := range []struct {
+		shard int
+		note  string
+	}{{2, "2a"}, {0, "0a"}, {2, "2b"}, {1, "1a"}, {0, "0b"}, {2, "2c"}} {
+		p := sp.Shards[plant.shard]
+		p.alerts = append(p.alerts, events.Alert{Kind: events.KindLoiter, At: tie, Note: plant.note})
+	}
+	var got []string
+	for _, a := range sp.Alerts() {
+		if a.At.Equal(tie) {
+			got = append(got, a.Note)
+		}
+	}
+	if want := []string{"0a", "0b", "1a", "2a", "2b", "2c"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("equal-At alerts merged as %v, want %v (lower shard first, then raise order)", got, want)
 	}
 }
 

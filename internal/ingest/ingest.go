@@ -414,36 +414,32 @@ func (e *Engine) instrument(reg *obs.Registry) {
 	e.hub.Instrument(reg)
 }
 
-// Resume preloads a recovered archive (store.Open) into the engine's
-// shards before Start: each vessel's trajectory lands in its owning
-// shard's store, its newest state seeds that shard's live picture, and
-// every attached lane folds the trajectory in (lane.Host.Seed), so the
-// online derived kinds answer exactly what a replay of the archive would
-// from the first post-restart record on. It returns the number of points
-// loaded. Resumed points are not re-persisted (the flush stage attaches
-// at Start), not published to the hub, raise no alerts and do not count
-// in pipeline metrics; detector and synopsis state restarts fresh — only
-// what the stored picture determines resumes, matching what the WAL can
-// know.
+// Resume hands a recovered archive (store.Open) over to the engine's
+// shards before Start: each vessel's series moves, uncopied, into its
+// owning shard's store (tstore.Store.MoveTo), its newest state seeds that
+// shard's live picture, and every attached lane folds the moved points in
+// (lane.Host.Seed), so the online derived kinds answer exactly what a
+// replay of the archive would from the first post-restart record on. The
+// archive is held once: st is empty afterwards and must not be read as
+// the archive again. st must hold no spilled chunks, and the shards no
+// vessel it holds (MoveTo panics otherwise). It returns the number of
+// points handed over. Resumed points are not re-persisted (the flush
+// stage attaches at Start), not published to the hub, raise no alerts and
+// do not count in pipeline metrics; detector and synopsis state restarts
+// fresh — only what the stored picture determines resumes, matching what
+// the WAL can know.
 func (e *Engine) Resume(st *tstore.Store) int {
 	if e.started {
 		panic("ingest: Resume after Start")
 	}
-	n := 0
-	for _, mmsi := range st.MMSIs() {
-		tr := st.Trajectory(mmsi)
-		if len(tr.Points) == 0 {
-			continue
-		}
-		p := e.sharded.ShardFor(mmsi)
-		p.Store.AppendAll(tr.Points)
-		p.Live.Update(tr.Points[len(tr.Points)-1])
-		for _, l := range e.lanes {
-			l.Seed(mmsi, tr.Points)
-		}
-		n += len(tr.Points)
-	}
-	return n
+	return st.MoveTo(
+		func(mmsi uint32) *tstore.Store { return e.sharded.ShardFor(mmsi).Store },
+		func(mmsi uint32, pts []model.VesselState) {
+			e.sharded.ShardFor(mmsi).Live.Update(pts[len(pts)-1])
+			for _, l := range e.lanes {
+				l.Seed(mmsi, pts)
+			}
+		})
 }
 
 // A shardInput is one shard's input, bounded in reports. A report joins

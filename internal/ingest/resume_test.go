@@ -46,13 +46,14 @@ func TestResumeSeedsLanes(t *testing.T) {
 	}
 	defer sub.Cancel()
 
+	// Resume empties the store it hands over, so read the reference first.
 	last := map[uint32]model.VesselState{}
 	for _, p := range a.Sharded().Shards {
-		b.Resume(p.Store)
 		for _, mmsi := range p.Store.MMSIs() {
 			pts := p.Store.Trajectory(mmsi).Points
 			last[mmsi] = pts[len(pts)-1]
 		}
+		b.Resume(p.Store)
 	}
 	if len(last) == 0 {
 		t.Fatal("fixture archived nothing")
@@ -80,7 +81,7 @@ func TestResumeSeedsLanes(t *testing.T) {
 	// with it, yet fires nothing.
 	var seeded *events.Gap
 	for mmsi := range last {
-		for _, g := range events.FindGaps(a.Sharded().ShardFor(mmsi).Store.Trajectory(mmsi), query.AnomalyGapThreshold) {
+		for _, g := range events.FindGaps(b.Sharded().ShardFor(mmsi).Store.Trajectory(mmsi), query.AnomalyGapThreshold) {
 			twin := g
 			twin.MMSI = 1
 			if _, ok := events.PossibleRendezvous(twin, g, events.DefaultOpenWorldConfig()); ok && seeded == nil {
@@ -201,14 +202,14 @@ func TestReplayMemoAcrossResume(t *testing.T) {
 	}
 	check := func(step string) {
 		t.Helper()
-		var ranked []query.VesselAnomaly
+		var reports []*query.VesselAnomaly
 		for _, mmsi := range fleet {
 			pts := b.Sharded().ShardFor(mmsi).Store.Trajectory(mmsi).Points
 			if va := query.Replay(query.NewAnomalyAccumulator, mmsi, pts); va != nil {
-				ranked = append(ranked, *va)
+				reports = append(reports, va)
 			}
 		}
-		query.SortRankedAnomalies(ranked)
+		ranked := query.RankAnomalies(reports, 0)
 		for range 2 {
 			got := ask(query.Request{Kind: query.KindAnomalies, Limit: len(fleet)}).Anomalies.Ranked
 			if len(got)+len(ranked) > 0 && asJSON(got) != asJSON(ranked) {

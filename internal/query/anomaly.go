@@ -350,31 +350,56 @@ func replayAnomalies(ctx context.Context, a archived, r Request) *Result {
 		return memoised(vesselAnomalyOf, NewAnomalyAccumulator)(ctx, a, r)
 	}
 	fleet := a.Stats(ctx).MMSIs
-	out := make([]VesselAnomaly, 0, len(fleet))
+	reports := make([]*VesselAnomaly, 0, len(fleet))
 	for _, mmsi := range fleet {
 		if ctx.Err() != nil {
 			return &Result{}
 		}
 		if va := memoReplay(ctx, a.replaysOf(mmsi), KindAnomalies, mmsi, NewAnomalyAccumulator); va != nil {
-			out = append(out, *va)
+			reports = append(reports, va)
 		}
 	}
-	SortRankedAnomalies(out)
-	out, _ = capped(out, r.Limit)
-	return &Result{Anomalies: &AnomalyReport{Ranked: out}}
+	return &Result{Anomalies: &AnomalyReport{Ranked: RankAnomalies(reports, r.Limit)}}
 }
 
-// SortRankedAnomalies orders a ranked answer: score descending, MMSI
-// ascending on ties — the one deterministic order every producer of the
-// ranked form (stage, replay, engine merge) must agree on.
-func SortRankedAnomalies(out []VesselAnomaly) {
-	slices.SortFunc(out, func(a, b VesselAnomaly) int {
-		if a.Score > b.Score {
-			return -1
+// RankAnomalies returns the ranked answer over reports: the best limit of
+// them (all when limit <= 0) in rank order — score descending, MMSI
+// ascending on ties, the one deterministic order every producer of the
+// ranked form (stage, replay, engine merge) must agree on. It selects by
+// pointer and copies only the reports it returns; reports may be
+// reordered, and is otherwise only read.
+func RankAnomalies(reports []*VesselAnomaly, limit int) []VesselAnomaly {
+	top := reports
+	if limit > 0 && limit < len(reports) {
+		// Insertion into the sorted best-so-far, skipping everything that
+		// ranks below its last entry once it is full.
+		top = make([]*VesselAnomaly, 0, limit+1)
+		for _, va := range reports {
+			if len(top) == limit && rankOrder(va, top[limit-1]) >= 0 {
+				continue
+			}
+			i, _ := slices.BinarySearchFunc(top, va, rankOrder)
+			if top = slices.Insert(top, i, va); len(top) > limit {
+				top = top[:limit]
+			}
 		}
-		if a.Score < b.Score {
-			return 1
-		}
-		return cmp.Compare(a.MMSI, b.MMSI)
-	})
+	} else {
+		slices.SortFunc(top, rankOrder)
+	}
+	out := make([]VesselAnomaly, len(top))
+	for i, va := range top {
+		out[i] = *va
+	}
+	return out
+}
+
+// rankOrder is the ranked form's order: score descending, MMSI ascending.
+func rankOrder(a, b *VesselAnomaly) int {
+	if a.Score > b.Score {
+		return -1
+	}
+	if a.Score < b.Score {
+		return 1
+	}
+	return cmp.Compare(a.MMSI, b.MMSI)
 }

@@ -535,22 +535,23 @@ func runRankedAnomalies(c *call, res *Result) {
 	var out []VesselAnomaly
 	if len(lists) == 1 {
 		out = lists[0] // one entry per vessel, sorted already
+		out, res.Truncated = capped(out, c.req.Limit)
 	} else {
-		best := make(map[uint32]VesselAnomaly)
+		best := make(map[uint32]*VesselAnomaly)
 		for _, l := range lists {
-			for _, va := range l {
-				if prev, ok := best[va.MMSI]; !ok || betterVesselAnomaly(&va, &prev) {
-					best[va.MMSI] = va
+			for i := range l {
+				if prev, ok := best[l[i].MMSI]; !ok || betterVesselAnomaly(&l[i], prev) {
+					best[l[i].MMSI] = &l[i]
 				}
 			}
 		}
-		out = make([]VesselAnomaly, 0, len(best))
+		reports := make([]*VesselAnomaly, 0, len(best))
 		for _, va := range best {
-			out = append(out, va)
+			reports = append(reports, va)
 		}
-		SortRankedAnomalies(out)
+		out = RankAnomalies(reports, c.req.Limit)
+		res.Truncated = c.req.Limit > 0 && len(reports) > c.req.Limit
 	}
-	out, res.Truncated = capped(out, c.req.Limit)
 	res.Anomalies = &AnomalyReport{Ranked: out}
 	res.Count = len(out)
 }

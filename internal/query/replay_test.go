@@ -70,15 +70,13 @@ func replayOracle(st *tstore.Store, req Request) string {
 	case req.MMSI != 0:
 		return js(Replay(NewAnomalyAccumulator, req.MMSI, pts))
 	}
-	var ranked []VesselAnomaly
+	var reports []*VesselAnomaly
 	for _, m := range st.MMSIs() {
 		if va := Replay(NewAnomalyAccumulator, m, st.Trajectory(m).Points); va != nil {
-			ranked = append(ranked, *va)
+			reports = append(reports, va)
 		}
 	}
-	SortRankedAnomalies(ranked)
-	ranked, _ = capped(ranked, req.Limit)
-	return js(ranked)
+	return js(sortThenCap(reports, req.Limit))
 }
 
 // replayFolds sums query_replay_folds_total over the memoised kinds.
@@ -326,16 +324,15 @@ func TestRankedAnomaliesMergeCapsOnce(t *testing.T) {
 		t.Fatalf("fixture: x's stale score %.3f does not beat fresh's cut %.3f", staleTop[0].Score, freshTop[limit-1].Score)
 	}
 
-	var want []VesselAnomaly
+	var reports []*VesselAnomaly
 	for _, m := range union {
 		res, err := eng.Query(Request{Kind: KindAnomalies, MMSI: m})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, *res.Anomalies.Vessel)
+		reports = append(reports, res.Anomalies.Vessel)
 	}
-	SortRankedAnomalies(want)
-	if got := ranked(eng); js(got) != js(want[:limit]) {
-		t.Fatalf("merged ranking != per-vessel answers over the union, sorted and capped\n got: %s\nwant: %s", js(got), js(want[:limit]))
+	if got, want := ranked(eng), sortThenCap(reports, limit); js(got) != js(want) {
+		t.Fatalf("merged ranking != per-vessel answers over the union, sorted and capped\n got: %s\nwant: %s", js(got), js(want))
 	}
 }

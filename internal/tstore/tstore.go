@@ -527,18 +527,54 @@ func (st *Store) forward(sink Sink, recs ...model.VesselState) {
 	}
 }
 
-// AppendAll inserts a batch of samples, forwarding the whole batch to the
-// attached sink in one call.
-func (st *Store) AppendAll(states []model.VesselState) {
+// MoveTo hands every series over to the store route picks for its MMSI,
+// in MMSI order, and leaves st empty. Each series moves whole — points,
+// run summaries, bound, newest sample and counts — without a copy, and
+// is touched on its destination's clock as appending its points there
+// one by one would have touched it, so eviction ranks moved vessels as
+// it ranks appended ones. Nothing is forwarded to any sink. After each
+// series lands, moved is called with its MMSI and its points, which now
+// belong to the destination: moved must not modify or retain them.
+// Neither route nor moved is called under a store lock. It returns the
+// number of points moved.
+//
+// Two preconditions, each a programming error that panics: st holds no
+// spilled chunks (a store recovered from disk has no chunk store), and
+// no destination already holds a vessel it is handed (so destinations
+// must partition the MMSIs, and must not include st).
+func (st *Store) MoveTo(route func(mmsi uint32) *Store, moved func(mmsi uint32, pts []model.VesselState)) int {
 	st.mu.Lock()
-	for _, s := range states {
-		st.insertLocked(s)
+	vessels, mmsis := st.vessels, make([]uint32, 0, len(st.vessels))
+	for m, ser := range vessels {
+		if len(ser.chunks) > 0 {
+			st.mu.Unlock()
+			panic(fmt.Sprintf("tstore: MoveTo: vessel %d has spilled chunks", m))
+		}
+		mmsis = append(mmsis, m)
 	}
-	sink := st.sink
+	st.vessels, st.total, st.resident = make(map[uint32]*series), 0, 0
 	st.mu.Unlock()
-	if sink != nil && len(states) > 0 {
-		st.forward(sink, states...)
+	slices.Sort(mmsis)
+	n := 0
+	for _, m := range mmsis {
+		ser, dst := vessels[m], route(m)
+		if dst == st {
+			panic(fmt.Sprintf("tstore: MoveTo: vessel %d routed to its own store", m))
+		}
+		dst.mu.Lock()
+		if _, ok := dst.vessels[m]; ok {
+			dst.mu.Unlock()
+			panic(fmt.Sprintf("tstore: MoveTo: destination already holds vessel %d", m))
+		}
+		dst.vessels[m] = ser
+		dst.total += ser.n
+		dst.resident += len(ser.points)
+		atomic.StoreInt64(&ser.lastTouch, atomic.AddInt64(&dst.clock, int64(len(ser.points))))
+		dst.mu.Unlock()
+		moved(m, ser.points)
+		n += ser.n
 	}
+	return n
 }
 
 // Len returns the total number of stored points.

@@ -3,6 +3,7 @@ package tstore
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -376,7 +377,8 @@ func TestStoreAttachForwards(t *testing.T) {
 	rec := &sinkRecorder{}
 	st.Attach(rec)
 	st.Append(sample(1, 10, 40.1, 5))
-	st.AppendAll([]model.VesselState{sample(2, 20, 41, 6), sample(2, 30, 41.1, 6)})
+	st.Append(sample(2, 20, 41, 6))
+	st.Append(sample(2, 30, 41.1, 6))
 	if len(rec.recs) != 3 {
 		t.Fatalf("sink saw %d records, want 3", len(rec.recs))
 	}
@@ -388,4 +390,89 @@ func TestStoreAttachForwards(t *testing.T) {
 	if len(rec.recs) != 3 {
 		t.Fatalf("detached sink still saw appends: %d records", len(rec.recs))
 	}
+}
+
+// TestMoveToMatchesAppend pins the handover against the copy it replaces:
+// a seeded fleet (late reports included) moved into three stores leaves
+// each exactly as appending every vessel's trajectory there in MMSI order
+// would — points, run summaries, bound, newest sample, counts and
+// last-touch clock — calls back once per vessel in MMSI order with the
+// moved points, and empties the source.
+func TestMoveToMatchesAppend(t *testing.T) {
+	src, want := simStore(t, 4, 30, 20*time.Minute), simStore(t, 4, 30, 20*time.Minute)
+	route := func(stores []*Store) func(uint32) *Store {
+		return func(m uint32) *Store { return stores[m%uint32(len(stores))] }
+	}
+	ref := []*Store{New(), New(), New()}
+	for _, m := range want.MMSIs() {
+		for _, s := range want.Trajectory(m).Points {
+			route(ref)(m).Append(s)
+		}
+	}
+	got := []*Store{New(), New(), New()}
+	var order []uint32
+	n := src.MoveTo(route(got), func(m uint32, pts []model.VesselState) {
+		order = append(order, m)
+		if !slices.Equal(pts, want.Trajectory(m).Points) {
+			t.Fatalf("vessel %d: moved points differ from its trajectory", m)
+		}
+	})
+	if n != want.Len() || !slices.Equal(order, want.MMSIs()) {
+		t.Fatalf("moved %d points over vessels %v, want %d over %v", n, order, want.Len(), want.MMSIs())
+	}
+	if src.Len() != 0 || src.VesselCount() != 0 || src.Tier() != (TierCounters{}) {
+		t.Fatalf("source after the move: %d points, %d vessels, %+v", src.Len(), src.VesselCount(), src.Tier())
+	}
+	for i := range got {
+		g, r := got[i], ref[i]
+		if g.Len() != r.Len() || g.Tier() != r.Tier() || g.clock != r.clock {
+			t.Fatalf("store %d: len %d, tier %+v, clock %d; appending gives %d, %+v, %d",
+				i, g.Len(), g.Tier(), g.clock, r.Len(), r.Tier(), r.clock)
+		}
+		checkSummaries(t, g)
+		for m, rs := range r.vessels {
+			gs := g.vessels[m]
+			if gs == nil || !slices.Equal(gs.points, rs.points) || !slices.Equal(gs.runs, rs.runs) ||
+				gs.bound != rs.bound || gs.last != rs.last || gs.n != rs.n || gs.lastTouch != rs.lastTouch {
+				t.Fatalf("store %d vessel %d: moved series differs from the appended one", i, m)
+			}
+		}
+	}
+}
+
+// TestMoveToPreconditions pins MoveTo's programming-error panics: a
+// destination that already holds the vessel, the source itself as a
+// destination, and a source with spilled chunks.
+func TestMoveToPreconditions(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: MoveTo did not panic", name)
+			}
+		}()
+		f()
+	}
+	// moveOne moves a one-vessel store into the store dst picks.
+	moveOne := func(dst func(src *Store) *Store) func() {
+		return func() {
+			src := New()
+			src.Append(sample(1, 0, 40, 5))
+			src.SetChunkStore(newMemChunks())
+			to := dst(src)
+			src.MoveTo(func(uint32) *Store { return to }, func(uint32, []model.VesselState) {})
+		}
+	}
+	mustPanic("destination holds the vessel", moveOne(func(*Store) *Store {
+		dst := New()
+		dst.Append(sample(1, 10, 40, 5))
+		return dst
+	}))
+	mustPanic("routed to itself", moveOne(func(src *Store) *Store { return src }))
+	mustPanic("spilled chunks", moveOne(func(src *Store) *Store {
+		if _, err := src.EvictVessel(1); err != nil {
+			t.Fatal(err)
+		}
+		return New()
+	}))
 }
